@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,12 +53,14 @@ from .model import (
 from .presets import PRESET_NAMES, load_preset
 from .shortlen import short_propagator
 
+# (column suffix, values over z) of each quantity, read off a stacked report
 _QUANTITY_COLUMNS = {
-    "moments": lambda k_max: ["meanW"] + [f"w{k}" for k in range(2, k_max + 1)],
-    "variance": lambda k_max: ["varW"],
-    "squeeze": lambda k_max: ["lambda"],
-    "quadratures": lambda k_max: ["var_p", "var_q", "u"],
-    "pn": lambda k_max: [],
+    "moments": lambda r: [("meanW", r.mean_w)] + [
+        (f"w{k}", col) for k, col in enumerate(r.reduced_moments.T, start=2)],
+    "variance": lambda r: [("varW", r.variance_w)],
+    "squeeze": lambda r: [("lambda", r.lam)],
+    "quadratures": lambda r: [("var_p", r.var_p), ("var_q", r.var_q), ("u", r.uncertainty)],
+    "pn": lambda r: [],
 }
 
 
@@ -73,79 +74,41 @@ class SweepResult:
     metadata: tuple           # of (key, value-string)
 
 
-def _report_values(report, tag, k_max):
-    if tag == "moments":
-        return [report.mean_w] + list(report.reduced_moments[: k_max - 1])
-    if tag == "variance":
-        return [report.variance_w]
-    if tag == "squeeze":
-        return [report.lam]
-    if tag == "quadratures":
-        return [report.var_p, report.var_q, report.uncertainty]
-    return []
-
-
 def run_scenario(cfg: ScenarioConfig) -> SweepResult:
     """Evolve the scenario over its z-grid and collect all statistics.
 
-    Deterministic for a given config; grid points are dispatched to a
-    thread pool and reassembled in order.
+    Deterministic for a given config.  Each stage runs once over the
+    whole grid: the propagator stacked over z, the stacked state, and one
+    stacked ``stats_report`` per distinct selection, which builds the
+    order-``n_max`` jet at s=1 only for selections that request ``pn``.
     """
     params = validate_params(cfg.params)
     em = build_drift_matrix(params)
     s0 = build_input_state(cfg.inputs)
     observables = cfg.effective_observables()
-    selections = []
-    pn_selections = set()
-    for tag, sel in observables:
-        if sel not in selections:
-            selections.append(sel)
-        if tag == "pn":
-            pn_selections.add(sel)
+    pn_selections = {sel for tag, sel in observables if tag == "pn"}
     zs = cfg.z_grid()
-
-    def at_z(z):
-        t = propagator(em, float(z))
-        state = evolve_state(t, s0)
-        reports = {
-            sel: stats_report(
-                state, sel, k_max=cfg.k_max, n_max=cfg.n_max,
-                include_pn=sel in pn_selections,
-            )
-            for sel in selections
-        }
-        return t, state, reports
-
-    workers = min(len(zs), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        per_z = list(pool.map(at_z, zs))
-
-    columns = []
-    for tag, sel in observables:
-        names = _QUANTITY_COLUMNS[tag](cfg.k_max)
-        if not names:
-            continue
-        block = np.array([_report_values(reports[sel], tag, cfg.k_max)
-                          for _, _, reports in per_z])
-        for i, qty in enumerate(names):
-            columns.append((f"{sel.name}.{qty}", block[:, i]))
-
-    pn_tables = []
-    for sel in selections:
-        if sel in pn_selections:
-            table = np.vstack([reports[sel].p_n for _, _, reports in per_z])
-            pn_tables.append((sel.name, table))
-
-    cons = conservation_residual(state for _, state, _ in per_z)
-    sympl = max(symplectic_residual(t) for t, _, _ in per_z)
+    transforms = propagator(em, zs)
+    states = evolve_state(transforms, s0)
+    reports = {
+        sel: stats_report(states, sel, k_max=cfg.k_max, n_max=cfg.n_max,
+                          include_pn=sel in pn_selections)
+        for sel in dict.fromkeys(sel for _, sel in observables)
+    }
+    columns = tuple(
+        (f"{sel.name}.{qty}", values)
+        for tag, sel in observables
+        for qty, values in _QUANTITY_COLUMNS[tag](reports[sel])
+    )
+    pn_tables = tuple((sel.name, rep.p_n) for sel, rep in reports.items()
+                      if rep.p_n is not None)
     metadata = (
         ("qcoupler", __version__),
         ("scenario", serialize_scenario(cfg).replace("\n", "; ").rstrip("; ")),
-        ("conservation_residual", f"{cons:.6e}"),
-        ("max_symplectic_residual", f"{sympl:.6e}"),
+        ("conservation_residual", f"{conservation_residual(states):.6e}"),
+        ("max_symplectic_residual", f"{symplectic_residual(transforms):.6e}"),
     )
-    return SweepResult(z=zs, columns=tuple(columns), pn_tables=tuple(pn_tables),
-                       metadata=metadata)
+    return SweepResult(z=zs, columns=columns, pn_tables=pn_tables, metadata=metadata)
 
 
 def _fmt(value: float) -> str:

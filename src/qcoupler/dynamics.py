@@ -10,6 +10,10 @@ operators defines the (U, V) pair of a Bogoliubov transform,
 
 which preserves the bosonic commutators: U U^H - V V^H = I and
 U V^T - V U^T = 0.
+
+An array of lengths gives the transforms of a whole z-grid at once,
+stacked along a leading axis, and ``evolve_state`` turns them into one
+stacked :class:`~qcoupler.model.GaussianState`.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ import scipy.linalg
 
 from .exceptions import NumericalError
 from .model import (
-    EXCHANGE_PERMUTATION,
     GaussianState,
     N_MODES,
     ValidatedParams,
+    noise_functions,
 )
 
 _DIM = 2 * N_MODES
@@ -81,17 +85,24 @@ class EvolutionMatrix:
                 self._spectral = (None, None, None)
         return self._spectral
 
-    def expm(self, z: float) -> np.ndarray:
+    def expm(self, z) -> np.ndarray:
         """exp(i M z), via the cached eigendecomposition when it is
-        well-conditioned and scaling-and-squaring otherwise."""
+        well-conditioned and scaling-and-squaring otherwise.
+
+        An array of lengths gives the exponentials stacked over its shape.
+        """
+        z = np.asarray(z, dtype=float)
         eigvals, eigvecs, inv = self._factorize()
-        if eigvals is not None:
-            out = (eigvecs * np.exp(eigvals * z)) @ inv
-        else:
-            out = scipy.linalg.expm(1j * self.matrix * z)
-        if not np.all(np.isfinite(out)):
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            if eigvals is not None:
+                out = (eigvecs * np.exp(eigvals * z[..., None])[..., None, :]) @ inv
+            else:
+                out = scipy.linalg.expm(1j * self.matrix * z[..., None, None])
+        finite = np.all(np.isfinite(out), axis=(-2, -1))
+        if not np.all(finite):
+            first = np.ravel(z)[np.argmin(np.ravel(finite))]
             raise NumericalError(
-                f"matrix exponential produced non-finite entries at z={z}; "
+                f"matrix exponential produced non-finite entries at z={first}; "
                 f"|M|={np.max(np.abs(self.matrix)):.3g}"
             )
         return out
@@ -112,19 +123,26 @@ def build_drift_matrix(params: ValidatedParams) -> EvolutionMatrix:
 
 @dataclass(frozen=True)
 class BogoliubovTransform:
-    """The (U, V) blocks of the operator solution at propagation length z."""
+    """The (U, V) blocks of the operator solution at propagation length z.
+
+    Leading axes stack transforms: over a z-grid, U and V are (Z, 6, 6)
+    and z is the grid.
+    """
 
     U: np.ndarray
     V: np.ndarray
-    z: float
+    z: np.ndarray | float
 
     def __post_init__(self):
         for name in ("U", "V"):
             arr = np.array(getattr(self, name), dtype=complex)
-            if arr.shape != (N_MODES, N_MODES):
-                raise NumericalError(f"{name} must be {N_MODES}x{N_MODES}")
+            if arr.shape[-2:] != (N_MODES, N_MODES) or arr.shape != np.shape(self.U):
+                raise NumericalError(f"{name} must be {N_MODES}x{N_MODES} (or a stack of them)")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        z = np.array(self.z, dtype=float)
+        z.setflags(write=False)
+        object.__setattr__(self, "z", float(z) if z.ndim == 0 else z)
 
     @classmethod
     def identity(cls) -> "BogoliubovTransform":
@@ -134,15 +152,15 @@ class BogoliubovTransform:
     @classmethod
     def from_doubled(cls, mat: np.ndarray, z: float) -> "BogoliubovTransform":
         """Extract (U, V) from a 12x12 propagator over the interleaved basis."""
-        return cls(U=mat[0::2, 0::2], V=mat[0::2, 1::2], z=z)
+        return cls(U=mat[..., 0::2, 0::2], V=mat[..., 0::2, 1::2], z=z)
 
     def doubled(self) -> np.ndarray:
         """Rebuild the full 12x12 propagator (creator rows by conjugation)."""
-        out = np.zeros((_DIM, _DIM), dtype=complex)
-        out[0::2, 0::2] = self.U
-        out[0::2, 1::2] = self.V
-        out[1::2, 0::2] = self.V.conj()
-        out[1::2, 1::2] = self.U.conj()
+        out = np.zeros(self.U.shape[:-2] + (_DIM, _DIM), dtype=complex)
+        out[..., 0::2, 0::2] = self.U
+        out[..., 0::2, 1::2] = self.V
+        out[..., 1::2, 0::2] = self.V.conj()
+        out[..., 1::2, 1::2] = self.U.conj()
         return out
 
     def compose(self, first: "BogoliubovTransform") -> "BogoliubovTransform":
@@ -151,16 +169,14 @@ class BogoliubovTransform:
         v = self.U @ first.V + self.V @ first.U.conj()
         return BogoliubovTransform(U=u, V=v, z=self.z + first.z)
 
-    def permuted(self, perm=EXCHANGE_PERMUTATION) -> "BogoliubovTransform":
-        p = np.asarray(perm)
-        return BogoliubovTransform(U=self.U[np.ix_(p, p)], V=self.V[np.ix_(p, p)], z=self.z)
 
-
-def propagator(em: EvolutionMatrix, z: float) -> BogoliubovTransform:
-    """Bogoliubov transform after propagation over length z."""
-    if not np.isfinite(z):
+def propagator(em: EvolutionMatrix, z) -> BogoliubovTransform:
+    """Bogoliubov transform after propagation over length z; an array of
+    lengths (a z-grid) gives the transforms stacked over it."""
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)):
         raise NumericalError(f"propagation length must be finite, got {z}")
-    return BogoliubovTransform.from_doubled(em.expm(float(z)), float(z))
+    return BogoliubovTransform.from_doubled(em.expm(z), z)
 
 
 def rk4_propagator(em: EvolutionMatrix, z: float, h: float = 1e-4) -> BogoliubovTransform:
@@ -184,10 +200,12 @@ def rk4_propagator(em: EvolutionMatrix, z: float, h: float = 1e-4) -> Bogoliubov
 
 
 def symplectic_residual(t: BogoliubovTransform) -> float:
-    """Max-norm violation of the two Bogoliubov (commutator) identities."""
+    """Max-norm violation of the two Bogoliubov (commutator) identities,
+    over every transform of a stack."""
     u, v = t.U, t.V
-    r1 = u @ u.conj().T - v @ v.conj().T - np.eye(N_MODES)
-    r2 = u @ v.T - v @ u.T
+    ut, vt = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
+    r1 = u @ ut.conj() - v @ vt.conj() - np.eye(N_MODES)
+    r2 = u @ vt - v @ ut
     return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
 
 
@@ -196,38 +214,35 @@ def evolve_state(t: BogoliubovTransform, s0: GaussianState) -> GaussianState:
 
     Means contract directly; the second moments transform by substituting
     dA(z) = U dA + V dA^+ into their definitions.  The input state may
-    carry arbitrary cross-mode moments.
+    carry arbitrary cross-mode moments.  A stack of transforms takes the
+    one input state to a state stacked likewise.
     """
     u, v = t.U, t.V
+    ut, vt = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
     xi = u @ s0.xi + v @ s0.xi.conj()
     n0 = s0.normal_moment_matrix()          # <dA^+ dA>
     m0 = s0.pair_moment_matrix()            # <dA dA>
     n0_anti = n0.T + np.eye(N_MODES)        # <dA dA^+>
     uc, vc = u.conj(), v.conj()
-    n1 = uc @ n0 @ u.T + uc @ m0.conj() @ v.T + vc @ m0 @ u.T + vc @ n0_anti @ v.T
-    m1 = u @ m0 @ u.T + u @ n0_anti @ v.T + v @ n0 @ u.T + v @ m0.conj() @ v.T
+    n1 = uc @ n0 @ ut + uc @ m0.conj() @ vt + vc @ m0 @ ut + vc @ n0_anti @ vt
+    m1 = u @ m0 @ ut + u @ n0_anti @ vt + v @ n0 @ ut + v @ m0.conj() @ vt
     # exact symmetries hold up to roundoff; restore them
-    n1 = 0.5 * (n1 + n1.conj().T)
-    m1 = 0.5 * (m1 + m1.T)
-    b = np.real(np.diag(n1)).copy()
-    c = np.diag(m1).copy()
-    d = m1.copy()
-    np.fill_diagonal(d, 0j)
-    dbar = -n1
-    np.fill_diagonal(dbar, 0j)
-    return GaussianState(xi=xi, B=b, C=c, D=d, Dbar=dbar)
+    n1 = 0.5 * (n1 + n1.swapaxes(-1, -2).conj())
+    m1 = 0.5 * (m1 + m1.swapaxes(-1, -2))
+    return GaussianState(xi, *noise_functions(n1, m1), z=t.z)
 
 
-def photon_number_balance(state: GaussianState) -> float:
-    """The conserved combination sum_j (<n_Vj> + <n_Aj> - <n_Sj>)."""
+def photon_number_balance(state: GaussianState):
+    """The conserved combination sum_j (<n_Vj> + <n_Aj> - <n_Sj>), per state."""
     n = state.mean_photon_numbers()
-    return float(n[2] + n[5] + n[1] + n[4] - n[0] - n[3])
+    return n[..., 2] + n[..., 5] + n[..., 1] + n[..., 4] - n[..., 0] - n[..., 3]
 
 
 def conservation_residual(trajectory) -> float:
-    """Max drift of the photon-number balance along a trajectory."""
-    states = list(trajectory)
-    if not states:
-        return 0.0
-    q0 = photon_number_balance(states[0])
-    return max(abs(photon_number_balance(s) - q0) for s in states)
+    """Max drift of the photon-number balance along a trajectory: a state
+    stacked over z, or a sequence of states."""
+    if isinstance(trajectory, GaussianState):
+        balance = np.ravel(photon_number_balance(trajectory))
+    else:
+        balance = np.array([photon_number_balance(s) for s in trajectory])
+    return float(np.max(np.abs(balance - balance[0]))) if balance.size else 0.0

@@ -188,31 +188,41 @@ class GaussianState:
     All arrays are frozen at construction.  ``D`` and ``Dbar`` carry the
     cross-mode moments on the off-diagonal and are zero on the diagonal;
     the diagonal information lives in ``B`` and ``C``.
+
+    Leading axes stack states, one per point of a z-grid say: ``xi`` is
+    then (Z, 6) and ``D`` (Z, 6, 6), and every method and statistic acts
+    per state.  ``z`` is the propagation length (stacked like the
+    states), or None for a state that was not propagated.
     """
 
-    xi: np.ndarray      # (6,) complex
-    B: np.ndarray       # (6,) real
-    C: np.ndarray       # (6,) complex
-    D: np.ndarray       # (6,6) complex, symmetric, zero diagonal
-    Dbar: np.ndarray    # (6,6) complex, conjugate-symmetric, zero diagonal
+    xi: np.ndarray      # (..., 6) complex
+    B: np.ndarray       # (..., 6) real
+    C: np.ndarray       # (..., 6) complex
+    D: np.ndarray       # (..., 6, 6) complex, symmetric, zero diagonal
+    Dbar: np.ndarray    # (..., 6, 6) complex, conjugate-symmetric, zero diagonal
+    z: np.ndarray | float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "xi", _frozen(self.xi, complex, (N_MODES,)))
-        object.__setattr__(self, "B", _frozen(self.B, float, (N_MODES,)))
-        object.__setattr__(self, "C", _frozen(self.C, complex, (N_MODES,)))
-        object.__setattr__(self, "D", _frozen(self.D, complex, (N_MODES, N_MODES)))
-        object.__setattr__(self, "Dbar", _frozen(self.Dbar, complex, (N_MODES, N_MODES)))
+        xi = _frozen(self.xi, complex, np.shape(self.xi)[:-1] + (N_MODES,))
+        batch = xi.shape[:-1]
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "B", _frozen(self.B, float, batch + (N_MODES,)))
+        object.__setattr__(self, "C", _frozen(self.C, complex, batch + (N_MODES,)))
+        object.__setattr__(self, "D", _frozen(self.D, complex, batch + (N_MODES, N_MODES)))
+        object.__setattr__(self, "Dbar", _frozen(self.Dbar, complex, batch + (N_MODES, N_MODES)))
+        if self.z is not None:
+            object.__setattr__(self, "z", _frozen(self.z, float, batch))
 
     def normal_moment_matrix(self) -> np.ndarray:
         """The 6x6 matrix N with N[j,k] = <dA_j^+ dA_k> (Hermitian)."""
-        n = -self.Dbar.copy()
-        np.fill_diagonal(n, self.B)
+        n = -self.Dbar
+        n[..., _DIAG, _DIAG] = self.B
         return n
 
     def pair_moment_matrix(self) -> np.ndarray:
         """The 6x6 matrix with entries <dA_j dA_k> (symmetric)."""
         m = self.D.copy()
-        np.fill_diagonal(m, self.C)
+        m[..., _DIAG, _DIAG] = self.C
         return m
 
     def antinormal_covariance(self) -> np.ndarray:
@@ -223,13 +233,12 @@ class GaussianState:
         """
         n = self.normal_moment_matrix()
         m = self.pair_moment_matrix()
-        eye = np.eye(N_MODES)
-        return np.block([[n.T + eye, m], [m.conj(), n]])
+        return np.block([[n.swapaxes(-1, -2) + np.eye(N_MODES), m], [m.conj(), n]])
 
-    def min_covariance_eigenvalue(self) -> float:
+    def min_covariance_eigenvalue(self):
         gamma = self.antinormal_covariance()
-        gamma = 0.5 * (gamma + gamma.conj().T)
-        return float(np.linalg.eigvalsh(gamma)[0])
+        gamma = 0.5 * (gamma + gamma.swapaxes(-1, -2).conj())
+        return np.linalg.eigvalsh(gamma)[..., 0]
 
     def mean_photon_numbers(self) -> np.ndarray:
         """<n_j> = B_j + |xi_j|^2 per mode."""
@@ -239,13 +248,25 @@ class GaussianState:
         """Raise ValidationError if the state violates its invariants."""
         if np.any(self.B < -tol):
             raise ValidationError(f"negative noise variance B: {self.B}")
-        if not np.allclose(self.D, self.D.T, atol=tol, rtol=0.0):
+        if not np.allclose(self.D, self.D.swapaxes(-1, -2), atol=tol, rtol=0.0):
             raise ValidationError("D is not symmetric")
-        if not np.allclose(self.Dbar, self.Dbar.conj().T, atol=tol, rtol=0.0):
+        if not np.allclose(self.Dbar, self.Dbar.swapaxes(-1, -2).conj(), atol=tol, rtol=0.0):
             raise ValidationError("Dbar is not conjugate-symmetric")
         scale = max(1.0, float(np.max(self.B)) if self.B.size else 1.0)
-        if self.min_covariance_eigenvalue() < -tol * scale:
+        if np.min(self.min_covariance_eigenvalue()) < -tol * scale:
             raise ValidationError("antinormal covariance is not positive semidefinite")
+
+
+_DIAG = np.arange(N_MODES)
+
+
+def noise_functions(n: np.ndarray, m: np.ndarray) -> tuple:
+    """(B, C, D, Dbar) from the normal and pair moment matrices N and M."""
+    d = m.copy()
+    d[..., _DIAG, _DIAG] = 0j
+    dbar = -n
+    dbar[..., _DIAG, _DIAG] = 0j
+    return np.real(n[..., _DIAG, _DIAG]), m[..., _DIAG, _DIAG], d, dbar
 
 
 def _frozen(array, dtype, shape):
@@ -288,8 +309,8 @@ def permute_state(state: GaussianState, perm=EXCHANGE_PERMUTATION) -> GaussianSt
     """Relabel modes of a state by an index permutation."""
     p = np.asarray(perm)
     return GaussianState(
-        xi=state.xi[p], B=state.B[p], C=state.C[p],
-        D=state.D[np.ix_(p, p)], Dbar=state.Dbar[np.ix_(p, p)],
+        xi=state.xi[..., p], B=state.B[..., p], C=state.C[..., p],
+        D=state.D[..., p[:, None], p], Dbar=state.Dbar[..., p[:, None], p], z=state.z,
     )
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import ValidationError
 from .dynamics import BogoliubovTransform, build_drift_matrix
-from .model import GaussianState, N_MODES, ValidatedParams
+from .model import GaussianState, N_MODES, ValidatedParams, noise_functions
 
 _ORDER = 2  # expansion valid through z^2
 
@@ -133,14 +133,7 @@ def shortlen_noise_polys(params: ValidatedParams, n_v1: float, n_v2: float) -> S
     n1 = _poly_mul(_poly_mul(uc, n0), ut) + _poly_mul(_poly_mul(vc, n0_anti), vt)
     m1 = _poly_mul(_poly_mul(u, n0_anti), vt) + _poly_mul(_poly_mul(v, n0), ut)
 
-    diag = np.arange(N_MODES)
-    b = np.real(n1[:, diag, diag])
-    c = m1[:, diag, diag].copy()
-    d = m1.copy()
-    d[:, diag, diag] = 0j
-    dbar = -n1
-    dbar[:, diag, diag] = 0j
-    return ShortlenNoisePolys(B=b, C=c, D=d, Dbar=dbar)
+    return ShortlenNoisePolys(*noise_functions(n1, m1))
 
 
 def shortlen_coefficients(params: ValidatedParams, n_v1: float, n_v2: float,

@@ -1,0 +1,274 @@
+"""The z-grid in one batch: stacked propagator, state and statistics.
+
+A sweep evaluates every stage once over the whole grid.  The per-point
+route (``propagator`` -> ``evolve_state`` -> ``stats_report`` at one
+length) runs through the same kernels; these tests hold the two to
+1e-12 relative, measured against max(|value|, floor) with floor 1 for
+statistics and 1e-6 for p(n), and check that failures inside a batch
+name the first failing length.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import qcoupler.gaussian_stats as gaussian_stats
+from qcoupler.cli import run_scenario
+from qcoupler.dynamics import (
+    build_drift_matrix,
+    conservation_residual,
+    evolve_state,
+    propagator,
+)
+from qcoupler.exceptions import NumericalError
+from qcoupler.gaussian_stats import moments_and_distribution, stats_report
+from qcoupler.model import (
+    CouplerParams,
+    GaussianState,
+    InputSpec,
+    ModeId,
+    ModeSelection,
+    ScenarioConfig,
+    VACUUM_INPUT,
+    build_input_state,
+    parse_scenario,
+)
+from qcoupler.presets import PRESET_NAMES, load_preset
+
+from conftest import quiet_params
+
+TOL = 1e-12
+COLUMN_FLOOR = 1.0
+PN_FLOOR = 1e-6
+
+SMALL_DOC = """
+[params]
+gS1 = 1
+gA1 = 2
+[inputs.S1]
+xi = 2i
+[inputs.V1]
+xi = 1
+[run]
+z_max = 1.0
+z_steps = 6
+n_max = 32
+k_max = 4
+[observables]
+moments: S1,A1
+squeeze: S1V1
+pn: S1
+"""
+
+
+def deviation(actual, expected, floor):
+    """Largest |actual - expected| / max(|expected|, floor); NaN must match NaN."""
+    actual, expected = np.asarray(actual, float), np.asarray(expected, float)
+    assert actual.shape == expected.shape
+    assert np.array_equal(np.isnan(actual), np.isnan(expected))
+    ok = ~np.isnan(expected)
+    if not ok.any():
+        return 0.0
+    diff = np.abs(actual[ok] - expected[ok])
+    return float(np.max(diff / np.maximum(np.abs(expected[ok]), floor)))
+
+
+REPORT_FIELDS = ("mean_w", "reduced_moments", "variance_w", "lam", "var_p",
+                 "var_q", "uncertainty")
+
+
+def report_deviation(batched, i, point):
+    """Deviation of row i of a stacked report from a per-point report."""
+    worst = max(deviation(getattr(batched, f)[i], getattr(point, f), COLUMN_FLOOR)
+                for f in REPORT_FIELDS)
+    if point.p_n is not None:
+        worst = max(worst, deviation(batched.p_n[i], point.p_n, PN_FLOOR),
+                    deviation(batched.pn_deficit[i], point.pn_deficit, COLUMN_FLOOR))
+    return worst
+
+
+def point_columns(report, tag, k_max):
+    """The CSV columns of one quantity, from a per-point report."""
+    if tag == "moments":
+        return {"meanW": report.mean_w,
+                **{f"w{k}": report.reduced_moments[k - 2] for k in range(2, k_max + 1)}}
+    return {"variance": {"varW": report.variance_w},
+            "squeeze": {"lambda": report.lam},
+            "quadratures": {"var_p": report.var_p, "var_q": report.var_q,
+                            "u": report.uncertainty},
+            "pn": {}}[tag]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_sweep_matches_per_point_route(name):
+    cfg = load_preset(name)
+    result = run_scenario(cfg)
+    em = build_drift_matrix(cfg.params)
+    s0 = build_input_state(cfg.inputs)
+    observables = cfg.effective_observables()
+    pn_selections = {sel for tag, sel in observables if tag == "pn"}
+    columns = dict(result.columns)
+    tables = dict(result.pn_tables)
+    expected_cols = {name: np.empty(len(result.z)) for name in columns}
+    expected_pn = {sel: np.empty_like(table) for sel, table in tables.items()}
+    states = []
+    for i, z in enumerate(result.z):
+        state = evolve_state(propagator(em, z), s0)
+        states.append(state)
+        reports = {sel: stats_report(state, sel, k_max=cfg.k_max, n_max=cfg.n_max,
+                                     include_pn=sel in pn_selections)
+                   for sel in dict.fromkeys(sel for _, sel in observables)}
+        for tag, sel in observables:
+            for qty, value in point_columns(reports[sel], tag, cfg.k_max).items():
+                expected_cols[f"{sel.name}.{qty}"][i] = value
+        for sel in pn_selections:
+            expected_pn[sel.name][i] = reports[sel].p_n
+    assert np.array_equal(result.z, cfg.z_grid())
+    for col, values in columns.items():
+        assert deviation(values, expected_cols[col], COLUMN_FLOOR) <= TOL, col
+    for sel, table in tables.items():
+        assert deviation(table, expected_pn[sel], PN_FLOOR) <= TOL, sel
+    meta = dict(result.metadata)
+    assert float(meta["conservation_residual"]) == pytest.approx(
+        conservation_residual(states), rel=1e-5, abs=1e-300)
+
+
+phases = st.lists(st.floats(-3.1, 3.1), min_size=6, max_size=6)
+inputs = st.builds(
+    InputSpec,
+    xi=st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+    r=st.sampled_from([0.0, 0.3, 0.7]),
+    theta=st.floats(-3.0, 3.0),
+    n_ch=st.sampled_from([0.0, 0.4, 1.0]),
+)
+selections = st.sampled_from([ModeSelection((m,)) for m in ModeId]
+                             + [ModeSelection((ModeId.S1, ModeId.A1)),
+                                ModeSelection((ModeId.S1, ModeId.V2)),
+                                ModeSelection((ModeId.A2, ModeId.V2))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(stokes=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+       excess=st.lists(st.floats(0.3, 1.0), min_size=2, max_size=2),
+       kappa=st.lists(st.floats(0.0, 1.5), min_size=2, max_size=2),
+       phase=phases,
+       specs=st.lists(inputs, min_size=6, max_size=6),
+       zs=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=6),
+       sel=selections)
+def test_batch_rows_equal_points(stokes, excess, kappa, phase, specs, zs, sel):
+    mags = [stokes[0], stokes[0] + excess[0], stokes[1], stokes[1] + excess[1], *kappa]
+    g = [m * np.exp(1j * p) for m, p in zip(mags, phase)]
+    params = quiet_params(gS1=g[0], gA1=g[1], gS2=g[2], gA2=g[3], kappaS=g[4], kappaA=g[5])
+    em = build_drift_matrix(params)
+    # stable couplers only: no eigenvalue of the generator with gain
+    assume(np.max(np.linalg.eigvals(1j * em.matrix).real) <= 1e-9)
+    s0 = build_input_state(specs)
+    zs = np.array(zs)
+    batch = evolve_state(propagator(em, zs), s0)
+    assert batch.xi.shape == (len(zs), 6) and np.array_equal(batch.z, zs)
+    report = stats_report(batch, sel, k_max=4, n_max=12, include_pn=True)
+    for i, z in enumerate(zs):
+        point = stats_report(evolve_state(propagator(em, z), s0), sel, k_max=4, n_max=12,
+                             include_pn=True)
+        assert report_deviation(report, i, point) <= TOL
+
+
+def _reference_jet(lam, w, s0, order):
+    """The jet of one state by scalar loops: log-series coefficients, then
+    the exponential recurrence with one dot product per order."""
+    a = 1.0 + s0 * lam
+    h = np.zeros(order + 1)
+    h[0] = -0.5 * np.sum(np.log(a)) - 0.5 * s0 * np.sum(w / a)
+    for n in range(1, order + 1):
+        g_n = np.sum(w / a * (-lam / a) ** n)
+        g_prev = np.sum(w / a * (-lam / a) ** (n - 1))
+        h[n] = 0.5 * (-1.0) ** n * np.sum((lam / a) ** n) / n - 0.5 * (s0 * g_n + g_prev)
+    f = np.zeros(order + 1)
+    f[0] = np.exp(h[0])
+    for n in range(1, order + 1):
+        f[n] = np.dot(np.arange(1, n + 1) * h[1:n + 1], f[n - 1::-1]) / n
+    return f
+
+
+@pytest.mark.parametrize("s0, order, floor", [(0.0, 8, COLUMN_FLOOR), (1.0, 64, PN_FLOOR)])
+def test_stacked_jet_matches_scalar_reference(s0, order, floor):
+    rng = np.random.default_rng(11)
+    lam = rng.uniform(-0.4, 3.0, (50, 4))
+    w = rng.uniform(0.0, 4.0, (50, 4))
+    sel = ModeSelection((ModeId.S1, ModeId.A1))
+    jets = gaussian_stats._g_jet(_sweep_state(), sel, lam, w, s0, order)
+    for i in range(len(lam)):
+        assert deviation(jets[i], _reference_jet(lam[i], w[i], s0, order), floor) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::qcoupler.exceptions.ParameterRegimeWarning")
+def test_run_scenario_names_first_non_finite_propagator():
+    # the Stokes gain sqrt(1 - 0.5^2) overflows a double after z ~ 820
+    cfg = ScenarioConfig(params=CouplerParams(gS1=1, gA1=0.5), z_max=1000.0, z_steps=11)
+    em = build_drift_matrix(cfg.params)
+    failing = []
+    for z in cfg.z_grid():
+        try:
+            propagator(em, z)
+        except NumericalError:
+            failing.append(z)
+    assert failing and failing[0] > 0.0
+    with pytest.raises(NumericalError, match=f"at z={failing[0]};"):
+        run_scenario(cfg)
+
+
+def _sweep_state(z_steps=8):
+    em = build_drift_matrix(quiet_params(gS1=0.5, gA1=1.0))
+    inputs = [VACUUM_INPUT] * 6
+    inputs[ModeId.S1] = InputSpec(xi=1.0)
+    return evolve_state(propagator(em, np.linspace(0.0, 1.0, z_steps)),
+                        build_input_state(inputs))
+
+
+def test_singular_pivot_in_batch_names_z_and_selection():
+    states = _sweep_state()
+    b = np.array(states.B)
+    b[5] = -1.5     # unphysical: 1 + lam < 0 at s = 1
+    bad = GaussianState(xi=states.xi, B=b, C=states.C, D=states.D, Dbar=states.Dbar,
+                        z=states.z)
+    sel = ModeSelection((ModeId.S1,))
+    message = f"singular at s=1.0 at z={states.z[5]} for selection S1"
+    with pytest.raises(NumericalError, match=message):
+        stats_report(bad, sel, k_max=2, n_max=8, include_pn=True)
+    with pytest.raises(NumericalError, match=message):
+        moments_and_distribution(bad, sel, 2, 8)
+    # without p(n) the s=1 jet is never built, so nothing is singular
+    report = stats_report(bad, sel, k_max=2, n_max=8)
+    assert report.p_n is None and np.isnan(report.reduced_moments[5, 0])
+
+
+def test_variance_cross_check_in_sweep_names_z_and_selection(monkeypatch):
+    cfg = parse_scenario(SMALL_DOC)
+    closed_form = gaussian_stats.intensity_variance
+
+    def off_at_third_point(state, sel):
+        values = np.array(closed_form(state, sel))
+        values[3] += 1.0
+        return values
+
+    monkeypatch.setattr(gaussian_stats, "intensity_variance", off_at_third_point)
+    with pytest.raises(NumericalError,
+                       match=f"cross-check failed at z={cfg.z_grid()[3]} for selection S1A1"):
+        run_scenario(cfg)
+
+
+def test_s1_jet_only_for_pn_selections(monkeypatch):
+    cfg = parse_scenario(SMALL_DOC)
+    jets = []
+    g_jet = gaussian_stats._g_jet
+
+    def recording(state, sel, lam, w, s0, order):
+        jets.append((s0, order, lam.shape[0]))
+        return g_jet(state, sel, lam, w, s0, order)
+
+    monkeypatch.setattr(gaussian_stats, "_g_jet", recording)
+    result = run_scenario(cfg)
+    # three selections, each with one s=0 jet over the whole grid; only
+    # the pn selection S1 gets the order-n_max jet at s=1
+    assert sorted(jets) == [(0.0, 4, 6)] * 3 + [(1.0, 32, 6)]
+    assert [sel for sel, _ in result.pn_tables] == ["S1"]

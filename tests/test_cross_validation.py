@@ -9,6 +9,7 @@ from qcoupler.dynamics import (
     propagator,
     rk4_propagator,
 )
+from qcoupler.exceptions import TruncationWarning
 from qcoupler.fock_oracle import FockConfig, evolve_fock, fock_statistics
 from qcoupler.gaussian_stats import (
     generating_function,
@@ -58,9 +59,12 @@ def test_oracle_vs_gaussian_stokes_pair():
 
 
 def test_oracle_vs_gaussian_anti_stokes_pair():
-    _compare(quiet_params(gA1=0.6), (8, 10),
-             {ModeId.A1: InputSpec(xi=0.5), ModeId.V1: InputSpec(n_ch=0.4)},
-             0.5, [(ModeId.A1,), (ModeId.V1,), (ModeId.A1, ModeId.V1)])
+    # the (8, 10) cutoffs leave 1.8e-6 of occupation on the boundary
+    # levels, above the 1e-6 warning level and far below the error level
+    with pytest.warns(TruncationWarning, match="boundary occupation mass"):
+        _compare(quiet_params(gA1=0.6), (8, 10),
+                 {ModeId.A1: InputSpec(xi=0.5), ModeId.V1: InputSpec(n_ch=0.4)},
+                 0.5, [(ModeId.A1,), (ModeId.V1,), (ModeId.A1, ModeId.V1)])
 
 
 def test_oracle_vs_gaussian_full_guide():
