@@ -111,8 +111,10 @@ def run_scenario(cfg: ScenarioConfig) -> SweepResult:
     return SweepResult(z=zs, columns=columns, pn_tables=pn_tables, metadata=metadata)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+def _write_rows(fh, table: np.ndarray) -> None:
+    """One CSV line per table row, each cell as ``%.12g`` (the text of ``format(v, ".12g")``)."""
+    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    fh.writelines(row % tuple(r.tolist()) for r in table)
 
 
 def emit_csv(result: SweepResult, destination) -> list:
@@ -123,23 +125,19 @@ def emit_csv(result: SweepResult, destination) -> list:
     """
     destination = str(destination)
     written = [destination]
-    header = ",".join(["z"] + [name for name, _ in result.columns])
     try:
         with open(destination, "w", newline="\n") as fh:
             for key, value in result.metadata:
                 fh.write(f"# {key}: {value}\n")
-            fh.write(header + "\n")
-            for i, z in enumerate(result.z):
-                row = [_fmt(z)] + [_fmt(values[i]) for _, values in result.columns]
-                fh.write(",".join(row) + "\n")
+            fh.write(",".join(["z"] + [name for name, _ in result.columns]) + "\n")
+            _write_rows(fh, np.column_stack([result.z] + [values for _, values in result.columns]))
         stem = destination[:-4] if destination.endswith(".csv") else destination
         for sel_name, table in result.pn_tables:
             path = f"{stem}.{sel_name}.pn.csv"
             written.append(path)
             with open(path, "w", newline="\n") as fh:
                 fh.write(",".join(["z"] + [f"p{n}" for n in range(table.shape[1])]) + "\n")
-                for i, z in enumerate(result.z):
-                    fh.write(",".join([_fmt(z)] + [_fmt(v) for v in table[i]]) + "\n")
+                _write_rows(fh, np.column_stack([result.z, table]))
     except OSError as exc:
         raise QcouplerError(f"cannot write {exc.filename or destination}: {exc}") from exc
     return written

@@ -212,20 +212,20 @@ def symplectic_residual(t: BogoliubovTransform) -> float:
 def evolve_state(t: BogoliubovTransform, s0: GaussianState) -> GaussianState:
     """Propagate a Gaussian state through a Bogoliubov transform.
 
-    Means contract directly; the second moments transform by substituting
-    dA(z) = U dA + V dA^+ into their definitions.  The input state may
-    carry arbitrary cross-mode moments.  A stack of transforms takes the
-    one input state to a state stacked likewise.
+    With F = [U V], A(z) = F (A; A^+): the means are F (xi; xi*), and
+    M = <dA dA>, N = <dA^+ dA> are F S F^T and conj(F) J S F^T, with
+    S = [[M0, N0^T + I], [N0, M0*]] the input moments of (dA; dA^+)
+    (cross-mode ones allowed) and J the swap of its row blocks.  A stack
+    of transforms takes the one input state to a state stacked likewise.
     """
-    u, v = t.U, t.V
-    ut, vt = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
-    xi = u @ s0.xi + v @ s0.xi.conj()
-    n0 = s0.normal_moment_matrix()          # <dA^+ dA>
-    m0 = s0.pair_moment_matrix()            # <dA dA>
-    n0_anti = n0.T + np.eye(N_MODES)        # <dA dA^+>
-    uc, vc = u.conj(), v.conj()
-    n1 = uc @ n0 @ ut + uc @ m0.conj() @ vt + vc @ m0 @ ut + vc @ n0_anti @ vt
-    m1 = u @ m0 @ ut + u @ n0_anti @ vt + v @ n0 @ ut + v @ m0.conj() @ vt
+    f = np.concatenate([t.U, t.V], axis=-1)
+    xi = f @ np.concatenate([s0.xi, s0.xi.conj()])
+    n0, m0 = s0.normal_moment_matrix(), s0.pair_moment_matrix()
+    sft = np.block([[m0, n0.T + np.eye(N_MODES)], [n0, m0.conj()]]) @ f.swapaxes(-1, -2)
+    m1 = f @ sft
+    # conj(F) J = conj([V U]) in F's buffer; both (Z,6,12) operands go before symmetrizing
+    n1 = np.conjugate(np.concatenate([t.V, t.U], axis=-1, out=f), out=f) @ sft
+    del f, sft
     # exact symmetries hold up to roundoff; restore them
     n1 = 0.5 * (n1 + n1.swapaxes(-1, -2).conj())
     m1 = 0.5 * (m1 + m1.swapaxes(-1, -2))

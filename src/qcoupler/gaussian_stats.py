@@ -170,15 +170,16 @@ def _selection_spectrum(state: GaussianState, sel: ModeSelection):
 
 
 def _series_exp(h: np.ndarray) -> np.ndarray:
-    """exp of a truncated power series (along the last axis) via the
-    standard ODE recurrence."""
+    """exp of a truncated power series (along the last axis) via the ODE
+    recurrence n f_n = sum_k k h_k f_(n-k); f is held reversed so that
+    each order is one contiguous dot product over the stack."""
     order = h.shape[-1] - 1
     kh = np.arange(order + 1) * h
-    f = np.zeros_like(h)
-    f[..., 0] = np.exp(h[..., 0])
+    fr = np.zeros_like(h)
+    fr[..., order] = np.exp(h[..., 0])
     for n in range(1, order + 1):
-        f[..., n] = np.einsum("...k,...k->...", kh[..., 1:n + 1], f[..., n - 1::-1]) / n
-    return f
+        fr[..., order - n] = np.vecdot(kh[..., 1:n + 1], fr[..., order - n + 1:]) / n
+    return fr[..., ::-1]
 
 
 def _g_jet(state: GaussianState, sel: ModeSelection, lam: np.ndarray, w: np.ndarray,
@@ -222,9 +223,10 @@ def generating_function_jet(state: GaussianState, sel, s0: float, order: int) ->
 
 def generating_function(state: GaussianState, sel, svalues) -> np.ndarray:
     """G(s) = <: exp(-s W) :> at the given points (last axis)."""
-    svalues = np.atleast_1d(np.asarray(svalues, dtype=float))
-    return np.stack([generating_function_jet(state, sel, s, 0)[..., 0] for s in svalues],
-                    axis=-1)
+    sel = _as_selection(sel)
+    lam, w = _selection_spectrum(state, sel)
+    return np.stack([_g_jet(state, sel, lam, w, float(s), 0)[..., 0]
+                     for s in np.atleast_1d(np.asarray(svalues, dtype=float))], axis=-1)
 
 
 def _moments(state: GaussianState, sel: ModeSelection, k_max: int, n_max: int,

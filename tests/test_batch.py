@@ -190,7 +190,8 @@ def _reference_jet(lam, w, s0, order):
     return f
 
 
-@pytest.mark.parametrize("s0, order, floor", [(0.0, 8, COLUMN_FLOOR), (1.0, 64, PN_FLOOR)])
+@pytest.mark.parametrize("s0, order, floor", [(0.0, 8, COLUMN_FLOOR), (1.0, 64, PN_FLOOR),
+                                             (1.0, 512, PN_FLOOR)])
 def test_stacked_jet_matches_scalar_reference(s0, order, floor):
     rng = np.random.default_rng(11)
     lam = rng.uniform(-0.4, 3.0, (50, 4))

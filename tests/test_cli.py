@@ -75,6 +75,48 @@ def test_emit_csv_empty_columns(tmp_path):
     assert lines == ["z", "0", "0.5"]
 
 
+def reference_csv_bytes(result):
+    """The texts emit_csv must write, each cell formatted on its own:
+    {suffix: bytes} with "" for the main file and ".<sel>.pn" for side files."""
+    def rows(columns):
+        return "".join(",".join(format(v, ".12g") for v in row) + "\n"
+                       for row in zip(*columns))
+
+    main = "".join(f"# {key}: {value}\n" for key, value in result.metadata)
+    main += ",".join(["z"] + [name for name, _ in result.columns]) + "\n"
+    texts = {"": main + rows([result.z] + [values for _, values in result.columns])}
+    for sel_name, table in result.pn_tables:
+        header = ",".join(["z"] + [f"p{n}" for n in range(table.shape[1])]) + "\n"
+        texts[f".{sel_name}.pn"] = header + rows([result.z, *table.T])
+    return {suffix: text.encode() for suffix, text in texts.items()}
+
+
+def synthetic_result():
+    """Cells that stress the 12-digit text: NaN, signed zero, infinities,
+    the smallest subnormal, huge and integral values."""
+    z = np.array([0.0, 0.25, 1.0, 2.0, 1e-7])
+    special = np.array([np.nan, -0.0, np.inf, -np.inf, 5e-324])
+    scaled = np.array([1e300, -1e300, 3.0, -7.0, 123456789012.0])
+    rounding = np.array([1.0 / 3.0, 0.1, 2.0 / 3.0 * 1e-5, 1e15 + 1.0, -2.5e-308])
+    table = np.column_stack([special, scaled, rounding, np.zeros(5), -np.ones(5)])
+    return SweepResult(z=z, columns=(("S1.meanW", special), ("S1.w2", scaled),
+                                     ("S1V1.lambda", rounding)),
+                       pn_tables=(("S1", table),), metadata=(("qcoupler", "test"),))
+
+
+@pytest.mark.parametrize("name", list(PRESET_NAMES) + ["synthetic"])
+def test_emit_csv_bytes_match_per_cell_format(tmp_path, name):
+    if name == "synthetic":
+        result = synthetic_result()
+    else:
+        result = run_scenario(load_preset(name))
+    paths = emit_csv(result, tmp_path / "out.csv")
+    expected = reference_csv_bytes(result)
+    assert paths == [str(tmp_path / f"out{suffix}.csv") for suffix in expected]
+    for suffix, data in expected.items():
+        assert (tmp_path / f"out{suffix}.csv").read_bytes() == data, suffix
+
+
 def test_run_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

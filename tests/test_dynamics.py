@@ -139,6 +139,21 @@ def test_semigroup_composition():
         assert np.max(np.abs(direct.V - chained.V)) < 1e-9
 
 
+def test_evolve_state_semigroup_over_a_grid():
+    """Evolving to z1 and then over a grid of z2 equals evolving to z1 + z2.
+    The second leg starts from a state with cross-mode moments."""
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        em = build_drift_matrix(random_couplings(rng))
+        s0 = build_input_state(random_inputs(rng))
+        z1, z2 = rng.uniform(0.1, 1.0), np.linspace(0.0, 1.0, 7)
+        chained = evolve_state(propagator(em, z2), evolve_state(propagator(em, z1), s0))
+        direct = evolve_state(propagator(em, z1 + z2), s0)
+        for name in ("xi", "B", "C", "D", "Dbar"):
+            a, b = getattr(chained, name), getattr(direct, name)
+            assert np.all(np.abs(a - b) <= 1e-11 * np.maximum(1.0, np.abs(b))), name
+
+
 def test_waveguide_exchange_symmetry():
     rng = np.random.default_rng(3)
     perm = np.asarray(EXCHANGE_PERMUTATION)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -174,6 +175,43 @@ def test_moments_chaotic_geometric():
     mean_w, reduced, p_n = moments_and_distribution(s, single(ModeId.V1), 3, 24)
     assert reduced[0] == pytest.approx(1.0)
     assert np.allclose(p_n, 0.5 ** (np.arange(25) + 1), atol=1e-12)
+
+
+def poisson(xi):
+    """p(n) of a coherent mode of amplitude xi (a double, taken exactly)."""
+    return lambda n: mp.exp(-mp.mpf(xi) ** 2) * (mp.mpf(xi) ** 2) ** n / mp.factorial(n)
+
+
+def negative_binomial(r, nbar):
+    """p(n) of W summed over r independent thermal modes of mean nbar each."""
+    return lambda n: mp.binomial(n + r - 1, n) * mp.mpf(nbar) ** n / (1 + mp.mpf(nbar)) ** (n + r)
+
+
+@pytest.mark.parametrize("inputs, modes, mean, pmf, reduced", [
+    pytest.param({"S1": InputSpec(xi=math.sqrt(200.0))}, ("S1",), math.sqrt(200.0) ** 2,
+                 poisson(math.sqrt(200.0)), lambda k: 0.0, id="coherent-200"),
+    pytest.param({"S1": InputSpec(xi=math.sqrt(500.0))}, ("S1",), math.sqrt(500.0) ** 2,
+                 poisson(math.sqrt(500.0)), lambda k: 0.0, id="coherent-500"),
+    pytest.param({"S1": InputSpec(n_ch=5.0)}, ("S1",), 5.0,
+                 negative_binomial(1, 5.0), lambda k: math.factorial(k) - 1.0, id="thermal-5"),
+    pytest.param({"S1": InputSpec(n_ch=100.0)}, ("S1",), 100.0,
+                 negative_binomial(1, 100.0), lambda k: math.factorial(k) - 1.0,
+                 id="thermal-100"),
+    pytest.param({"S1": InputSpec(n_ch=20.0), "A1": InputSpec(n_ch=20.0)}, ("S1", "A1"), 40.0,
+                 negative_binomial(2, 20.0), lambda k: math.factorial(k + 1) / 2**k - 1.0,
+                 id="thermal-pair"),
+])
+def test_order_512_distribution_matches_closed_forms(inputs, modes, mean, pmf, reduced):
+    """p(n) to n = 512 and the moments to k = 8 against 40-digit closed
+    forms, at 1e-12 relative with floors 1e-6 (p(n)) and 1 (moments)."""
+    sel = ModeSelection(tuple(ModeId[m] for m in modes))
+    mean_w, moments, p_n = moments_and_distribution(state_with(**inputs), sel, 8, 512)
+    with mp.workdps(40):
+        ref = np.array([float(pmf(n)) for n in range(513)])
+    assert np.max(np.abs(p_n - ref) / np.maximum(ref, 1e-6)) <= 1e-12
+    assert abs(mean_w - mean) <= 1e-12 * mean
+    ref_moments = np.array([reduced(k) for k in range(2, 9)])
+    assert np.max(np.abs(moments - ref_moments) / np.maximum(ref_moments, 1.0)) <= 1e-12
 
 
 def test_moments_vacuum_markers():
