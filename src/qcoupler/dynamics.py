@@ -18,7 +18,8 @@ stacked :class:`~qcoupler.model.GaussianState`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -32,11 +33,6 @@ from .model import (
 )
 
 _DIM = 2 * N_MODES
-
-# Condition-number gate for the cached eigendecomposition route; beyond
-# this the generator is close to defective and scaling-and-squaring is
-# used instead.
-_EIG_COND_LIMIT = 1e8
 
 
 def _guide_block(gs: complex, ga: complex) -> np.ndarray:
@@ -60,52 +56,15 @@ def _cross_block(ks: complex, ka: complex) -> np.ndarray:
 
 @dataclass
 class EvolutionMatrix:
-    """The 12x12 drift matrix together with a cached spectral factorization."""
+    """The 12x12 drift matrix M, read-only; ``propagator`` exponentiates it."""
 
     matrix: np.ndarray
-    _spectral: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix = np.array(self.matrix, dtype=complex)
         if self.matrix.shape != (_DIM, _DIM):
             raise NumericalError(f"drift matrix must be {_DIM}x{_DIM}")
         self.matrix.setflags(write=False)
-
-    def _factorize(self):
-        if self._spectral is None:
-            gen = 1j * self.matrix
-            try:
-                eigvals, eigvecs = np.linalg.eig(gen)
-                cond = np.linalg.cond(eigvecs)
-            except np.linalg.LinAlgError:
-                eigvals, eigvecs, cond = None, None, np.inf
-            if cond < _EIG_COND_LIMIT:
-                self._spectral = (eigvals, eigvecs, np.linalg.inv(eigvecs))
-            else:
-                self._spectral = (None, None, None)
-        return self._spectral
-
-    def expm(self, z) -> np.ndarray:
-        """exp(i M z), via the cached eigendecomposition when it is
-        well-conditioned and scaling-and-squaring otherwise.
-
-        An array of lengths gives the exponentials stacked over its shape.
-        """
-        z = np.asarray(z, dtype=float)
-        eigvals, eigvecs, inv = self._factorize()
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            if eigvals is not None:
-                out = (eigvecs * np.exp(eigvals * z[..., None])[..., None, :]) @ inv
-            else:
-                out = scipy.linalg.expm(1j * self.matrix * z[..., None, None])
-        finite = np.all(np.isfinite(out), axis=(-2, -1))
-        if not np.all(finite):
-            first = np.ravel(z)[np.argmin(np.ravel(finite))]
-            raise NumericalError(
-                f"matrix exponential produced non-finite entries at z={first}; "
-                f"|M|={np.max(np.abs(self.matrix)):.3g}"
-            )
-        return out
 
 
 def build_drift_matrix(params: ValidatedParams) -> EvolutionMatrix:
@@ -170,13 +129,46 @@ class BogoliubovTransform:
         return BogoliubovTransform(U=u, V=v, z=self.z + first.z)
 
 
+def _even_step(flat: np.ndarray) -> float | None:
+    """The spacing of an evenly spaced grid (to a few ulps), else None."""
+    if flat.size < 2:
+        return None
+    step = (flat[-1] - flat[0]) / (flat.size - 1)
+    drift = np.max(np.abs(flat - (flat[0] + step * np.arange(flat.size))))
+    return step if drift <= 8 * np.finfo(float).eps * np.max(np.abs(flat)) else None
+
+
 def propagator(em: EvolutionMatrix, z) -> BogoliubovTransform:
     """Bogoliubov transform after propagation over length z; an array of
-    lengths (a z-grid) gives the transforms stacked over it."""
+    lengths (a z-grid) gives the transforms stacked over it.
+
+    The one place where exp(i M z) is formed, always by scaling-and-squaring
+    (``scipy.linalg.expm``), which stays accurate where M is defective.  An
+    evenly spaced grid of Z points is cut into blocks of B = ceil(sqrt(Z)):
+    point qB + r is exp(i M z_qB) exp(i M r dz), so 2 sqrt(Z) stacked
+    exponentials and one stacked product cover the grid.  A scalar or an
+    unevenly spaced array takes B = 1, one exponential per point.
+    """
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise NumericalError(f"propagation length must be finite, got {z}")
-    return BogoliubovTransform.from_doubled(em.expm(z), z)
+    flat = z.ravel()
+    step = _even_step(flat)
+    block = 1 if step is None else math.ceil(math.sqrt(flat.size))
+    gen = 1j * em.matrix
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        heads = scipy.linalg.expm(gen * flat[::block, None, None])
+        steps = scipy.linalg.expm(gen * ((step or 0.0) * np.arange(block))[:, None, None])
+        # only the annihilator rows [U V]; the creator rows are their conjugates
+        rows = (heads[:, None, 0::2] @ steps).reshape(-1, N_MODES, _DIM)[:flat.size]
+    finite = np.all(np.isfinite(rows), axis=(-2, -1))
+    if not np.all(finite):
+        raise NumericalError(
+            f"matrix exponential produced non-finite entries at z={flat[np.argmin(finite)]}; "
+            f"|M|={np.max(np.abs(em.matrix)):.3g}"
+        )
+    rows = rows.reshape(z.shape + (N_MODES, _DIM))
+    return BogoliubovTransform(U=rows[..., 0::2], V=rows[..., 1::2], z=z)
 
 
 def rk4_propagator(em: EvolutionMatrix, z: float, h: float = 1e-4) -> BogoliubovTransform:

@@ -267,15 +267,15 @@ class StatsReport:
     stacked over the leading axes of a stacked state."""
 
     selection: ModeSelection
-    mean_w: float
+    mean_w: np.ndarray | float
     reduced_moments: np.ndarray   # k = 2..k_max; NaN markers when <W> = 0
-    variance_w: float
-    lam: float                    # principal squeeze variance
-    var_p: float
-    var_q: float
-    uncertainty: float
+    variance_w: np.ndarray | float
+    lam: np.ndarray | float       # principal squeeze variance
+    var_p: np.ndarray | float
+    var_q: np.ndarray | float
+    uncertainty: np.ndarray | float
     p_n: np.ndarray | None = None
-    pn_deficit: float | None = None
+    pn_deficit: np.ndarray | float | None = None
 
 
 def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,

@@ -128,9 +128,14 @@ def test_preset_sweep_matches_per_point_route(name):
         assert deviation(values, expected_cols[col], COLUMN_FLOOR) <= TOL, col
     for sel, table in tables.items():
         assert deviation(table, expected_pn[sel], PN_FLOOR) <= TOL, sel
+    # the metadata is the residual of the stacked state, formatted to 7 digits;
+    # the per-point route's own residual is at roundoff too
     meta = dict(result.metadata)
     assert float(meta["conservation_residual"]) == pytest.approx(
-        conservation_residual(states), rel=1e-5, abs=1e-300)
+        conservation_residual(evolve_state(propagator(em, cfg.z_grid()), s0)),
+        rel=1e-5, abs=1e-300)
+    scale = max(1.0, max(float(np.max(s.mean_photon_numbers())) for s in states))
+    assert conservation_residual(states) <= 1e-13 * scale
 
 
 phases = st.lists(st.floats(-3.1, 3.1), min_size=6, max_size=6)
@@ -146,6 +151,14 @@ selections = st.sampled_from([ModeSelection((m,)) for m in ModeId]
                                 ModeSelection((ModeId.S1, ModeId.V2)),
                                 ModeSelection((ModeId.A2, ModeId.V2))])
 
+# short uneven lists (one exponential per point) and evenly spaced grids with
+# a nonzero start (exponentials blocked over the grid, ragged last blocks)
+z_points = st.one_of(
+    st.lists(st.floats(0.0, 1.5), min_size=1, max_size=6).map(np.array),
+    st.builds(lambda start, span, n: np.linspace(start, start + span, n),
+              st.floats(0.01, 1.0), st.floats(0.01, 1.5), st.integers(1, 60)),
+)
+
 
 @settings(max_examples=40, deadline=None)
 @given(stokes=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
@@ -153,7 +166,7 @@ selections = st.sampled_from([ModeSelection((m,)) for m in ModeId]
        kappa=st.lists(st.floats(0.0, 1.5), min_size=2, max_size=2),
        phase=phases,
        specs=st.lists(inputs, min_size=6, max_size=6),
-       zs=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=6),
+       zs=z_points,
        sel=selections)
 def test_batch_rows_equal_points(stokes, excess, kappa, phase, specs, zs, sel):
     mags = [stokes[0], stokes[0] + excess[0], stokes[1], stokes[1] + excess[1], *kappa]
@@ -163,7 +176,6 @@ def test_batch_rows_equal_points(stokes, excess, kappa, phase, specs, zs, sel):
     # stable couplers only: no eigenvalue of the generator with gain
     assume(np.max(np.linalg.eigvals(1j * em.matrix).real) <= 1e-9)
     s0 = build_input_state(specs)
-    zs = np.array(zs)
     batch = evolve_state(propagator(em, zs), s0)
     assert batch.xi.shape == (len(zs), 6) and np.array_equal(batch.z, zs)
     report = stats_report(batch, sel, k_max=4, n_max=12, include_pn=True)
@@ -171,6 +183,23 @@ def test_batch_rows_equal_points(stokes, excess, kappa, phase, specs, zs, sel):
         point = stats_report(evolve_state(propagator(em, z), s0), sel, k_max=4, n_max=12,
                              include_pn=True)
         assert report_deviation(report, i, point) <= TOL
+
+
+def test_2d_grid_rows_equal_points():
+    em = build_drift_matrix(quiet_params(gS1=0.5, gA1=1.0, gS2=0.3, gA2=0.9,
+                                         kappaS=0.7, kappaA=0.4j))
+    inputs = [VACUUM_INPUT] * 6
+    inputs[ModeId.S1] = InputSpec(xi=1.0, r=0.3)
+    s0 = build_input_state(inputs)
+    zs = np.linspace(0.2, 1.4, 12).reshape(3, 4)
+    sel = ModeSelection((ModeId.S1, ModeId.A1))
+    batch = evolve_state(propagator(em, zs), s0)
+    assert batch.xi.shape == (3, 4, 6) and np.array_equal(batch.z, zs)
+    report = stats_report(batch, sel, k_max=4, n_max=12, include_pn=True)
+    for idx in np.ndindex(zs.shape):
+        point = stats_report(evolve_state(propagator(em, zs[idx]), s0), sel, k_max=4,
+                             n_max=12, include_pn=True)
+        assert report_deviation(report, idx, point) <= TOL, idx
 
 
 def _reference_jet(lam, w, s0, order):

@@ -1,5 +1,6 @@
 """Drift matrix structure, propagator closed forms, state evolution."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -240,16 +241,43 @@ def test_rk4_matches_matrix_exponential():
     assert np.max(np.abs(t_rk.V - t_ex.V)) < 1e-10
 
 
-def test_expm_falls_back_when_defective():
-    # kappa^2 = 4 r^2 makes the generator defective; the spectral route is
-    # rejected on conditioning and scaling-and-squaring takes over
-    params = quiet_params(gS1=np.sqrt(2), gA1=1, gS2=np.sqrt(2), gA2=1,
-                          kappaS=2, kappaA=-2)
-    em = build_drift_matrix(params)
-    t = propagator(em, 1.0)
-    t_rk = rk4_propagator(em, 1.0, h=1e-3)
-    assert symplectic_residual(t) < 1e-10
-    assert np.max(np.abs(t.U - t_rk.U)) < 1e-8
+# Couplings on and near exceptional points, where the generator is (close
+# to) defective: kappa = 2r with r^2 = |gS|^2 - |gA|^2 merges eigenvalues
+# of the guide pair, and |gS| = |gA| zeroes r.
+EXCEPTIONAL_POINTS = {
+    "kS=2": dict(gS1=1, gS2=1, kappaS=2),
+    "kS=2+1e-9": dict(gS1=1, gS2=1, kappaS=2 + 1e-9),
+    "kS=2+1e-6": dict(gS1=1, gS2=1, kappaS=2 + 1e-6),
+    "gS=sqrt2,gA=1,k=+-2": dict(gS1=np.sqrt(2), gA1=1, gS2=np.sqrt(2), gA2=1,
+                                kappaS=2, kappaA=-2),
+    "gS=gA,k=0.5": dict(gS1=1, gA1=1, gS2=1, gA2=1, kappaS=0.5, kappaA=0.5),
+    "gS=gA+1e-9,k=0.5": dict(gS1=1, gA1=1 + 1e-9, gS2=1, gA2=1 + 1e-9,
+                             kappaS=0.5, kappaA=0.5),
+}
+EP_GRID = np.linspace(0.0, 5.0, 500)
+# block edges of a 500-point grid (blocks of 23) and its ragged last block
+EP_SAMPLES = (1, 22, 23, 261, 483, 499)
+
+
+@pytest.mark.parametrize("couplings", EXCEPTIONAL_POINTS.values(), ids=EXCEPTIONAL_POINTS)
+def test_propagator_matches_mpmath_near_exceptional_points(couplings):
+    em = build_drift_matrix(quiet_params(**couplings))
+    grid = propagator(em, EP_GRID)
+    scalar = propagator(em, EP_GRID[-1])
+    with mp.workdps(50):
+        gen = mp.matrix((1j * em.matrix).tolist())
+        refs = {i: np.array(mp.expm(gen * mp.mpf(EP_GRID[i])).tolist(), dtype=complex)
+                for i in EP_SAMPLES}
+
+    def rel_error(mat, ref):
+        return np.max(np.abs(mat - ref)) / np.max(np.abs(ref))
+
+    assert rel_error(scalar.doubled(), refs[len(EP_GRID) - 1]) <= 1e-13
+    doubled = grid.doubled()
+    for i, ref in refs.items():
+        assert rel_error(doubled[i], ref) <= 1e-13, i
+    assert symplectic_residual(scalar) <= 1e-12
+    assert symplectic_residual(grid) <= 1e-12
 
 
 def test_permute_state_round_trip():
