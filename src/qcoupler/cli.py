@@ -81,6 +81,8 @@ def run_scenario(cfg: ScenarioConfig) -> SweepResult:
     whole grid: the propagator stacked over z, the stacked state, and one
     stacked ``stats_report`` per distinct selection, which builds the
     order-``n_max`` jet at s=1 only for selections that request ``pn``.
+    For each of those, the metadata ``pn_max_deficit.<selection>`` gives
+    the largest tail mass 1 - sum p(n) beyond ``n_max`` and its z.
     """
     params = validate_params(cfg.params)
     em = build_drift_matrix(params)
@@ -100,15 +102,22 @@ def run_scenario(cfg: ScenarioConfig) -> SweepResult:
         for tag, sel in observables
         for qty, values in _QUANTITY_COLUMNS[tag](reports[sel])
     )
-    pn_tables = tuple((sel.name, rep.p_n) for sel, rep in reports.items()
-                      if rep.p_n is not None)
+    pn_reports = [(sel, rep) for sel, rep in reports.items() if rep.p_n is not None]
+    pn_tables = tuple((sel.name, rep.p_n) for sel, rep in pn_reports)
     metadata = (
         ("qcoupler", __version__),
         ("scenario", serialize_scenario(cfg).replace("\n", "; ").rstrip("; ")),
         ("conservation_residual", f"{conservation_residual(states):.6e}"),
         ("max_symplectic_residual", f"{symplectic_residual(transforms):.6e}"),
-    )
+    ) + tuple((f"pn_max_deficit.{sel.name}", _largest_over_z(rep.pn_deficit, zs))
+              for sel, rep in pn_reports)
     return SweepResult(z=zs, columns=columns, pn_tables=pn_tables, metadata=metadata)
+
+
+def _largest_over_z(values: np.ndarray, zs: np.ndarray) -> str:
+    """'<max> at z=<where>' of a quantity over the z-grid."""
+    i = int(np.argmax(values))
+    return f"{values[i]:.6e} at z={zs[i]:.12g}"
 
 
 def _write_rows(fh, table: np.ndarray) -> None:

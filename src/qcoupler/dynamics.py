@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import NumericalError
 from .model import (
@@ -138,16 +137,56 @@ def _even_step(flat: np.ndarray) -> float | None:
     return step if drift <= 8 * np.finfo(float).eps * np.max(np.abs(flat)) else None
 
 
+# Pade-13 numerator coefficients and the 1-norm up to which degree 13
+# needs no scaling (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, table 2.3)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp of each matrix of a stack (last two axes), by Pade-13
+    scaling-and-squaring.
+
+    Each matrix is scaled by 2^-s with the smallest s >= 0 that brings its
+    1-norm to at most theta_13, so the squarings are masked per matrix and
+    a stack mixing small and large norms stays as exact as its members
+    taken one at a time.  A non-finite matrix gives a non-finite result.
+    """
+    norm = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13))
+    s = np.where(np.isfinite(s), s, 0.0).astype(int)
+    a = a * np.exp2(-s)[..., None, None]
+    b, eye = _PADE13, np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    # (v - u)^-1 (v + u), written so that a zero matrix gives exactly I
+    r = eye + 2.0 * np.linalg.solve(v - u, u)
+    for k in range(int(s.max(initial=0))):
+        sq = s > k
+        part = r[sq]
+        r[sq] = part @ part
+    return r
+
+
 def propagator(em: EvolutionMatrix, z) -> BogoliubovTransform:
     """Bogoliubov transform after propagation over length z; an array of
     lengths (a z-grid) gives the transforms stacked over it.
 
-    The one place where exp(i M z) is formed, always by scaling-and-squaring
-    (``scipy.linalg.expm``), which stays accurate where M is defective.  An
-    evenly spaced grid of Z points is cut into blocks of B = ceil(sqrt(Z)):
-    point qB + r is exp(i M z_qB) exp(i M r dz), so 2 sqrt(Z) stacked
-    exponentials and one stacked product cover the grid.  A scalar or an
-    unevenly spaced array takes B = 1, one exponential per point.
+    The one place where exp(i M z) is formed, always by the numpy Pade-13
+    scaling-and-squaring of :func:`expm`, which stays accurate where M is
+    defective.  An evenly spaced grid of Z points is cut into blocks of
+    B = ceil(sqrt(Z)): point qB + r is exp(i M z_qB) exp(i M r dz), so
+    2 sqrt(Z) stacked exponentials and one stacked product cover the grid.
+    A scalar or an unevenly spaced array takes B = 1, one exponential per
+    point.  A non-finite transform raises :class:`NumericalError` naming
+    the first failing z.
     """
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
@@ -157,8 +196,8 @@ def propagator(em: EvolutionMatrix, z) -> BogoliubovTransform:
     block = 1 if step is None else math.ceil(math.sqrt(flat.size))
     gen = 1j * em.matrix
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        heads = scipy.linalg.expm(gen * flat[::block, None, None])
-        steps = scipy.linalg.expm(gen * ((step or 0.0) * np.arange(block))[:, None, None])
+        heads = expm(gen * flat[::block, None, None])
+        steps = expm(gen * ((step or 0.0) * np.arange(block))[:, None, None])
         # only the annihilator rows [U V]; the creator rows are their conjugates
         rows = (heads[:, None, 0::2] @ steps).reshape(-1, N_MODES, _DIM)[:flat.size]
     finite = np.all(np.isfinite(rows), axis=(-2, -1))

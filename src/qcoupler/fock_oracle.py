@@ -6,6 +6,10 @@ truncated occupation basis and states are advanced with an exact sparse
 exponential action.  Only subsystems that the couplings do not leak out
 of are supported; thermal phonons enter as a classical mixture over Fock
 inputs.
+
+The sparse-matrix modules are imported inside the functions that need
+them, so that importing qcoupler (or running a scenario) loads none of
+them.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .exceptions import (
     NumericalError,
@@ -105,6 +107,8 @@ def _annihilator(cfg: FockConfig, position: int) -> sp.csr_matrix:
     Basis ordering is lexicographic in the canonical mode order, so a
     mode with local dimension d acts with stride prod(dims[position+1:]).
     """
+    import scipy.sparse as sp
+
     dims = cfg.dims
     dim = cfg.dimension
     occupations = _occupation_table(cfg)[:, position]
@@ -135,6 +139,8 @@ def build_hamiltonian(cfg: FockConfig) -> sp.csr_matrix:
     kappaA a_A1 a_A2^+, plus Hermitian conjugates.  Free-propagation
     terms vanish in the interaction picture at zero mismatch.
     """
+    import scipy.sparse as sp
+
     a = {m: _annihilator(cfg, cfg.mode_index(m)) for m in cfg.modes}
     dim = cfg.dimension
     half = sp.csr_matrix((dim, dim), dtype=complex)
@@ -220,6 +226,8 @@ def evolve_fock(cfg: FockConfig, inputs, z: float) -> FockEnsemble:
     results with boundary mass beyond 1e-6 should already be treated
     with suspicion.
     """
+    import scipy.sparse.linalg as spla
+
     specs = [inputs[m] if isinstance(inputs, dict) else inputs[i]
              for i, m in enumerate(cfg.modes)]
     for m, spec in zip(cfg.modes, specs):

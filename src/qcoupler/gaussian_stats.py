@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _MIN_PIVOT = 1e-12  # singularity floor for (1 + s * eigenvalue)
+_MAX_SHIFT = 600.0  # largest seed shift of the series exponential; e^600 p(n) < e^709
 
 
 def _as_selection(sel) -> ModeSelection:
@@ -172,14 +173,25 @@ def _selection_spectrum(state: GaussianState, sel: ModeSelection):
 def _series_exp(h: np.ndarray) -> np.ndarray:
     """exp of a truncated power series (along the last axis) via the ODE
     recurrence n f_n = sum_k k h_k f_(n-k); f is held reversed so that
-    each order is one contiguous dot product over the stack."""
+    each order is one contiguous dot product over the stack.
+
+    The recurrence is linear, so it runs on f e^c, seeded with
+    exp(h_0 + c), and the factor e^-c comes off at the end: with
+    c = clip(-h_0, 0, _MAX_SHIFT) a bright field's exp(h_0) no longer
+    underflows to a zero seed.  At s = 1, |f_n| = p(n) <= 1, so the
+    shifted coefficients stay below e^_MAX_SHIFT and cannot overflow.
+    """
     order = h.shape[-1] - 1
     kh = np.arange(order + 1) * h
+    shift = np.clip(-h[..., 0], 0.0, _MAX_SHIFT)
+    seed = np.exp(h[..., 0] + shift)
     fr = np.zeros_like(h)
-    fr[..., order] = np.exp(h[..., 0])
+    # a subnormal seed would pass its lost bits on to every coefficient
+    fr[..., order] = np.where(seed >= np.finfo(float).tiny, seed, 0.0)
     for n in range(1, order + 1):
         fr[..., order - n] = np.vecdot(kh[..., 1:n + 1], fr[..., order - n + 1:]) / n
-    return fr[..., ::-1]
+    with np.errstate(under="ignore"):  # entries below the double range are 0
+        return fr[..., ::-1] * np.exp(-shift)[..., None]
 
 
 def _g_jet(state: GaussianState, sel: ModeSelection, lam: np.ndarray, w: np.ndarray,
@@ -247,6 +259,12 @@ def _moments(state: GaussianState, sel: ModeSelection, k_max: int, n_max: int,
     p_n = None
     if with_pn:
         p_n = _g_jet(state, sel, lam, w, 1.0, n_max) * (-1.0) ** np.arange(n_max + 1)
+        dead = np.all(p_n == 0.0, axis=-1)
+        if np.any(dead):
+            raise NumericalError(
+                f"p(n) for n <= {n_max} underflows{_where(state, sel, dead)}: "
+                f"<W> = {float(np.max(np.asarray(mean_w)[dead])):.6g} lies too far beyond n_max"
+            )
     return mean_w, reduced, p_n
 
 

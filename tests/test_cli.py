@@ -1,8 +1,13 @@
 """Scenario runner, CSV output, presets, and exit codes."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import qcoupler
 from qcoupler.cli import SweepResult, emit_csv, main, run_scenario
 from qcoupler.model import CouplerParams, ModeId, ScenarioConfig, parse_scenario
 from qcoupler.presets import PRESET_NAMES, load_preset
@@ -201,3 +206,36 @@ def test_metadata_echoes_scenario():
     assert "gS1 = 1.0" in meta["scenario"]
     assert float(meta["conservation_residual"]) < 1e-9
     assert float(meta["max_symplectic_residual"]) < 1e-10
+    for name in PRESET_NAMES:
+        cfg = load_preset(name)
+        result = run_scenario(cfg)
+        meta = dict(result.metadata)
+        keys = {key for key in meta if key.startswith("pn_max_deficit.")}
+        assert keys == {f"pn_max_deficit.{sel}" for sel, _ in result.pn_tables}, name
+        assert bool(keys) == any(tag == "pn" for tag, _ in cfg.effective_observables()), name
+        for sel, table in result.pn_tables:
+            deficit = 1.0 - table.sum(axis=1)
+            i = int(np.argmax(deficit))
+            assert meta[f"pn_max_deficit.{sel}"] == f"{deficit[i]:.6e} at z={result.z[i]:.12g}"
+
+
+_NO_SCIPY_PROBE = """
+import sys
+import qcoupler
+loaded = [sorted(m for m in sys.modules if m.startswith("scipy"))]
+from qcoupler.cli import main
+run = main(["run", "--preset", "fig7", "--out", sys.argv[1]])
+loaded.append(sorted(m for m in sys.modules if m.startswith("scipy")))
+print(run, *loaded, main(["check"]))
+"""
+
+
+def test_import_and_run_load_no_scipy(tmp_path):
+    """scipy serves only the Fock oracle: importing qcoupler and a preset
+    run load none of it, and ``check`` (which needs it) still passes."""
+    src = os.path.dirname(os.path.dirname(qcoupler.__file__))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE, str(tmp_path / "fig7.csv")],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 [] [] 0"

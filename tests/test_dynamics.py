@@ -1,14 +1,18 @@
 """Drift matrix structure, propagator closed forms, state evolution."""
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcoupler.dynamics import (
     BogoliubovTransform,
     build_drift_matrix,
     conservation_residual,
     evolve_state,
+    expm,
     photon_number_balance,
     propagator,
     rk4_propagator,
@@ -230,6 +234,50 @@ def test_conservation_zero_params_exact():
     s0 = build_input_state([VACUUM_INPUT] * 6)
     traj = [evolve_state(propagator(em, z), s0) for z in np.linspace(0, 1, 5)]
     assert conservation_residual(traj) == 0.0
+
+
+def test_expm_of_zero_is_exactly_identity():
+    assert np.array_equal(expm(np.zeros((3, 12, 12), dtype=complex)),
+                          np.broadcast_to(np.eye(12), (3, 12, 12)))
+
+
+@pytest.mark.parametrize("t", [0.5, 4.0, 40.0])
+def test_expm_jordan_block_closed_form(t):
+    # defective: exp(t (lam I + N)) = e^(lam t) sum_k (t N)^k / k!, N the shift
+    lam = -0.5 + 1j
+    block = t * (lam * np.eye(12) + np.eye(12, k=1))
+    ref = np.zeros((12, 12), dtype=complex)
+    for i in range(12):
+        for j in range(i, 12):
+            ref[i, j] = np.exp(lam * t) * t ** (j - i) / math.factorial(j - i)
+    out = expm(block[None])[0]
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.all(np.tril(out, -1) == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 50),
+       top=st.floats(-3.0, 2.0), spread=st.floats(0.0, 4.0))
+def test_expm_matches_scipy_on_mixed_norm_stacks(seed, count, top, spread):
+    """Random complex 12x12 stacks with 1-norms up to 100, spread over up
+    to four decades within a stack, so the number of squarings differs
+    from matrix to matrix."""
+    import scipy.linalg
+
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(count, 12, 12)) + 1j * rng.normal(size=(count, 12, 12))
+    norms = 10.0 ** rng.uniform(top - spread, top, count)
+    a *= (norms / np.max(np.sum(np.abs(a), axis=-2), axis=-1))[:, None, None]
+    ref = scipy.linalg.expm(a)
+    err = np.max(np.abs(expm(a) - ref), axis=(-2, -1)) / np.max(np.abs(ref), axis=(-2, -1))
+    assert np.max(err) <= 1e-13
+
+
+def test_propagator_at_zero_is_identity():
+    em = build_drift_matrix(random_couplings(np.random.default_rng(5)))
+    for t in (propagator(em, 0.0), propagator(em, np.zeros(4))):
+        assert np.array_equal(t.U, np.broadcast_to(np.eye(6), t.U.shape))
+        assert np.array_equal(t.V, np.zeros_like(t.V))
 
 
 def test_rk4_matches_matrix_exponential():

@@ -214,6 +214,31 @@ def test_order_512_distribution_matches_closed_forms(inputs, modes, mean, pmf, r
     assert np.max(np.abs(moments - ref_moments) / np.maximum(ref_moments, 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("mean", [780.0, 1000.0])
+def test_bright_coherent_distribution_matches_poisson(mean):
+    """exp(-<W>) is below the double range, yet every p(n) that is not
+    must come out to 1e-12 relative (a silent all-zero row is the bug)."""
+    xi = math.sqrt(mean)
+    s = state_with(S1=InputSpec(xi=xi))
+    _, _, p_n = moments_and_distribution(s, single(ModeId.S1), 2, 512)
+    with mp.workdps(40):
+        ref = np.array([float(poisson(xi)(n)) for n in range(513)])
+    shown = ref > 1e-300
+    assert shown.sum() > 400
+    assert np.max(np.abs(p_n[shown] - ref[shown]) / ref[shown]) <= 1e-12
+    assert np.all(np.abs(p_n[~shown]) <= 1e-299)
+
+
+@pytest.mark.parametrize("mean", [1340.0, 1e5])
+def test_distribution_beyond_double_range_raises(mean):
+    # p(n <= 512) of Poisson(1e5) is below 1e-40000, so all zero.  At 1340
+    # p(512) ~ e^-340 exists, but the shifted series seed e^(600 - 1340) is
+    # subnormal and would carry its 2e-3 relative error into every p(n).
+    s = state_with(S1=InputSpec(xi=math.sqrt(mean)))
+    with pytest.raises(NumericalError, match="p\\(n\\) for n <= 512 underflows"):
+        moments_and_distribution(s, single(ModeId.S1), 2, 512)
+
+
 def test_moments_vacuum_markers():
     s = build_input_state([VACUUM_INPUT] * 6)
     mean_w, reduced, p_n = moments_and_distribution(s, single(ModeId.S1), 4, 8)
