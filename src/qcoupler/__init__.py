@@ -47,7 +47,6 @@ from .dynamics import (
 )
 from .analytic import AnalyticFrame, analytic_propagator, conditions_satisfied
 from .shortlen import (
-    ShortlenCoefficients,
     short_propagator,
     shortlen_coefficients,
     shortlen_mean_amplitudes,

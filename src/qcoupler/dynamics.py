@@ -24,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .model import (
-    GaussianState,
-    N_MODES,
-    ValidatedParams,
-    noise_functions,
-)
+from .model import GaussianState, N_MODES, ValidatedParams
 
 _DIM = 2 * N_MODES
 
@@ -251,7 +246,7 @@ def evolve_state(t: BogoliubovTransform, s0: GaussianState) -> GaussianState:
     """
     f = np.concatenate([t.U, t.V], axis=-1)
     xi = f @ np.concatenate([s0.xi, s0.xi.conj()])
-    n0, m0 = s0.normal_moment_matrix(), s0.pair_moment_matrix()
+    n0, m0 = s0.N, s0.M
     sft = np.block([[m0, n0.T + np.eye(N_MODES)], [n0, m0.conj()]]) @ f.swapaxes(-1, -2)
     m1 = f @ sft
     # conj(F) J = conj([V U]) in F's buffer; both (Z,6,12) operands go before symmetrizing
@@ -260,7 +255,7 @@ def evolve_state(t: BogoliubovTransform, s0: GaussianState) -> GaussianState:
     # exact symmetries hold up to roundoff; restore them
     n1 = 0.5 * (n1 + n1.swapaxes(-1, -2).conj())
     m1 = 0.5 * (m1 + m1.swapaxes(-1, -2))
-    return GaussianState(xi, *noise_functions(n1, m1), z=t.z)
+    return GaussianState(xi, n1, m1, z=t.z)
 
 
 def photon_number_balance(state: GaussianState):

@@ -357,10 +357,7 @@ def fock_statistics(ensemble: FockEnsemble, sel, k_max: int = 4) -> FockStats:
         s = float(np.real(bb[j]))
         pair = cc[j]
         vac = 1.0
-    if vac == 1.0:
-        lam = 1.0 + 2.0 * (s - abs(pair))
-    else:
-        lam = 2.0 * (1.0 + s - abs(pair))
+    lam = vac + 2.0 * (s - abs(pair))
     var_p = vac + 2.0 * s + 2.0 * float(np.real(pair))
     var_q = vac + 2.0 * s - 2.0 * float(np.real(pair))
     return FockStats(

@@ -1,10 +1,11 @@
 """Observable statistics of single and compound modes.
 
-Everything is derived from the normally ordered noise functions of a
-:class:`~qcoupler.model.GaussianState`.  Intensity variances, intensity
-correlations, and principal squeeze variances come from closed
-expressions; photon-number distributions and integrated-intensity
-moments come from the normally ordered generating function
+Everything is derived from the means and the normally ordered moment
+matrices N and M of a :class:`~qcoupler.model.GaussianState`.  Intensity
+variances, intensity correlations, and principal squeeze variances come
+from closed expressions; photon-number distributions and
+integrated-intensity moments come from the normally ordered generating
+function
 
     G(s) = <: exp(-s W) :>,     W = sum over selected modes of A^+ A,
 
@@ -86,7 +87,7 @@ def intensity_covariance(state: GaussianState, j, k):
     j, k = int(j), int(k)
     if j == k:
         raise ValidationError("intensity covariance needs two distinct modes")
-    d, dbar = state.D[..., j, k], state.Dbar[..., j, k]
+    d, dbar = state.M[..., j, k], -state.N[..., j, k]
     xj, xk = state.xi[..., j], state.xi[..., k]
     return (
         np.abs(d) ** 2 + np.abs(dbar) ** 2
@@ -115,8 +116,8 @@ def _squeeze_terms(state: GaussianState, sel: ModeSelection):
     """(vacuum level, symmetric noise S, pair term P) of the quadrature algebra."""
     if sel.is_compound:
         j, k = (int(m) for m in sel.modes)
-        s = state.B[..., j] + state.B[..., k] - 2.0 * np.real(state.Dbar[..., j, k])
-        p = state.C[..., j] + state.C[..., k] + 2.0 * state.D[..., j, k]
+        s = state.B[..., j] + state.B[..., k] + 2.0 * np.real(state.N[..., j, k])
+        p = state.C[..., j] + state.C[..., k] + 2.0 * state.M[..., j, k]
         return 2.0, s, p
     j = int(sel.modes[0])
     return 1.0, state.B[..., j], state.C[..., j]
@@ -159,8 +160,7 @@ def _selection_spectrum(state: GaussianState, sel: ModeSelection):
     """
     idx = np.array([int(m) for m in sel.modes])
     ix = (..., idx[:, None], idx)
-    n = state.normal_moment_matrix()[ix]
-    m = state.pair_moment_matrix()[ix]
+    n, m = state.N[ix], state.M[ix]
     gamma = np.block([[n.swapaxes(-1, -2), m], [m.conj(), n]])
     gamma = 0.5 * (gamma + gamma.swapaxes(-1, -2).conj())
     lam, q = np.linalg.eigh(gamma)
@@ -243,7 +243,9 @@ def generating_function(state: GaussianState, sel, svalues) -> np.ndarray:
 
 def _moments(state: GaussianState, sel: ModeSelection, k_max: int, n_max: int,
              with_pn: bool):
-    """(<W>, reduced moments, p_n or None), see moments_and_distribution."""
+    """(<W>, reduced moments, p_n or None, <(dW)^2>), see
+    moments_and_distribution.  The variance is <W^2> - <W>^2 = 2 g_2 - <W>^2
+    from the s=0 jet g, which is built to order 2 whatever k_max."""
     if not 1 <= k_max <= 8:
         raise ValidationError(f"k_max must be in [1, 8], got {k_max}")
     if not 1 <= n_max <= 512:
@@ -265,7 +267,7 @@ def _moments(state: GaussianState, sel: ModeSelection, k_max: int, n_max: int,
                 f"p(n) for n <= {n_max} underflows{_where(state, sel, dead)}: "
                 f"<W> = {float(np.max(np.asarray(mean_w)[dead])):.6g} lies too far beyond n_max"
             )
-    return mean_w, reduced, p_n
+    return mean_w, reduced, p_n, 2.0 * jet0[..., 2] - mean_w**2
 
 
 def moments_and_distribution(state: GaussianState, sel, k_max: int = 5,
@@ -276,7 +278,7 @@ def moments_and_distribution(state: GaussianState, sel, k_max: int = 5,
     when <W> = 0 (vacuum in the selection).  ``p_n`` has length
     n_max + 1 and sums to one minus the truncated tail mass.
     """
-    return _moments(state, _as_selection(sel), k_max, n_max, with_pn=True)
+    return _moments(state, _as_selection(sel), k_max, n_max, with_pn=True)[:3]
 
 
 @dataclass(frozen=True)
@@ -307,12 +309,8 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
     with ``include_pn``.
     """
     sel = _as_selection(sel)
-    mean_w, reduced, p_n = _moments(state, sel, k_max, n_max, include_pn)
+    mean_w, reduced, p_n, var_jets = _moments(state, sel, k_max, n_max, include_pn)
     var_formula = intensity_variance(state, sel)
-    if k_max >= 2:
-        var_jets = (reduced[..., 0] + 1.0) * mean_w**2 - mean_w**2
-    else:
-        var_jets = np.where(mean_w == 0.0, 0.0, np.nan)
     scale = np.maximum(np.maximum(1.0, np.abs(var_formula)), mean_w**2)
     bad = np.abs(var_jets - var_formula) > 1e-8 * scale  # NaN: not checked
     if np.any(bad):

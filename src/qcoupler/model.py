@@ -6,16 +6,22 @@ guide 2.  The pump lasers are classical and already folded into the
 effective nonlinear couplings, so they never appear as modes here.
 
 Field states are the Gaussian family "coherent signal plus quantum
-noise", parameterized by coherent amplitudes ``xi`` and the normally
-ordered noise functions
+noise", stored as coherent amplitudes ``xi`` and the normally ordered
+moment matrices
 
-    B_j    = <dA_j^+ dA_j>          (real, >= 0)
-    C_j    = <(dA_j)^2>
-    D_jk   = <dA_j dA_k>            (j != k, symmetric)
-    Dbar_jk = -<dA_j^+ dA_k>        (j != k, conjugate-symmetric)
+    N[j,k] = <dA_j^+ dA_k>          (Hermitian)
+    M[j,k] = <dA_j dA_k>            (symmetric)
 
-with ``dA = A - <A>``.  Inputs are specified in the squeezed-plus-noise
-form and converted to normal ordering at construction.
+with ``dA = A - <A>``.  The noise functions of the paper are their
+entries, read off on demand:
+
+    B_j    = N[j,j]                 (real, >= 0)
+    C_j    = M[j,j]
+    D_jk   = M[j,k]                 (j != k)
+    Dbar_jk = -N[j,k]               (j != k)
+
+Inputs are specified in the squeezed-plus-noise form and converted to
+normal ordering at construction.
 """
 
 from __future__ import annotations
@@ -183,47 +189,52 @@ VACUUM_INPUT = InputSpec()
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Gaussian field state in normally ordered noise parameterization.
+    """Gaussian field state: means ``xi`` and the normally ordered moment
+    matrices ``N`` (Hermitian) and ``M`` (symmetric).
 
-    All arrays are frozen at construction.  ``D`` and ``Dbar`` carry the
-    cross-mode moments on the off-diagonal and are zero on the diagonal;
-    the diagonal information lives in ``B`` and ``C``.
+    All arrays are frozen at construction.  The noise functions ``B``,
+    ``C``, ``D`` and ``Dbar`` are read-only arrays read off N and M: the
+    diagonals of N (real part) and M, and the off-diagonals of M and -N.
 
     Leading axes stack states, one per point of a z-grid say: ``xi`` is
-    then (Z, 6) and ``D`` (Z, 6, 6), and every method and statistic acts
+    then (Z, 6) and ``N`` (Z, 6, 6), and every method and statistic acts
     per state.  ``z`` is the propagation length (stacked like the
     states), or None for a state that was not propagated.
     """
 
     xi: np.ndarray      # (..., 6) complex
-    B: np.ndarray       # (..., 6) real
-    C: np.ndarray       # (..., 6) complex
-    D: np.ndarray       # (..., 6, 6) complex, symmetric, zero diagonal
-    Dbar: np.ndarray    # (..., 6, 6) complex, conjugate-symmetric, zero diagonal
+    N: np.ndarray       # (..., 6, 6) complex, Hermitian: <dA_j^+ dA_k>
+    M: np.ndarray       # (..., 6, 6) complex, symmetric: <dA_j dA_k>
     z: np.ndarray | float | None = None
 
     def __post_init__(self):
         xi = _frozen(self.xi, complex, np.shape(self.xi)[:-1] + (N_MODES,))
         batch = xi.shape[:-1]
         object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "B", _frozen(self.B, float, batch + (N_MODES,)))
-        object.__setattr__(self, "C", _frozen(self.C, complex, batch + (N_MODES,)))
-        object.__setattr__(self, "D", _frozen(self.D, complex, batch + (N_MODES, N_MODES)))
-        object.__setattr__(self, "Dbar", _frozen(self.Dbar, complex, batch + (N_MODES, N_MODES)))
+        object.__setattr__(self, "N", _frozen(self.N, complex, batch + (N_MODES, N_MODES)))
+        object.__setattr__(self, "M", _frozen(self.M, complex, batch + (N_MODES, N_MODES)))
         if self.z is not None:
             object.__setattr__(self, "z", _frozen(self.z, float, batch))
 
-    def normal_moment_matrix(self) -> np.ndarray:
-        """The 6x6 matrix N with N[j,k] = <dA_j^+ dA_k> (Hermitian)."""
-        n = -self.Dbar
-        n[..., _DIAG, _DIAG] = self.B
-        return n
+    @property
+    def B(self) -> np.ndarray:
+        """B_j = <dA_j^+ dA_j>, the real diagonal of N."""
+        return self.N.diagonal(axis1=-2, axis2=-1).real
 
-    def pair_moment_matrix(self) -> np.ndarray:
-        """The 6x6 matrix with entries <dA_j dA_k> (symmetric)."""
-        m = self.D.copy()
-        m[..., _DIAG, _DIAG] = self.C
-        return m
+    @property
+    def C(self) -> np.ndarray:
+        """C_j = <(dA_j)^2>, the diagonal of M."""
+        return self.M.diagonal(axis1=-2, axis2=-1)
+
+    @property
+    def D(self) -> np.ndarray:
+        """D_jk = <dA_j dA_k> for j != k: M with its diagonal zeroed."""
+        return _zero_diagonal(self.M.copy())
+
+    @property
+    def Dbar(self) -> np.ndarray:
+        """Dbar_jk = -<dA_j^+ dA_k> for j != k: -N with its diagonal zeroed."""
+        return _zero_diagonal(-self.N)
 
     def antinormal_covariance(self) -> np.ndarray:
         """Antinormally ordered 12x12 covariance over the doubled basis.
@@ -231,8 +242,7 @@ class GaussianState:
         Positive semidefiniteness of this matrix is the physicality
         condition for the state.
         """
-        n = self.normal_moment_matrix()
-        m = self.pair_moment_matrix()
+        n, m = self.N, self.M
         return np.block([[n.swapaxes(-1, -2) + np.eye(N_MODES), m], [m.conj(), n]])
 
     def min_covariance_eigenvalue(self):
@@ -246,13 +256,14 @@ class GaussianState:
 
     def check_physical(self, tol=1e-9):
         """Raise ValidationError if the state violates its invariants."""
-        if np.any(self.B < -tol):
-            raise ValidationError(f"negative noise variance B: {self.B}")
-        if not np.allclose(self.D, self.D.swapaxes(-1, -2), atol=tol, rtol=0.0):
-            raise ValidationError("D is not symmetric")
-        if not np.allclose(self.Dbar, self.Dbar.swapaxes(-1, -2).conj(), atol=tol, rtol=0.0):
-            raise ValidationError("Dbar is not conjugate-symmetric")
-        scale = max(1.0, float(np.max(self.B)) if self.B.size else 1.0)
+        b = self.B
+        if np.any(b < -tol):
+            raise ValidationError(f"negative noise variance B: {b}")
+        if not np.allclose(self.N, self.N.swapaxes(-1, -2).conj(), atol=tol, rtol=0.0):
+            raise ValidationError("N is not Hermitian")
+        if not np.allclose(self.M, self.M.swapaxes(-1, -2), atol=tol, rtol=0.0):
+            raise ValidationError("M is not symmetric")
+        scale = max(1.0, float(np.max(b)) if b.size else 1.0)
         if np.min(self.min_covariance_eigenvalue()) < -tol * scale:
             raise ValidationError("antinormal covariance is not positive semidefinite")
 
@@ -260,13 +271,11 @@ class GaussianState:
 _DIAG = np.arange(N_MODES)
 
 
-def noise_functions(n: np.ndarray, m: np.ndarray) -> tuple:
-    """(B, C, D, Dbar) from the normal and pair moment matrices N and M."""
-    d = m.copy()
-    d[..., _DIAG, _DIAG] = 0j
-    dbar = -n
-    dbar[..., _DIAG, _DIAG] = 0j
-    return np.real(n[..., _DIAG, _DIAG]), m[..., _DIAG, _DIAG], d, dbar
+def _zero_diagonal(a: np.ndarray) -> np.ndarray:
+    """Zero the diagonals of a fresh stack of 6x6 matrices and freeze it."""
+    a[..., _DIAG, _DIAG] = 0j
+    a.setflags(write=False)
+    return a
 
 
 def _frozen(array, dtype, shape):
@@ -282,8 +291,8 @@ def build_input_state(inputs) -> GaussianState:
 
     The input convention carries antinormally ordered noise; storage is
     normally ordered, so a coherent mode comes out with ``B = 0`` and a
-    chaotic mode with ``B = n_ch``.  All cross-mode moments are zero:
-    input modes are independent.
+    chaotic mode with ``B = n_ch``.  Input modes are independent, so N
+    and M are diagonal.
     """
     inputs = tuple(inputs)
     if len(inputs) != N_MODES:
@@ -296,22 +305,16 @@ def build_input_state(inputs) -> GaussianState:
         xi[j] = complex(spec.xi)
         b[j] = math.cosh(spec.r) ** 2 + spec.n_ch - 1.0
         c[j] = 0.5 * np.exp(1j * spec.theta) * math.sinh(2.0 * spec.r)
-    state = GaussianState(
-        xi=xi, B=b, C=c,
-        D=np.zeros((N_MODES, N_MODES), dtype=complex),
-        Dbar=np.zeros((N_MODES, N_MODES), dtype=complex),
-    )
+    state = GaussianState(xi=xi, N=np.diag(b), M=np.diag(c))
     state.check_physical()
     return state
 
 
-def permute_state(state: GaussianState, perm=EXCHANGE_PERMUTATION) -> GaussianState:
-    """Relabel modes of a state by an index permutation."""
-    p = np.asarray(perm)
-    return GaussianState(
-        xi=state.xi[..., p], B=state.B[..., p], C=state.C[..., p],
-        D=state.D[..., p[:, None], p], Dbar=state.Dbar[..., p[:, None], p], z=state.z,
-    )
+def permute_state(state: GaussianState) -> GaussianState:
+    """The same state with the two guides' modes exchanged."""
+    p = np.asarray(EXCHANGE_PERMUTATION)
+    ix = (..., p[:, None], p)
+    return GaussianState(xi=state.xi[..., p], N=state.N[ix], M=state.M[ix], z=state.z)
 
 
 @dataclass(frozen=True)
@@ -342,8 +345,9 @@ class ModeSelection:
     def is_compound(self) -> bool:
         return len(self.modes) == 2
 
-    def permuted(self, perm=EXCHANGE_PERMUTATION) -> "ModeSelection":
-        return ModeSelection(tuple(ModeId(perm[m]) for m in self.modes))
+    def permuted(self) -> "ModeSelection":
+        """The selection of the same modes in the other guide."""
+        return ModeSelection(tuple(ModeId(EXCHANGE_PERMUTATION[m]) for m in self.modes))
 
     @classmethod
     def parse(cls, text: str) -> "ModeSelection":

@@ -9,13 +9,11 @@ that are coherent and/or chaotic; squeezed inputs are out of scope here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import ValidationError
 from .dynamics import BogoliubovTransform, build_drift_matrix
-from .model import GaussianState, N_MODES, ValidatedParams, noise_functions
+from .model import GaussianState, N_MODES, ValidatedParams
 
 _ORDER = 2  # expansion valid through z^2
 
@@ -74,49 +72,15 @@ def mean_amplitude_poly(params: ValidatedParams, xi0) -> np.ndarray:
     return np.einsum("pjk,k->pj", u, xi0) + np.einsum("pjk,k->pj", v, xi0.conj())
 
 
-@dataclass(frozen=True)
-class ShortlenCoefficients:
-    """Noise functions of the short-length state, all degree <= 2 in z.
-
-    Shaped like the noise part of a GaussianState.  The ``order``
-    attribute records the validity of the expansion.  ``C`` vanishes
-    identically for the supported (unsqueezed) inputs.
-    """
-
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    Dbar: np.ndarray
-    z: float
-    order: int = _ORDER
-
-
-@dataclass(frozen=True)
-class ShortlenNoisePolys:
-    """Degree-2 polynomial coefficients of the noise functions.
-
-    Shapes: B (3, 6) real, C (3, 6) complex, D and Dbar (3, 6, 6).
-    """
-
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    Dbar: np.ndarray
-
-    def at(self, z: float) -> ShortlenCoefficients:
-        return ShortlenCoefficients(
-            B=_poly_eval(self.B, z), C=_poly_eval(self.C, z),
-            D=_poly_eval(self.D, z), Dbar=_poly_eval(self.Dbar, z),
-            z=float(z),
-        )
-
-
-def shortlen_noise_polys(params: ValidatedParams, n_v1: float, n_v2: float) -> ShortlenNoisePolys:
+def shortlen_noise_polys(params: ValidatedParams, n_v1: float, n_v2: float) -> GaussianState:
     """Second moments of the short-length state as exact z-polynomials.
 
     Phonon modes start chaotic with ``n_v1``/``n_v2`` mean quanta and all
     other noise zero; the second moments are propagated through the
-    degree-2 propagator and re-truncated at degree 2.
+    degree-2 propagator and re-truncated at degree 2.  The result is a
+    GaussianState stacked over the power of z (N and M are (3, 6, 6)),
+    with ``xi`` zero, so ``polys.B[p]`` is the z^p coefficient of B.
+    ``C`` vanishes identically for the supported (unsqueezed) inputs.
     """
     if n_v1 < 0 or n_v2 < 0:
         raise ValidationError("mean phonon numbers must be >= 0")
@@ -133,13 +97,16 @@ def shortlen_noise_polys(params: ValidatedParams, n_v1: float, n_v2: float) -> S
     n1 = _poly_mul(_poly_mul(uc, n0), ut) + _poly_mul(_poly_mul(vc, n0_anti), vt)
     m1 = _poly_mul(_poly_mul(u, n0_anti), vt) + _poly_mul(_poly_mul(v, n0), ut)
 
-    return ShortlenNoisePolys(*noise_functions(n1, m1))
+    return GaussianState(xi=np.zeros((_ORDER + 1, N_MODES)), N=n1, M=m1)
 
 
 def shortlen_coefficients(params: ValidatedParams, n_v1: float, n_v2: float,
-                          z: float) -> ShortlenCoefficients:
-    """Short-length noise functions evaluated at length z."""
-    return shortlen_noise_polys(params, n_v1, n_v2).at(z)
+                          z: float) -> GaussianState:
+    """The noise of the short-length state at length z, accurate through
+    z^2: :func:`shortlen_noise_polys` evaluated at z, with ``xi`` zero."""
+    polys = shortlen_noise_polys(params, n_v1, n_v2)
+    return GaussianState(xi=np.zeros(N_MODES), N=_poly_eval(polys.N, z),
+                         M=_poly_eval(polys.M, z), z=z)
 
 
 def shortlen_state(params: ValidatedParams, xi0, n_v1: float, n_v2: float,
@@ -147,4 +114,4 @@ def shortlen_state(params: ValidatedParams, xi0, n_v1: float, n_v2: float,
     """Full short-length Gaussian state (means plus noise) at length z."""
     coeffs = shortlen_coefficients(params, n_v1, n_v2, z)
     xi = shortlen_mean_amplitudes(params, xi0, z)
-    return GaussianState(xi=xi, B=coeffs.B, C=coeffs.C, D=coeffs.D, Dbar=coeffs.Dbar)
+    return GaussianState(xi=xi, N=coeffs.N, M=coeffs.M)

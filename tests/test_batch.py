@@ -8,6 +8,8 @@ statistics and 1e-6 for p(n), and check that failures inside a batch
 name the first failing length.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -257,10 +259,9 @@ def _sweep_state(z_steps=8):
 
 def test_singular_pivot_in_batch_names_z_and_selection():
     states = _sweep_state()
-    b = np.array(states.B)
-    b[5] = -1.5     # unphysical: 1 + lam < 0 at s = 1
-    bad = GaussianState(xi=states.xi, B=b, C=states.C, D=states.D, Dbar=states.Dbar,
-                        z=states.z)
+    n = np.array(states.N)
+    n[5, range(6), range(6)] = -1.5     # unphysical B: 1 + lam < 0 at s = 1
+    bad = GaussianState(xi=states.xi, N=n, M=states.M, z=states.z)
     sel = ModeSelection((ModeId.S1,))
     message = f"singular at s=1.0 at z={states.z[5]} for selection S1"
     with pytest.raises(NumericalError, match=message):
@@ -272,8 +273,9 @@ def test_singular_pivot_in_batch_names_z_and_selection():
     assert report.p_n is None and np.isnan(report.reduced_moments[5, 0])
 
 
-def test_variance_cross_check_in_sweep_names_z_and_selection(monkeypatch):
-    cfg = parse_scenario(SMALL_DOC)
+@pytest.mark.parametrize("k_max", [1, 4])
+def test_variance_cross_check_in_sweep_names_z_and_selection(monkeypatch, k_max):
+    cfg = dataclasses.replace(parse_scenario(SMALL_DOC), k_max=k_max)
     closed_form = gaussian_stats.intensity_variance
 
     def off_at_third_point(state, sel):

@@ -338,8 +338,7 @@ def test_singular_generating_function_raises():
     # past -1 and the evaluation at s = 1 must refuse
     bad = GaussianState(
         xi=np.zeros(6, complex),
-        B=np.full(6, -1.5), C=np.zeros(6, complex),
-        D=np.zeros((6, 6), complex), Dbar=np.zeros((6, 6), complex),
+        N=np.diag(np.full(6, -1.5 + 0j)), M=np.zeros((6, 6), complex),
     )
     with pytest.raises(NumericalError):
         moments_and_distribution(bad, single(ModeId.S1), 2, 8)

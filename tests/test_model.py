@@ -1,11 +1,13 @@
 """Domain types: input-state construction, validation, scenario parsing."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from qcoupler.dynamics import build_drift_matrix, evolve_state, propagator
 from qcoupler.exceptions import (
     ParameterRegimeWarning,
     ScenarioParseError,
@@ -14,6 +16,7 @@ from qcoupler.exceptions import (
 )
 from qcoupler.model import (
     CouplerParams,
+    GaussianState,
     InputSpec,
     ModeId,
     ModeSelection,
@@ -27,7 +30,7 @@ from qcoupler.model import (
     validate_params,
 )
 
-from conftest import quiet_params, random_inputs
+from conftest import quiet_params, random_couplings, random_inputs
 
 
 def test_mode_order():
@@ -84,6 +87,55 @@ def test_input_state_rejects_negative_parameters():
     bad_n = [InputSpec(n_ch=-1.0)] + [VACUUM_INPUT] * 5
     with pytest.raises(ValidationError):
         build_input_state(bad_n)
+
+
+def test_state_noise_functions_read_off_n_and_m():
+    rng = np.random.default_rng(23)
+    em = build_drift_matrix(random_couplings(rng, mag=1.0))
+    s = evolve_state(propagator(em, np.linspace(0.0, 1.0, 7)),
+                     build_input_state(random_inputs(rng)))
+    assert [f.name for f in dataclasses.fields(GaussianState)] == ["xi", "N", "M", "z"]
+    assert s.N.shape == s.M.shape == (7, 6, 6) and s.B.shape == s.C.shape == (7, 6)
+    eye = np.eye(6)
+    assert np.array_equal(s.N, eye * s.B[..., None, :] - s.Dbar)
+    assert np.array_equal(s.M, eye * s.C[..., None, :] + s.D)
+    assert np.all(s.D[..., eye == 1] == 0) and np.all(s.Dbar[..., eye == 1] == 0)
+    assert np.any(s.D != 0) and np.any(s.Dbar != 0)
+    for name in ("xi", "N", "M", "z", "B", "C", "D", "Dbar"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(s, name)[...] = 0
+        with pytest.raises(AttributeError):
+            setattr(s, name, getattr(s, name))
+
+
+@pytest.mark.parametrize("xi, n, m", [
+    (np.zeros(6), np.zeros((6, 5)), np.zeros((6, 6))),
+    (np.zeros(6), np.zeros((6, 6)), np.zeros(6)),
+    (np.zeros((3, 6)), np.zeros((6, 6)), np.zeros((3, 6, 6))),
+    (np.zeros((3, 6)), np.zeros((3, 6, 6)), np.zeros((2, 6, 6))),
+])
+def test_state_rejects_wrong_shapes(xi, n, m):
+    with pytest.raises(ValidationError, match="expected array of shape"):
+        GaussianState(xi=xi, N=n, M=m)
+
+
+def _single_entry(j, k, value):
+    out = np.zeros((6, 6), complex)
+    out[j, k] = value
+    return out
+
+
+@pytest.mark.parametrize("n, m, message", [
+    (_single_entry(2, 2, -0.5), np.zeros((6, 6)), "negative noise variance B"),
+    (_single_entry(0, 1, 0.1), np.zeros((6, 6)), "N is not Hermitian"),
+    (np.zeros((6, 6)), _single_entry(0, 1, 0.1), "M is not symmetric"),
+    # a pair moment with no noise to carry it: |C|^2 > B (B + 1)
+    (np.zeros((6, 6)), _single_entry(0, 0, 0.5), "not positive semidefinite"),
+])
+def test_check_physical_branches(n, m, message):
+    state = GaussianState(xi=np.zeros(6), N=n, M=m)
+    with pytest.raises(ValidationError, match=message):
+        state.check_physical()
 
 
 def test_validate_params_zero_is_valid():
