@@ -22,8 +22,9 @@ the product of the smallest and largest principal variances (1 for a
 coherent single mode, 4 for compound vacuum).
 
 Every function accepts a stacked state (one per point of a z-grid, say)
-and returns its statistics stacked over the same leading axes; the jets
-loop over the series order only.
+and returns its statistics stacked over the same leading axes.  The
+log-series of a jet is built in closed form; only the series exponential
+loops over the order.
 """
 
 from __future__ import annotations
@@ -197,7 +198,19 @@ def _series_exp(h: np.ndarray) -> np.ndarray:
 def _g_jet(state: GaussianState, sel: ModeSelection, lam: np.ndarray, w: np.ndarray,
            s0: float, order: int) -> np.ndarray:
     """Taylor coefficients of G(s0 + t) through t^order, from the spectrum
-    of the selection ``sel`` of ``state``."""
+    of the selection ``sel`` of ``state``.
+
+    log G(s0 + t) = -(1/2) sum_i [log(a_i + lam_i t) + (s0 + t) w_i / (a_i + lam_i t)]
+    with a_i = 1 + s0 lam_i.  Expanding both terms in powers of
+    P_i = -lam_i / a_i, and using 1 - s0 lam_i / a_i = 1 / a_i to merge
+    the t-shifted prefactor term, gives the log-series h in closed form:
+
+        h_0 = -(1/2) sum_i (log a_i + s0 w_i / a_i),
+        h_n = (1/2) sum_i P_i^(n-1) (P_i / n - w_i / a_i^2),   n >= 1.
+
+    The powers come from one cumulative product per eigenvalue, written
+    into a buffer that is reused for every eigenvalue.
+    """
     a = 1.0 + s0 * lam
     bad = np.any(a <= _MIN_PIVOT, axis=-1)
     if np.any(bad):
@@ -206,24 +219,25 @@ def _g_jet(state: GaussianState, sel: ModeSelection, lam: np.ndarray, w: np.ndar
             f"covariance eigenvalue {np.min(lam[bad]):.6g} (state is unphysical "
             "or too close to singular)"
         )
-    rho = lam / a
+    p = -lam / a
+    q = w / a**2
+    inv_n = 1.0 / np.arange(1, order + 1)
     h = np.zeros(lam.shape[:-1] + (order + 1,))
-    # -(1/2) sum_i log(a_i + lam_i t)
-    h[..., 0] = -0.5 * np.sum(np.log(a), axis=-1)
-    powers = np.ones_like(rho)
-    prev_geo = w / a  # running w_i/a_i * (-rho_i)^n
-    # -(s0 + t)/2 * sum_i w_i / (a_i + lam_i t)
-    h[..., 0] += -0.5 * s0 * np.sum(prev_geo, axis=-1)
-    sign = 1.0
-    for n in range(1, order + 1):
-        powers = powers * rho
-        # log branch: -(1/2) (-1)^(n+1) rho^n / n
-        h[..., n] = -0.5 * sign * np.sum(powers, axis=-1) / n
-        sign = -sign
-        # prefactor branch: -(1/2) (s0 g_n + g_{n-1}) with g_n = sum w/a (-rho)^n
-        geo = -rho * prev_geo
-        h[..., n] += -0.5 * (s0 * np.sum(geo, axis=-1) + np.sum(prev_geo, axis=-1))
-        prev_geo = geo
+    h[..., 0] = -0.5 * np.sum(np.log(a) + s0 * w / a, axis=-1)
+    tail = h[..., 1:]
+    powers = np.empty_like(tail)
+    term = np.empty_like(tail)
+    for i in range(lam.shape[-1]):
+        p_i = p[..., i, None]
+        powers[..., :1] = 1.0
+        powers[..., 1:] = p_i
+        np.cumprod(powers, axis=-1, out=powers)  # P_i^0 .. P_i^(order-1)
+        np.multiply(p_i, inv_n, out=term)
+        term -= q[..., i, None]
+        term *= powers
+        tail += term
+    tail *= 0.5
+    del powers, term  # free the buffers before _series_exp allocates its own
     return _series_exp(h)
 
 

@@ -1,0 +1,92 @@
+"""Generating-function jets against 40-digit references.
+
+The closed-form tests elsewhere cover single modes and equal
+eigenvalues.  Here the stacked jet ``_g_jet`` is checked on spectra they
+miss: four distinct eigenvalues with squeezed (negative) ones, a
+repeated thermal pair, and a bright row; and the squeezed vacuum, whose
+two eigenvalues give log-series ratios P of opposite sign, at order 512.
+"""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+import qcoupler.gaussian_stats as gaussian_stats
+from qcoupler.model import VACUUM_INPUT, InputSpec, ModeId, ModeSelection, build_input_state
+
+DPS = 40
+TOL = 1e-12
+COLUMN_FLOOR = 1.0   # s = 0: moments
+PN_FLOOR = 1e-6      # s = 1: p(n)
+
+# rows: distinct eigenvalues, two of them squeezed; a thermal pair; a bright row
+LAM = np.array([[-0.35, -0.12, 0.8, 2.6],
+                [1.3, 1.3, 0.25, 0.25],
+                [-0.04, 0.0, 0.03, 0.15]])
+W = np.array([[0.3, 1.1, 0.0, 2.4],
+              [0.9, 0.4, 0.0, 0.0],
+              [140.0, 110.0, 70.0, 30.0]])
+SEL = ModeSelection((ModeId.S1, ModeId.A1))
+
+
+def mp_jet(lam, w, s0, order):
+    """The jet of one spectrum at DPS digits: the closed-form log-series,
+    then the exponential recurrence n f_n = sum_k k h_k f_(n-k)."""
+    with mp.workdps(DPS):
+        lam = [mp.mpf(float(x)) for x in lam]
+        w = [mp.mpf(float(x)) for x in w]
+        a = [1 + s0 * x for x in lam]
+        p = [-x / y for x, y in zip(lam, a)]
+        q = [x / y**2 for x, y in zip(w, a)]
+        h = [-mp.fsum(mp.log(y) + s0 * x / y for x, y in zip(w, a)) / 2]
+        powers = [mp.mpf(1)] * len(lam)   # P_i^(n-1)
+        for n in range(1, order + 1):
+            h.append(mp.fsum(pw * (pi / n - qi) for pw, pi, qi in zip(powers, p, q)) / 2)
+            powers = [pw * pi for pw, pi in zip(powers, p)]
+        kh = [n * hn for n, hn in enumerate(h)]
+        f = [mp.exp(h[0])]
+        for n in range(1, order + 1):
+            f.append(mp.fdot(kh[1:n + 1], f[::-1]) / n)
+        return np.array([float(x) for x in f])
+
+
+def deviation(actual, expected, floor):
+    return float(np.max(np.abs(actual - expected) / np.maximum(np.abs(expected), floor)))
+
+
+@pytest.fixture(scope="module")
+def references():
+    """40-digit jets of every row to the highest order any case asks for;
+    a lower-order jet is a prefix of a higher-order one."""
+    return {s0: [mp_jet(LAM[i], W[i], s0, order) for i in range(len(LAM))]
+            for s0, order in [(0.0, 8), (1.0, 512)]}
+
+
+@pytest.mark.parametrize("s0, order, floor", [(0.0, 8, COLUMN_FLOOR), (1.0, 64, PN_FLOOR),
+                                             (1.0, 512, PN_FLOOR)])
+def test_stacked_jet_matches_mpmath(references, s0, order, floor):
+    assert W[2].sum() == pytest.approx(350.0)
+    jets = gaussian_stats._g_jet(None, SEL, LAM, W, s0, order)
+    assert jets.shape == (len(LAM), order + 1)
+    for i, ref in enumerate(references[s0]):
+        assert deviation(jets[i], ref[:order + 1], floor) <= TOL, i
+
+
+def test_squeezed_vacuum_pn_at_order_512():
+    r, n_max = 1.5, 512
+    inputs = [VACUUM_INPUT] * 6
+    inputs[ModeId.S1] = InputSpec(r=r, theta=0.4)
+    state = build_input_state(inputs)
+    p_n = gaussian_stats.moments_and_distribution(state, ModeSelection((ModeId.S1,)),
+                                                  k_max=2, n_max=n_max)[2]
+    with mp.workdps(DPS):
+        t2, c = mp.tanh(r) ** 2, mp.cosh(r)
+        # p(2m) = (2m)! / (4^m (m!)^2) tanh^(2m) r / cosh r
+        even = np.array([float(mp.binomial(2 * m, m) / 4**m * t2**m / c)
+                         for m in range(n_max // 2 + 1)])
+    assert deviation(p_n[0::2], even, PN_FLOOR) <= TOL
+    assert np.max(np.abs(p_n[1::2])) <= 1e-14
+    # most of the mass sits in the first orders; the check is not vacuous
+    assert even[0] == pytest.approx(1.0 / math.cosh(r)) and p_n[0] > 0.4
