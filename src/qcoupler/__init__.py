@@ -58,8 +58,6 @@ from .gaussian_stats import (
     generating_function_jet,
     intensity_covariance,
     intensity_variance,
-    intensity_variance_compound,
-    intensity_variance_single,
     mean_intensity,
     moments_and_distribution,
     principal_squeeze,

@@ -1,11 +1,21 @@
 """Observable statistics of single and compound modes.
 
 Everything is derived from the means and the normally ordered moment
-matrices N and M of a :class:`~qcoupler.model.GaussianState`.  Intensity
-variances, intensity correlations, and principal squeeze variances come
-from closed expressions; photon-number distributions and
-integrated-intensity moments come from the normally ordered generating
-function
+matrices N and M of a :class:`~qcoupler.model.GaussianState`, restricted
+to the k = 1 or 2 selected modes: the block x = xi_sel, n = N_sel,
+m = M_sel.  A single mode and a compound field share every closed
+expression, each a sum over the block:
+
+    <W>           = Re tr n + sum_j |x_j|^2,
+    C_jk          = <:dW_j dW_k:>
+                  = |n_jk|^2 + |m_jk|^2 + 2 Re(x_j n_jk x_k* + x_j* m_jk x_k*),
+    <:(dW)^2:>    = sum_jk C_jk,
+    S = Re sum_jk n_jk,    P = sum_jk m_jk,
+    var_p, var_q  = k + 2 (S +/- Re P),
+    lambda        = k + 2 (S - |P|)      (principal squeeze variance).
+
+Photon-number distributions and integrated-intensity moments come from
+the normally ordered generating function
 
     G(s) = <: exp(-s W) :>,     W = sum over selected modes of A^+ A,
 
@@ -14,12 +24,12 @@ power series (jet) arithmetic:
 
     <W^k>  = (-1)^k G^(k)(0),        p(n) = (-1)^n G^(n)(1) / n!.
 
-Quadrature conventions: p = A + A^+ and q = -i(A - A^+), so the vacuum
-variance is 1 for a single mode.  Compound modes use the plain operator
-sum A_j + A_k with vacuum variance 2, and squeezing means a principal
-variance below 1 (single) or 2 (compound).  The uncertainty product is
-the product of the smallest and largest principal variances (1 for a
-coherent single mode, 4 for compound vacuum).
+Quadrature conventions: p = A + A^+ and q = -i(A - A^+), and a compound
+field uses the plain operator sum A_j + A_k.  The vacuum variance is k
+(1 single, 2 compound); squeezing means a principal variance below it.
+The uncertainty product is the product of the smallest and largest
+principal variances, k + 2 (S -/+ |P|) (1 for a coherent single mode, 4
+for compound vacuum).
 
 Every function accepts a stacked state (one per point of a z-grid, say)
 and returns its statistics stacked over the same leading axes.  The
@@ -41,9 +51,7 @@ __all__ = [
     "ModeSelection",
     "StatsReport",
     "mean_intensity",
-    "intensity_variance_single",
     "intensity_covariance",
-    "intensity_variance_compound",
     "intensity_variance",
     "principal_squeeze",
     "quadrature_variances",
@@ -67,61 +75,45 @@ def _where(state: GaussianState, sel: ModeSelection, bad) -> str:
     return f"{at} for selection {sel.name}"
 
 
+def _selection_block(state: GaussianState, sel: ModeSelection):
+    """(x, n, m): xi, N and M restricted to the selected modes, shaped
+    (..., k) and (..., k, k) with k = 1 or 2."""
+    idx = np.array([int(m) for m in sel.modes])
+    return state.xi[..., idx], state.N[..., idx[:, None], idx], state.M[..., idx[:, None], idx]
+
+
 def mean_intensity(state: GaussianState, sel):
-    """<W> = sum of B_j + |xi_j|^2 over the selected modes."""
-    idx = [int(m) for m in _as_selection(sel).modes]
-    return np.sum(state.B[..., idx] + np.abs(state.xi[..., idx]) ** 2, axis=-1)
+    """<W> = Re tr n + |x|^2 over the selection's block."""
+    x, n, _ = _selection_block(state, _as_selection(sel))
+    return np.trace(n, axis1=-2, axis2=-1).real + np.sum(np.abs(x) ** 2, axis=-1)
 
 
-def intensity_variance_single(state: GaussianState, j):
-    """<(dW_j)^2> of one mode."""
-    j = int(j)
-    b, c, xi = state.B[..., j], state.C[..., j], state.xi[..., j]
-    return (
-        b * b + np.abs(c) ** 2 + 2.0 * b * np.abs(xi) ** 2
-        + 2.0 * np.real(c * np.conj(xi) ** 2)
-    )
-
-
-def intensity_covariance(state: GaussianState, j, k):
-    """<dW_j dW_k> between two distinct modes."""
-    j, k = int(j), int(k)
-    if j == k:
-        raise ValidationError("intensity covariance needs two distinct modes")
-    d, dbar = state.M[..., j, k], -state.N[..., j, k]
-    xj, xk = state.xi[..., j], state.xi[..., k]
-    return (
-        np.abs(d) ** 2 + np.abs(dbar) ** 2
-        + 2.0 * np.real(d * np.conj(xj) * np.conj(xk))
-        - 2.0 * np.real(dbar * xj * np.conj(xk))
-    )
-
-
-def intensity_variance_compound(state: GaussianState, j, k):
-    """<(dW_jk)^2> of the two-mode compound field."""
-    return (
-        intensity_variance_single(state, j)
-        + intensity_variance_single(state, k)
-        + 2.0 * intensity_covariance(state, j, k)
-    )
+def _intensity_pairs(state: GaussianState, sel: ModeSelection):
+    """C_jk = <:dW_j dW_k:> over the selection's block."""
+    x, n, m = _selection_block(state, sel)
+    xr, xc = x[..., :, None], x.conj()[..., None, :]
+    return np.abs(n) ** 2 + np.abs(m) ** 2 + 2.0 * np.real(xr * n * xc + xr.conj() * m * xc)
 
 
 def intensity_variance(state: GaussianState, sel):
-    sel = _as_selection(sel)
-    if sel.is_compound:
-        return intensity_variance_compound(state, *sel.modes)
-    return intensity_variance_single(state, sel.modes[0])
+    """<:(dW)^2:> = sum of C_jk over the selection, single or compound."""
+    return np.sum(_intensity_pairs(state, _as_selection(sel)), axis=(-2, -1))
+
+
+def intensity_covariance(state: GaussianState, j, k):
+    """<:dW_j dW_k:> between two distinct modes."""
+    return _intensity_pairs(state, ModeSelection((j, k)))[..., 0, 1]
 
 
 def _squeeze_terms(state: GaussianState, sel: ModeSelection):
     """(vacuum level, symmetric noise S, pair term P) of the quadrature algebra."""
-    if sel.is_compound:
-        j, k = (int(m) for m in sel.modes)
-        s = state.B[..., j] + state.B[..., k] + 2.0 * np.real(state.N[..., j, k])
-        p = state.C[..., j] + state.C[..., k] + 2.0 * state.M[..., j, k]
-        return 2.0, s, p
-    j = int(sel.modes[0])
-    return 1.0, state.B[..., j], state.C[..., j]
+    _, n, m = _selection_block(state, sel)
+    return n.shape[-1], np.sum(n, axis=(-2, -1)).real, np.sum(m, axis=(-2, -1))
+
+
+def _spread(vac, s, t):
+    """vac + 2 (S -/+ t): the quadrature variances on either side of S."""
+    return vac + 2.0 * (s - t), vac + 2.0 * (s + t)
 
 
 def principal_squeeze(state: GaussianState, sel):
@@ -129,7 +121,7 @@ def principal_squeeze(state: GaussianState, sel):
     the quadrature phase.  Below the vacuum level (1 single / 2 compound)
     the field is squeezed."""
     vac, s, p = _squeeze_terms(state, _as_selection(sel))
-    return vac + 2.0 * (s - np.abs(p))
+    return _spread(vac, s, np.abs(p))[0]
 
 
 def quadrature_variances(state: GaussianState, sel):
@@ -139,9 +131,9 @@ def quadrature_variances(state: GaussianState, sel):
     variances.
     """
     vac, s, p = _squeeze_terms(state, _as_selection(sel))
-    var_p = vac + 2.0 * s + 2.0 * np.real(p)
-    var_q = vac + 2.0 * s - 2.0 * np.real(p)
-    return var_p, var_q, (vac + 2.0 * (s - np.abs(p))) * (vac + 2.0 * (s + np.abs(p)))
+    var_q, var_p = _spread(vac, s, np.real(p))
+    lo, hi = _spread(vac, s, np.abs(p))
+    return var_p, var_q, lo * hi
 
 
 # --------------------------------------------------------------------------
@@ -159,14 +151,11 @@ def _selection_spectrum(state: GaussianState, sel: ModeSelection):
 
     which is manifestly real for real s.
     """
-    idx = np.array([int(m) for m in sel.modes])
-    ix = (..., idx[:, None], idx)
-    n, m = state.N[ix], state.M[ix]
+    x, n, m = _selection_block(state, sel)
     gamma = np.block([[n.swapaxes(-1, -2), m], [m.conj(), n]])
     gamma = 0.5 * (gamma + gamma.swapaxes(-1, -2).conj())
     lam, q = np.linalg.eigh(gamma)
-    xi = state.xi[..., idx]
-    y = np.concatenate([xi, xi.conj()], axis=-1)
+    y = np.concatenate([x, x.conj()], axis=-1)
     w = np.abs(q.swapaxes(-1, -2).conj() @ y[..., None])[..., 0] ** 2
     return lam, w
 

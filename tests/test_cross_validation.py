@@ -13,8 +13,11 @@ from qcoupler.exceptions import TruncationWarning
 from qcoupler.fock_oracle import FockConfig, evolve_fock, fock_statistics
 from qcoupler.gaussian_stats import (
     generating_function,
+    intensity_covariance,
+    intensity_variance,
     moments_and_distribution,
     principal_squeeze,
+    quadrature_variances,
 )
 from qcoupler.model import (
     InputSpec,
@@ -36,7 +39,7 @@ def _gaussian_state(params, mode_specs, z):
 
 
 def _compare(params, cutoffs, mode_specs, z, selections,
-             tol_pn=1e-4, tol_n=1e-3, tol_lam=1e-3):
+             tol_pn=1e-4, tol_n=1e-3, tol_lam=1e-3, tol_var=1e-3):
     cfg = FockConfig(modes=tuple(sorted(mode_specs)), cutoffs=cutoffs,
                      params=params)
     ensemble = evolve_fock(cfg, [mode_specs[m] for m in cfg.modes], z)
@@ -46,10 +49,31 @@ def _compare(params, cutoffs, mode_specs, z, selections,
         fock = fock_statistics(ensemble, sel)
         mean_w, _, p_n = moments_and_distribution(state, sel, k_max=2, n_max=16)
         lam = principal_squeeze(state, sel)
+        var_p, var_q, _ = quadrature_variances(state, sel)
         n_top = min(8, len(fock.p_n) - 1)
         assert np.max(np.abs(fock.p_n[:n_top + 1] - p_n[:n_top + 1])) < tol_pn, sel.name
         assert abs(fock.mean_w - mean_w) / max(mean_w, 1e-12) < tol_n, sel.name
         assert abs(fock.lam - lam) < tol_lam, sel.name
+        assert abs(fock.var_p - var_p) < tol_lam, sel.name
+        assert abs(fock.var_q - var_q) < tol_lam, sel.name
+        var_fock = _normal_variance(fock)
+        assert _rel_err(intensity_variance(state, sel), var_fock) < tol_var, sel.name
+        if len(sel.modes) == 2:
+            singles = [_normal_variance(fock_statistics(ensemble, (m,))) for m in sel.modes]
+            cov_fock = 0.5 * (var_fock - sum(singles))
+            cov = intensity_covariance(state, *sel.modes)
+            assert _rel_err(cov, cov_fock) < tol_var, sel.name
+
+
+def _normal_variance(fock):
+    """<:(dW)^2:> = <W(W-1)> - <W>^2 from the oracle's factorial moments."""
+    f1, f2 = fock.factorial_moments[:2]
+    return f2 - f1**2
+
+
+def _rel_err(value, ref):
+    """|value - ref| relative to max(|ref|, 1)."""
+    return abs(value - ref) / max(abs(ref), 1.0)
 
 
 def test_oracle_vs_gaussian_stokes_pair():

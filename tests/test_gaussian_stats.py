@@ -12,8 +12,6 @@ from qcoupler.gaussian_stats import (
     generating_function,
     generating_function_jet,
     intensity_variance,
-    intensity_variance_compound,
-    intensity_variance_single,
     mean_intensity,
     moments_and_distribution,
     principal_squeeze,
@@ -53,26 +51,26 @@ def evolved(params, inputs, z):
 
 def test_intensity_variance_coherent_zero():
     s = state_with(S1=InputSpec(xi=2j))
-    assert intensity_variance_single(s, S1) == 0.0
+    assert intensity_variance(s, (S1,)) == 0.0
 
 
 def test_intensity_variance_chaotic():
     s = state_with(V1=InputSpec(n_ch=1.0))
-    assert intensity_variance_single(s, V1) == pytest.approx(1.0)
+    assert intensity_variance(s, (V1,)) == pytest.approx(1.0)
 
 
 def test_intensity_variance_shortlen_regime():
     # stimulated Stokes: leading order is 2 |g|^2 |xi|^2 z^2 = 0.08
     s = evolved(quiet_params(gS1=1),
                 [InputSpec(xi=2)] + [VACUUM_INPUT] * 5, 0.1)
-    assert intensity_variance_single(s, S1) == pytest.approx(0.08, abs=2e-3)
+    assert intensity_variance(s, (S1,)) == pytest.approx(0.08, abs=2e-3)
 
 
 def test_compound_variance_can_be_negative():
     # interference term makes the compound variance negative at short z
     s = shortlen_state(quiet_params(gS1=1, gA1=2),
                        np.array([2, 2, 0, 0, 0, 0], complex), 0.0, 0.0, 0.05)
-    total = intensity_variance_compound(s, S1, A1)
+    total = intensity_variance(s, (S1, A1))
     # -0.02 is the leading z^2 value; amplitude drift adds O(z^3)
     assert total == pytest.approx(-0.02, abs=5e-4)
     assert total < 0
@@ -80,7 +78,7 @@ def test_compound_variance_can_be_negative():
 
 def test_compound_variance_of_coherent_modes_is_zero():
     s = state_with(S1=InputSpec(xi=1.5), A1=InputSpec(xi=-2j))
-    assert intensity_variance_compound(s, S1, A1) == 0.0
+    assert intensity_variance(s, (S1, A1)) == 0.0
 
 
 def test_principal_squeeze_vacuum_levels():
