@@ -303,7 +303,7 @@ def build_input_state(inputs) -> GaussianState:
     for j, spec in enumerate(inputs):
         spec.validate(MODE_NAMES[j])
         xi[j] = complex(spec.xi)
-        b[j] = math.cosh(spec.r) ** 2 + spec.n_ch - 1.0
+        b[j] = math.sinh(spec.r) ** 2 + spec.n_ch
         c[j] = 0.5 * np.exp(1j * spec.theta) * math.sinh(2.0 * spec.r)
     state = GaussianState(xi=xi, N=np.diag(b), M=np.diag(c))
     state.check_physical()

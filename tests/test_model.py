@@ -4,6 +4,7 @@ import dataclasses
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,6 +15,7 @@ from qcoupler.exceptions import (
     UnsupportedConfigurationError,
     ValidationError,
 )
+from qcoupler.gaussian_stats import mean_intensity
 from qcoupler.model import (
     CouplerParams,
     GaussianState,
@@ -61,6 +63,19 @@ def test_input_state_squeezed():
     s = build_input_state(inputs)
     assert s.B[0] == pytest.approx(math.cosh(1.0) ** 2 - 1.0)
     assert s.C[0] == pytest.approx(0.5 * math.sinh(2.0))
+
+
+@pytest.mark.parametrize("r", [1.35e-62, 6.1e-5, 1.5])
+def test_input_state_squeezed_noise_keeps_its_digits(r):
+    # B = sinh^2 r; cosh^2 r - 1 cancels to 0 at r = 1.35e-62 and loses
+    # 8 digits at r = 6.1e-5
+    inputs = [VACUUM_INPUT] * 6
+    inputs[ModeId.S1] = InputSpec(r=r)
+    s = build_input_state(inputs)
+    with mp.workdps(40):
+        ref = float(mp.sinh(mp.mpf(r)) ** 2)
+    assert s.B[0] == pytest.approx(ref, rel=1e-15, abs=0.0)
+    assert mean_intensity(s, (ModeId.S1,)) == pytest.approx(ref, rel=1e-15, abs=0.0)
 
 
 def test_input_state_cross_moments_zero_and_deterministic():
