@@ -243,6 +243,42 @@ def test_parse_scenario_errors_carry_context():
         parse_scenario("[params]\n[nonsense]\n")
 
 
+@pytest.mark.parametrize("doc, message", [
+    pytest.param("[params]\ngS1 1\n", "expected 'key = value' (line 2)",
+                 id="params-no-equals"),
+    pytest.param("[params]\nbogus = 1\n",
+                 "unknown parameter key 'bogus' (line 2, key 'bogus')", id="params-unknown"),
+    pytest.param("[params]\ngS1 = 1\ngS1 = 2\n",
+                 "duplicate key 'gS1' (line 3, key 'gS1')", id="params-duplicate"),
+    pytest.param("[params]\ndkS1 = 1i\n",
+                 "mismatch dkS1 must be real (line 2, key 'dkS1')", id="params-not-real"),
+    pytest.param("[params]\n[inputs.S1]\nxi 1\n", "expected 'key = value' (line 3)",
+                 id="inputs-no-equals"),
+    pytest.param("[params]\n[inputs.S1]\nbogus = 1\n",
+                 "unknown input key 'bogus' (line 3, key 'bogus')", id="inputs-unknown"),
+    pytest.param("[params]\n[inputs.S1]\nr = 1\nr = 2\n",
+                 "duplicate key 'r' (line 4, key 'r')", id="inputs-duplicate"),
+    pytest.param("[params]\n[inputs.S1]\nr = 1i\n",
+                 "r must be real (line 3, key 'r')", id="inputs-not-real"),
+    pytest.param("[params]\n[run]\nz_max 1\n", "expected 'key = value' (line 3)",
+                 id="run-no-equals"),
+    pytest.param("[params]\n[run]\nbogus = 1\n",
+                 "unknown run key 'bogus' (line 3, key 'bogus')", id="run-unknown"),
+    pytest.param("[params]\n[run]\nz_max = 1\nz_max = 2\n",
+                 "duplicate key 'z_max' (line 4, key 'z_max')", id="run-duplicate"),
+    pytest.param("[params]\n[run]\nz_max = 2i\n",
+                 "z_max must be real (line 3, key 'z_max')", id="run-not-real"),
+    pytest.param("[params]\n[run]\nz_steps = 1i\n",
+                 "z_steps must be real (line 3, key 'z_steps')", id="run-integer-not-real"),
+    pytest.param("[params]\n[run]\nz_steps = 2.5\n",
+                 "z_steps must be an integer (line 3, key 'z_steps')", id="run-not-integer"),
+])
+def test_parse_scenario_key_errors(doc, message):
+    with pytest.raises(ScenarioParseError) as info:
+        parse_scenario(doc)
+    assert str(info.value) == message
+
+
 def test_parse_scenario_limit_validation():
     doc = "[params]\ngS1 = 1\n[run]\nz_max = 1\nz_steps = 10\nk_max = 9\n"
     with pytest.raises(ValidationError):
