@@ -432,7 +432,10 @@ class ScenarioConfig:
 #   moments: S1,A1
 #   squeeze: S1V1
 #
-# Complex values use the "a+bi" form.
+# _KEY_TYPES is the one table of the keys of [params], [inputs.X] and
+# [run] and their value types; _read_keys and serialize_scenario read it.
+# Every value is an "a+bi" complex literal: a real key must have no
+# imaginary part, an integer key an integral value.
 
 def parse_complex(text: str, *, line=None, key=None) -> complex:
     s = text.strip()
@@ -457,9 +460,36 @@ def format_complex(value: complex) -> str:
     return f"{value.real!r}{sign}{abs(value.imag)!r}i"
 
 
-_PARAM_KEYS = _COUPLING_FIELDS + _MISMATCH_FIELDS
-_INPUT_KEYS = ("xi", "r", "theta", "n_ch")
-_RUN_KEYS = ("z_max", "z_steps", "n_max", "k_max")
+_KEY_TYPES = {
+    "parameter": {**dict.fromkeys(_COUPLING_FIELDS, complex),
+                  **dict.fromkeys(_MISMATCH_FIELDS, float)},
+    "input": {"xi": complex, "r": float, "theta": float, "n_ch": float},
+    "run": {"z_max": float, "z_steps": int, "n_max": int, "k_max": int},
+}
+
+
+def _read_keys(entries, what) -> dict:
+    """Keyword arguments from a section's (line number, text) entries,
+    each key checked and converted against ``_KEY_TYPES[what]``."""
+    types = _KEY_TYPES[what]
+    kwargs = {}
+    for lineno, line in entries:
+        if "=" not in line:
+            raise ScenarioParseError("expected 'key = value'", line=lineno)
+        key, _, text = line.partition("=")
+        key = key.strip()
+        kind = types.get(key)
+        if kind is None:
+            raise ScenarioParseError(f"unknown {what} key {key!r}", line=lineno, key=key)
+        if key in kwargs:
+            raise ScenarioParseError(f"duplicate key {key!r}", line=lineno, key=key)
+        value = parse_complex(text.strip(), line=lineno, key=key)
+        if kind is not complex and value.imag != 0.0:
+            raise ScenarioParseError(f"{key} must be real", line=lineno, key=key)
+        if kind is int and value.real != int(value.real):
+            raise ScenarioParseError(f"{key} must be an integer", line=lineno, key=key)
+        kwargs[key] = value if kind is complex else kind(value.real)
+    return kwargs
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -489,28 +519,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if "params" not in sections:
         raise ScenarioParseError("missing [params] section")
 
-    def split_kv(lineno, line, sep="="):
-        if sep not in line:
-            raise ScenarioParseError(f"expected 'key {sep} value'", line=lineno)
-        key, _, value = line.partition(sep)
-        return key.strip(), value.strip()
-
-    param_kwargs = {}
-    for lineno, line in sections["params"]:
-        key, value = split_kv(lineno, line)
-        if key not in _PARAM_KEYS:
-            raise ScenarioParseError(f"unknown parameter key {key!r}", line=lineno, key=key)
-        if key in param_kwargs:
-            raise ScenarioParseError(f"duplicate key {key!r}", line=lineno, key=key)
-        c = parse_complex(value, line=lineno, key=key)
-        if key in _MISMATCH_FIELDS:
-            if c.imag != 0.0:
-                raise ScenarioParseError(f"mismatch {key} must be real", line=lineno, key=key)
-            param_kwargs[key] = c.real
-        else:
-            param_kwargs[key] = c
-    params = CouplerParams(**param_kwargs)
-
+    params = CouplerParams(**_read_keys(sections["params"], "parameter"))
     inputs = [VACUUM_INPUT] * N_MODES
     for name, entries in sections.items():
         if not name.startswith("inputs."):
@@ -518,38 +527,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         mode_name = name.split(".", 1)[1]
         if mode_name not in MODE_NAMES:
             raise ScenarioParseError(f"unknown mode {mode_name!r} in [{name}]")
-        kwargs = {}
-        for lineno, line in entries:
-            key, value = split_kv(lineno, line)
-            if key not in _INPUT_KEYS:
-                raise ScenarioParseError(f"unknown input key {key!r}", line=lineno, key=key)
-            if key in kwargs:
-                raise ScenarioParseError(f"duplicate key {key!r}", line=lineno, key=key)
-            c = parse_complex(value, line=lineno, key=key)
-            if key == "xi":
-                kwargs[key] = c
-            else:
-                if c.imag != 0.0:
-                    raise ScenarioParseError(f"{key} must be real", line=lineno, key=key)
-                kwargs[key] = c.real
-        inputs[ModeId[mode_name]] = InputSpec(**kwargs)
-
-    run_kwargs = {}
-    for lineno, line in sections.get("run", []):
-        key, value = split_kv(lineno, line)
-        if key not in _RUN_KEYS:
-            raise ScenarioParseError(f"unknown run key {key!r}", line=lineno, key=key)
-        if key in run_kwargs:
-            raise ScenarioParseError(f"duplicate key {key!r}", line=lineno, key=key)
-        c = parse_complex(value, line=lineno, key=key)
-        if c.imag != 0.0:
-            raise ScenarioParseError(f"{key} must be real", line=lineno, key=key)
-        if key == "z_max":
-            run_kwargs[key] = c.real
-        else:
-            if c.real != int(c.real):
-                raise ScenarioParseError(f"{key} must be an integer", line=lineno, key=key)
-            run_kwargs[key] = int(c.real)
+        inputs[ModeId[mode_name]] = InputSpec(**_read_keys(entries, "input"))
+    run = _read_keys(sections.get("run", []), "run")
 
     observables = []
     for lineno, line in sections.get("observables", []):
@@ -565,41 +544,28 @@ def parse_scenario(text: str) -> ScenarioConfig:
             raise ScenarioParseError(str(exc), line=lineno, key=tag)
         observables.append((tag, sel))
 
-    try:
-        return ScenarioConfig(
-            params=params,
-            inputs=tuple(inputs),
-            observables=tuple(observables),
-            **run_kwargs,
-        )
-    except ValidationError:
-        raise
-    except TypeError as exc:
-        raise ScenarioParseError(str(exc))
+    return ScenarioConfig(params=params, inputs=tuple(inputs),
+                          observables=tuple(observables), **run)
 
 
 def serialize_scenario(cfg: ScenarioConfig) -> str:
     """Render a config back to document form; parse(serialize(c)) == c."""
-    lines = ["[params]"]
-    for key in _PARAM_KEYS:
-        value = getattr(cfg.params, key)
-        if value != 0:
-            lines.append(f"{key} = {format_complex(value)}")
-    for j, spec in enumerate(cfg.inputs):
-        if spec == VACUUM_INPUT:
-            continue
-        lines.append(f"[inputs.{MODE_NAMES[j]}]")
-        if spec.xi != 0:
-            lines.append(f"xi = {format_complex(spec.xi)}")
-        for key in ("r", "theta", "n_ch"):
-            value = getattr(spec, key)
-            if value != 0.0:
-                lines.append(f"{key} = {value!r}")
-    lines.append("[run]")
-    lines.append(f"z_max = {cfg.z_max!r}")
-    lines.append(f"z_steps = {cfg.z_steps}")
-    lines.append(f"n_max = {cfg.n_max}")
-    lines.append(f"k_max = {cfg.k_max}")
+    sections = [("params", cfg.params, "parameter")]
+    sections += [(f"inputs.{MODE_NAMES[j]}", spec, "input")
+                 for j, spec in enumerate(cfg.inputs) if spec != VACUUM_INPUT]
+    sections.append(("run", cfg, "run"))
+    lines = []
+    for header, obj, what in sections:
+        lines.append(f"[{header}]")
+        for key, kind in _KEY_TYPES[what].items():
+            value = getattr(obj, key)
+            if value == 0 and what != "run":  # zero is the default
+                continue
+            if kind is complex or what == "parameter":
+                value = format_complex(value)
+            elif kind is float:
+                value = repr(value)
+            lines.append(f"{key} = {value}")
     if cfg.observables:
         lines.append("[observables]")
         for tag, sel in cfg.observables:

@@ -251,7 +251,7 @@ def test_parse_scenario_errors_carry_context():
     pytest.param("[params]\ngS1 = 1\ngS1 = 2\n",
                  "duplicate key 'gS1' (line 3, key 'gS1')", id="params-duplicate"),
     pytest.param("[params]\ndkS1 = 1i\n",
-                 "mismatch dkS1 must be real (line 2, key 'dkS1')", id="params-not-real"),
+                 "dkS1 must be real (line 2, key 'dkS1')", id="params-not-real"),
     pytest.param("[params]\n[inputs.S1]\nxi 1\n", "expected 'key = value' (line 3)",
                  id="inputs-no-equals"),
     pytest.param("[params]\n[inputs.S1]\nbogus = 1\n",
