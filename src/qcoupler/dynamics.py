@@ -264,11 +264,8 @@ def photon_number_balance(state: GaussianState):
     return n[..., 2] + n[..., 5] + n[..., 1] + n[..., 4] - n[..., 0] - n[..., 3]
 
 
-def conservation_residual(trajectory) -> float:
-    """Max drift of the photon-number balance along a trajectory: a state
-    stacked over z, or a sequence of states."""
-    if isinstance(trajectory, GaussianState):
-        balance = np.ravel(photon_number_balance(trajectory))
-    else:
-        balance = np.array([photon_number_balance(s) for s in trajectory])
+def conservation_residual(trajectory: GaussianState) -> float:
+    """Max drift of the photon-number balance along a trajectory, a state
+    stacked over z as ``evolve_state`` returns it for a z-grid."""
+    balance = np.ravel(photon_number_balance(trajectory))
     return float(np.max(np.abs(balance - balance[0]))) if balance.size else 0.0
