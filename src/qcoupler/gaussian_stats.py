@@ -24,6 +24,20 @@ power series (jet) arithmetic:
 
     <W^k>  = (-1)^k G^(k)(0),        p(n) = (-1)^n G^(n)(1) / n!.
 
+With the doubled covariance Gamma = [[n^T, m], [m*, n]] and the doubled
+mean y = (x, x*), log G(s) = -(1/2) log det(1 + s Gamma)
+- (s/2) y^H (1 + s Gamma)^-1 y.  Its series at s = 0 is a trace series
+of the block, the cumulant form of the moments (J. Perina, Quantum
+Statistics of Linear and Nonlinear Optical Phenomena, 1991):
+
+    h_0 = 0,   h_1 = -<W>,
+    h_k = (1/2) [tr((-Gamma)^k) / k - y^H (-Gamma)^(k-1) y],   k >= 2,
+
+so the moments up to k_max <= 8 need a few small matrix products and no
+eigendecomposition; 2 h_2 = <:(dW)^2:>.  Only p(n), a jet at s = 1 of
+order up to 512, uses the eigenvalues lam_i of Gamma (``np.linalg.eigh``),
+and only for the selections that request it.
+
 Quadrature conventions: p = A + A^+ and q = -i(A - A^+), and a compound
 field uses the plain operator sum A_j + A_k.  The vacuum variance is k
 (1 single, 2 compound); squeezing means a principal variance below it.
@@ -33,8 +47,8 @@ for compound vacuum).
 
 Every function accepts a stacked state (one per point of a z-grid, say)
 and returns its statistics stacked over the same leading axes.  The
-log-series of a jet is built in closed form; only the series exponential
-loops over the order.
+eigen jet's log-series is built in closed form; the trace series (order
+at most 8) and the series exponential loop over the order.
 """
 
 from __future__ import annotations
@@ -63,6 +77,7 @@ __all__ = [
 
 _MIN_PIVOT = 1e-12  # singularity floor for (1 + s * eigenvalue)
 _MAX_SHIFT = 600.0  # largest seed shift of the series exponential; e^600 p(n) < e^709
+_TINY = np.finfo(float).tiny  # smallest normal double
 
 
 def _as_selection(sel) -> ModeSelection:
@@ -139,23 +154,30 @@ def quadrature_variances(state: GaussianState, sel):
 # --------------------------------------------------------------------------
 # Generating function and jet machinery.
 
+def _doubled_block(state: GaussianState, sel: ModeSelection):
+    """The doubled covariance Gamma = [[n^T, m], [m*, n]] and the doubled
+    mean y = (x, x*) of the selection's block."""
+    x, n, m = _selection_block(state, sel)
+    gamma = np.concatenate([np.concatenate([n.swapaxes(-1, -2), m], axis=-1),
+                            np.concatenate([m.conj(), n], axis=-1)], axis=-2)
+    return gamma, np.concatenate([x, x.conj()], axis=-1)
+
+
 def _selection_spectrum(state: GaussianState, sel: ModeSelection):
     """Eigen-data of the selected modes' normally ordered covariance.
 
     Returns real eigenvalues lam_i of the 2m x 2m doubled covariance
-    [[N^T, M], [M*, N]] and the nonnegative weights w_i = |(Q^H y)_i|^2
-    with y the doubled mean vector.  In this basis
+    Gamma and the nonnegative weights w_i = |(Q^H y)_i|^2 with y the
+    doubled mean vector.  In this basis
 
         G(s) = prod_i (1 + s lam_i)^(-1/2)
                * exp(-(s/2) sum_i w_i / (1 + s lam_i)),
 
     which is manifestly real for real s.
     """
-    x, n, m = _selection_block(state, sel)
-    gamma = np.block([[n.swapaxes(-1, -2), m], [m.conj(), n]])
+    gamma, y = _doubled_block(state, sel)
     gamma = 0.5 * (gamma + gamma.swapaxes(-1, -2).conj())
     lam, q = np.linalg.eigh(gamma)
-    y = np.concatenate([x, x.conj()], axis=-1)
     w = np.abs(q.swapaxes(-1, -2).conj() @ y[..., None])[..., 0] ** 2
     return lam, w
 
@@ -177,7 +199,7 @@ def _series_exp(h: np.ndarray) -> np.ndarray:
     seed = np.exp(h[..., 0] + shift)
     fr = np.zeros_like(h)
     # a subnormal seed would pass its lost bits on to every coefficient
-    fr[..., order] = np.where(seed >= np.finfo(float).tiny, seed, 0.0)
+    fr[..., order] = np.where(seed >= _TINY, seed, 0.0)
     for n in range(1, order + 1):
         fr[..., order - n] = np.vecdot(kh[..., 1:n + 1], fr[..., order - n + 1:]) / n
     with np.errstate(under="ignore"):  # entries below the double range are 0
@@ -244,25 +266,72 @@ def generating_function(state: GaussianState, sel, svalues) -> np.ndarray:
                      for s in np.atleast_1d(np.asarray(svalues, dtype=float))], axis=-1)
 
 
+def _reduced_log_series(state: GaussianState, sel: ModeSelection, mean_w, scale,
+                        order: int):
+    """The trace series of the module docstring, reduced: the log-series
+    of G(u / scale) around u = 0 through u^order.
+
+    Gamma is divided by the scale, <W> or 1, and y by its square root, so
+    with scale = <W> the series holds h_k / <W>^k and its exponential
+    g_k / <W>^k: neither <W>^k nor a near-vacuum g_k has to be a double.
+    The powers P_a = (-Gamma)^a are formed up to ceil(order/2), and
+    tr (-Gamma)^(a+b) = sum(P_a o P_b^T); the vectors v_c = (-Gamma)^c y
+    are built one product at a time, and y^H (-Gamma)^(c+d) y = v_c . v_d.
+
+    The products run on the real form [[Re Gamma, -Im Gamma],
+    [Im Gamma, Re Gamma]] and (Re y, Im y): stacked real products cost a
+    fraction of complex ones, and its traces are twice those of Gamma.
+    A quadrature basis would be smaller, but there a near-vacuum squeezed
+    block has large diagonal entries of opposite sign, and its odd traces
+    cancel catastrophically.
+    """
+    gamma, y = _doubled_block(state, sel)
+    d = gamma.shape[-1]
+    neg = np.empty(gamma.shape[:-2] + (2 * d, 2 * d))
+    neg[..., :d, :d] = neg[..., d:, d:] = gamma.real
+    neg[..., d:, :d] = gamma.imag
+    np.negative(gamma.imag, out=neg[..., :d, d:])
+    neg /= -scale[..., None, None]
+    powers = [None, neg]
+    for _ in range(2, (order + 1) // 2 + 1):
+        powers.append(powers[-1] @ neg)
+    vecs = [np.concatenate([y.real, y.imag], axis=-1) / np.sqrt(scale)[..., None]]
+    for _ in range(order // 2):
+        vecs.append(np.einsum("...ij,...j->...i", neg, vecs[-1]))
+    h = np.zeros(np.shape(mean_w) + (order + 1,))
+    h[..., 1] = -mean_w / scale
+    for k in range(2, order + 1):
+        trace = np.einsum("...ij,...ji->...", powers[(k + 1) // 2], powers[k // 2])
+        h[..., k] = 0.25 * trace / k - 0.5 * np.vecdot(vecs[k // 2], vecs[(k - 1) // 2])
+    return h
+
+
 def _moments(state: GaussianState, sel: ModeSelection, k_max: int, n_max: int,
              with_pn: bool):
-    """(<W>, reduced moments, p_n or None, <(dW)^2>), see
-    moments_and_distribution.  The variance is <W^2> - <W>^2 = 2 g_2 - <W>^2
-    from the s=0 jet g, which is built to order 2 whatever k_max."""
+    """(<W>, reduced moments, p_n or None, variances), see
+    moments_and_distribution.  ``variances`` holds <:(dW)^2:> from the
+    moment machinery: 2 h_2 of the trace series and, with ``with_pn``,
+    the eigen spectrum's (1/2) sum lam_i^2 + sum w_i lam_i."""
     if not 1 <= k_max <= 8:
         raise ValidationError(f"k_max must be in [1, 8], got {k_max}")
     if not 1 <= n_max <= 512:
         raise ValidationError(f"n_max must be in [1, 512], got {n_max}")
-    lam, w = _selection_spectrum(state, sel)
-    jet0 = _g_jet(state, sel, lam, w, 0.0, max(k_max, 2))
-    mean_w = -jet0[..., 1]
-    ks = np.arange(2, k_max + 1)
-    moments = np.array([(-1.0) ** k * math.factorial(k) for k in ks]) * jet0[..., 2:k_max + 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        reduced = np.where(mean_w[..., None] > 0.0, moments / mean_w[..., None] ** ks - 1.0,
-                           np.nan)
+    mean_w = mean_intensity(state, sel)
+    # below the normal range <W> has lost its digits, and 1 / <W> overflows
+    reducible = mean_w >= _TINY
+    scale = np.where(reducible, mean_w, 1.0)
+    # a reduced moment beyond the double range is inf, or NaN where a power
+    # of the reduced block overflowed on the way
+    signed = np.array([(-1.0) ** k * math.factorial(k) for k in range(2, k_max + 1)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _reduced_log_series(state, sel, mean_w, scale, max(k_max, 2))
+        reduced = np.where(reducible[..., None],
+                           signed * _series_exp(h)[..., 2:k_max + 1] - 1.0, np.nan)
+    variances = [2.0 * h[..., 2] * scale * scale]
     p_n = None
     if with_pn:
+        lam, w = _selection_spectrum(state, sel)
+        variances.append(np.sum(0.5 * lam**2 + w * lam, axis=-1))
         p_n = _g_jet(state, sel, lam, w, 1.0, n_max) * (-1.0) ** np.arange(n_max + 1)
         dead = np.all(p_n == 0.0, axis=-1)
         if np.any(dead):
@@ -270,7 +339,7 @@ def _moments(state: GaussianState, sel: ModeSelection, k_max: int, n_max: int,
                 f"p(n) for n <= {n_max} underflows{_where(state, sel, dead)}: "
                 f"<W> = {float(np.max(np.asarray(mean_w)[dead])):.6g} lies too far beyond n_max"
             )
-    return mean_w, reduced, p_n, 2.0 * jet0[..., 2] - mean_w**2
+    return mean_w, reduced, p_n, variances
 
 
 def moments_and_distribution(state: GaussianState, sel, k_max: int = 5,
@@ -278,8 +347,10 @@ def moments_and_distribution(state: GaussianState, sel, k_max: int = 5,
     """(<W>, reduced moments for k = 2..k_max, photon distribution p_n).
 
     Reduced moments are <W^k>/<W>^k - 1; they come out as NaN markers
-    when <W> = 0 (vacuum in the selection).  ``p_n`` has length
-    n_max + 1 and sums to one minus the truncated tail mass.
+    when <W> = 0 (vacuum in the selection) or <W> is below the normal
+    double range (2.2e-308), and as inf or NaN where they exceed the
+    double range (a weakly squeezed near-vacuum at large k).  ``p_n``
+    has length n_max + 1 and sums to one minus the truncated tail mass.
     """
     return _moments(state, _as_selection(sel), k_max, n_max, with_pn=True)[:3]
 
@@ -291,7 +362,7 @@ class StatsReport:
 
     selection: ModeSelection
     mean_w: np.ndarray | float
-    reduced_moments: np.ndarray   # k = 2..k_max; NaN markers when <W> = 0
+    reduced_moments: np.ndarray   # k = 2..k_max; NaN markers when <W> = 0 or subnormal
     variance_w: np.ndarray | float
     lam: np.ndarray | float       # principal squeeze variance
     var_p: np.ndarray | float
@@ -305,24 +376,27 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
                  include_pn: bool = False) -> StatsReport:
     """Assemble the full report for one selection.
 
-    The intensity variance is computed twice, from the closed expression
-    and from the moment machinery; disagreement beyond 1e-8 (relative to
+    The intensity variance is computed from the closed expression and
+    checked against the moment machinery: 2 h_2 of the trace series, and
+    with ``include_pn`` also the order-2 sum of the eigen spectrum, so a
+    failed ``eigh`` is caught too.  Disagreement beyond 1e-8 (relative to
     the natural scale) means the numerics cannot be trusted and raises
-    :class:`NumericalError`.  The order-n_max jet at s=1 is built only
-    with ``include_pn``.
+    :class:`NumericalError`.  The spectrum and the order-n_max jet at s=1
+    are built only with ``include_pn``.
     """
     sel = _as_selection(sel)
-    mean_w, reduced, p_n, var_jets = _moments(state, sel, k_max, n_max, include_pn)
+    mean_w, reduced, p_n, variances = _moments(state, sel, k_max, n_max, include_pn)
     var_formula = intensity_variance(state, sel)
     scale = np.maximum(np.maximum(1.0, np.abs(var_formula)), mean_w**2)
-    bad = np.abs(var_jets - var_formula) > 1e-8 * scale  # NaN: not checked
-    if np.any(bad):
-        i = int(np.argmax(np.ravel(bad)))
-        raise NumericalError(
-            f"intensity variance cross-check failed{_where(state, sel, bad)}: "
-            f"closed form {float(np.ravel(var_formula)[i])!r} vs moments "
-            f"{float(np.ravel(var_jets)[i])!r}"
-        )
+    for var_moments in variances:
+        bad = np.abs(var_moments - var_formula) > 1e-8 * scale  # NaN: not checked
+        if np.any(bad):
+            i = int(np.argmax(np.ravel(bad)))
+            raise NumericalError(
+                f"intensity variance cross-check failed{_where(state, sel, bad)}: "
+                f"closed form {float(np.ravel(var_formula)[i])!r} vs moments "
+                f"{float(np.ravel(var_moments)[i])!r}"
+            )
     var_p, var_q, uncertainty = quadrature_variances(state, sel)
     return StatsReport(
         selection=sel,

@@ -563,8 +563,8 @@ def serialize_scenario(cfg: ScenarioConfig) -> str:
                 continue
             if kind is complex or what == "parameter":
                 value = format_complex(value)
-            elif kind is float:
-                value = repr(value)
+            elif kind is float:  # a numpy scalar's repr is not a literal
+                value = repr(float(value))
             lines.append(f"{key} = {value}")
     if cfg.observables:
         lines.append("[observables]")

@@ -291,18 +291,48 @@ def test_variance_cross_check_in_sweep_names_z_and_selection(monkeypatch, k_max)
         run_scenario(cfg)
 
 
+def test_failed_eigh_in_pn_selection_fails_cross_check(monkeypatch):
+    # the moments need no spectrum; the pn selection's spectrum is checked
+    # through its own order-2 sum
+    cfg = parse_scenario(SMALL_DOC)
+    eigh = np.linalg.eigh
+
+    def off_eigenvalues(a):
+        lam, q = eigh(a)
+        return lam * 1.01, q
+
+    monkeypatch.setattr(np.linalg, "eigh", off_eigenvalues)
+    with pytest.raises(NumericalError,
+                       match=f"cross-check failed at z={cfg.z_grid()[1]} for selection S1:"):
+        run_scenario(cfg)
+
+
 def test_s1_jet_only_for_pn_selections(monkeypatch):
     cfg = parse_scenario(SMALL_DOC)
-    jets = []
-    g_jet = gaussian_stats._g_jet
+    spectra, jets, eighs = [], [], []
+    spectrum, g_jet = gaussian_stats._selection_spectrum, gaussian_stats._g_jet
+    eigh = np.linalg.eigh
 
-    def recording(state, sel, lam, w, s0, order):
-        jets.append((s0, order, lam.shape[0]))
+    def recording_spectrum(state, sel):
+        spectra.append((sel.name, state.xi.shape[0]))
+        return spectrum(state, sel)
+
+    def recording_jet(state, sel, lam, w, s0, order):
+        jets.append((sel.name, s0, order, lam.shape[0]))
         return g_jet(state, sel, lam, w, s0, order)
 
-    monkeypatch.setattr(gaussian_stats, "_g_jet", recording)
+    def recording_eigh(a, *args, **kwargs):
+        eighs.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(gaussian_stats, "_selection_spectrum", recording_spectrum)
+    monkeypatch.setattr(gaussian_stats, "_g_jet", recording_jet)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     result = run_scenario(cfg)
-    # three selections, each with one s=0 jet over the whole grid; only
-    # the pn selection S1 gets the order-n_max jet at s=1
-    assert sorted(jets) == [(0.0, 4, 6)] * 3 + [(1.0, 32, 6)]
+    # three selections; the moments come from the trace series, so only
+    # the pn selection S1 gets an eigendecomposition (one, over the whole
+    # grid) and the order-n_max jet at s=1
+    assert spectra == [("S1", 6)]
+    assert jets == [("S1", 1.0, 32, 6)]
+    assert eighs == [(6, 2, 2)]
     assert [sel for sel, _ in result.pn_tables] == ["S1"]

@@ -245,6 +245,15 @@ def test_moments_vacuum_markers():
     assert p_n[0] == 1.0 and np.allclose(p_n[1:], 0.0)
 
 
+def test_moments_markers_below_normal_range():
+    # <W> = sinh^2(1e-160) is subnormal: its digits are gone and 1 / <W>
+    # overflows, so the reduced moments are markers, as for vacuum
+    s = state_with(S1=InputSpec(r=1e-160))
+    rep = stats_report(s, single(ModeId.S1), k_max=4, n_max=8, include_pn=True)
+    assert 0.0 < rep.mean_w < np.finfo(float).tiny
+    assert np.all(np.isnan(rep.reduced_moments))
+
+
 def test_distribution_sums_to_one_within_truncation():
     rng = np.random.default_rng(77)
     for _ in range(10):

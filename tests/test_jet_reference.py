@@ -5,6 +5,8 @@ eigenvalues.  Here the stacked jet ``_g_jet`` is checked on spectra they
 miss: four distinct eigenvalues with squeezed (negative) ones, a
 repeated thermal pair, and a bright row; and the squeezed vacuum, whose
 two eigenvalues give log-series ratios P of opposite sign, at order 512.
+The moments' trace series is checked on a weakly squeezed vacuum, whose
+<W> lies far below its eigenvalues.
 """
 
 import math
@@ -90,3 +92,52 @@ def test_squeezed_vacuum_pn_at_order_512():
     assert np.max(np.abs(p_n[1::2])) <= 1e-14
     # most of the mass sits in the first orders; the check is not vacuous
     assert even[0] == pytest.approx(1.0 / math.cosh(r)) and p_n[0] > 0.4
+
+
+def squeezed_vacuum_jet(r, order):
+    """Taylor coefficients of G(s) = (1 + 2 s n - s^2 n)^(-1/2), n = sinh^2 r,
+    at DPS digits: the binomial series of a squeezed vacuum, whose doubled
+    covariance has eigenvalues n +/- sinh r cosh r."""
+    with mp.workdps(DPS):
+        n = mp.sinh(mp.mpf(r)) ** 2
+        u = [mp.mpf(0), 2 * n, -n] + [mp.mpf(0)] * order
+        g = [mp.mpf(1)] + [mp.mpf(0)] * order
+        u_j = g[:]
+        for j in range(1, order + 1):   # u^j starts at s^j, so j <= order suffices
+            u_j = [mp.fsum(u_j[i] * u[k - i] for i in range(k + 1)) for k in range(order + 1)]
+            g = [a + mp.binomial(mp.mpf(-0.5), j) * b for a, b in zip(g, u_j)]
+        return n, g
+
+
+@pytest.mark.parametrize("r", [1e-62, 1e-20, 1e-6, 1e-3])
+def test_weakly_squeezed_vacuum_moments_keep_their_digits(r):
+    """<W> ~ r^2 is far below the eigenvalues +/- r of the doubled block,
+    yet <W> and every reduced moment come out to 1e-12 relative; a
+    reduced moment beyond the double range (k >= 6 at r = 1e-62) is inf."""
+    order = 8
+    inputs = [VACUUM_INPUT] * 6
+    inputs[ModeId.S1] = InputSpec(r=r, theta=0.3)
+    state = build_input_state(inputs)
+    sel = ModeSelection((ModeId.S1,))
+    n, g = squeezed_vacuum_jet(r, order)
+    with mp.workdps(DPS):
+        # the trace series holds g_k / <W>^k, and w_k = (-1)^k k! g_k / <W>^k - 1
+        reduced_jet = [g[k] / n**k for k in range(order + 1)]
+        w = [(-1) ** k * mp.factorial(k) * reduced_jet[k] - 1 for k in range(2, order + 1)]
+    mean_w, moments, _ = gaussian_stats.moments_and_distribution(state, sel, order, 8)
+    assert abs(mean_w - float(n)) <= 1e-15 * float(n)
+    with np.errstate(over="ignore"):
+        jet = gaussian_stats._series_exp(
+            gaussian_stats._reduced_log_series(state, sel, mean_w, mean_w, order))
+    for k, ref in enumerate(reduced_jet):
+        if abs(ref) < 1e300:
+            assert abs(jet[k] - float(ref)) <= 1e-12 * abs(float(ref)), k
+    for k, ref in zip(range(2, order + 1), w):
+        if ref < 1e300:
+            assert abs(moments[k - 2] - float(ref)) <= 1e-12 * float(ref), k
+        else:
+            assert moments[k - 2] == np.inf, k
+    assert np.all(np.isfinite(moments[:4]))   # w_2 .. w_5, the presets' k_max = 5
+    if r == 1e-20:
+        assert mean_w == pytest.approx(1e-40, rel=1e-12)
+        assert moments[1] == pytest.approx(9e40, rel=1e-12)

@@ -311,6 +311,24 @@ def test_serialize_round_trip():
     assert parse_scenario(serialize_scenario(cfg2)) == cfg2
 
 
+def test_serialize_round_trip_of_numpy_and_int_fields():
+    # a library-built config may hold numpy scalars, and real fields may be ints
+    cfg = ScenarioConfig(
+        params=CouplerParams(gS1=np.complex128(1 - 0.5j), gA1=np.float64(2.0),
+                             dkS1=np.float64(0.25)),
+        inputs=(InputSpec(xi=np.float64(1.5), r=np.float64(0.5), theta=np.float64(-0.3),
+                          n_ch=np.float64(0.2)),
+                InputSpec(r=1, n_ch=2)) + (VACUUM_INPUT,) * 4,
+        z_max=np.float64(2.0), z_steps=np.int64(40), n_max=np.int64(16), k_max=np.int64(3),
+    )
+    text = serialize_scenario(cfg)
+    assert "np." not in text
+    assert "z_steps = 40" in text and "r = 1.0" in text
+    assert parse_scenario(text) == cfg
+    int_real = dataclasses.replace(cfg, z_max=2)
+    assert parse_scenario(serialize_scenario(int_real)) == int_real
+
+
 def test_parse_complex_forms():
     cases = {
         "2": 2, "-3.5": -3.5, "2i": 2j, "-i": -1j, "i": 1j,

@@ -1,14 +1,17 @@
-"""Randomized properties of the photon-number distribution p(n).
+"""Randomized properties of the photon-number distribution p(n) and the
+s=0 jet.
 
 Over random stable couplers, inputs and selections: p(n) is a
 subprobability, it is unchanged by exchanging the guides, and where the
 tail beyond n_max is negligible its first two factorial moments are the
-moments of the s=0 jet.
+moments of the s=0 jet.  The moments' trace series, which needs no
+eigendecomposition, gives the same s=0 jet as the eigen route.
 """
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+import qcoupler.gaussian_stats as gaussian_stats
 from qcoupler.dynamics import build_drift_matrix, evolve_state, propagator
 from qcoupler.gaussian_stats import generating_function_jet, moments_and_distribution
 from qcoupler.model import InputSpec, ModeId, ModeSelection, build_input_state, permute_state
@@ -38,16 +41,22 @@ selections = st.sampled_from([ModeSelection((m,)) for m in ModeId]
                                 ModeSelection((ModeId.A2, ModeId.V2))])
 
 
+def stable_state(mags, phase, specs, z_max):
+    """The input state evolved over five lengths up to z_max; draws with
+    gain (an eigenvalue of the generator with positive real part) are
+    rejected."""
+    g = [m * np.exp(1j * p) for m, p in zip(mags, phase)]
+    em = build_drift_matrix(quiet_params(gS1=g[0], gA1=g[1], gS2=g[2], gA2=g[3],
+                                         kappaS=g[4], kappaA=g[5]))
+    assume(np.max(np.linalg.eigvals(1j * em.matrix).real) <= 1e-9)
+    return evolve_state(propagator(em, np.linspace(0.0, z_max, 5)), build_input_state(specs))
+
+
 @settings(max_examples=60, deadline=None)
 @given(mags=magnitudes, phase=phases, specs=st.lists(inputs, min_size=6, max_size=6),
        z_max=st.floats(0.05, 2.0), sel=selections)
 def test_pn_properties(mags, phase, specs, z_max, sel):
-    g = [m * np.exp(1j * p) for m, p in zip(mags, phase)]
-    em = build_drift_matrix(quiet_params(gS1=g[0], gA1=g[1], gS2=g[2], gA2=g[3],
-                                         kappaS=g[4], kappaA=g[5]))
-    # stable couplers only: no eigenvalue of the generator with gain
-    assume(np.max(np.linalg.eigvals(1j * em.matrix).real) <= 1e-9)
-    state = evolve_state(propagator(em, np.linspace(0.0, z_max, 5)), build_input_state(specs))
+    state = stable_state(mags, phase, specs, z_max)
     p_n = moments_and_distribution(state, sel, k_max=2, n_max=N_MAX)[2]
     total = p_n.sum(axis=-1)
     assert np.min(p_n) >= -1e-14
@@ -70,3 +79,24 @@ def test_pn_properties(mags, phase, specs, z_max, sel):
     for moment, weights in [(-jet[..., 1], n), (2.0 * jet[..., 2], n * (n - 1.0))]:
         error = np.abs(p_n @ weights - moment)
         assert np.all((error <= 1e-10 * np.maximum(np.abs(moment), 1e-9))[full])
+
+
+@settings(max_examples=60, deadline=None)
+@given(mags=magnitudes, phase=phases, specs=st.lists(inputs, min_size=6, max_size=6),
+       z_max=st.floats(0.05, 2.0), sel=selections, order=st.integers(2, 8))
+def test_trace_series_jet_equals_eigen_jet(mags, phase, specs, z_max, sel, order):
+    # the trace series reduced by <W> holds g_k / <W>^k; undo the reduction
+    # to compare jets.  A reduced coefficient exceeds the double range only
+    # for a weakly squeezed near-vacuum row, where it grows like <W>^(-k/2).
+    state = stable_state(mags, phase, specs, z_max)
+    mean_w = gaussian_stats.mean_intensity(state, sel)
+    scale = np.where(mean_w >= np.finfo(float).tiny, mean_w, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reduced = gaussian_stats._series_exp(
+            gaussian_stats._reduced_log_series(state, sel, mean_w, scale, order))
+    finite = np.all(np.isfinite(reduced), axis=-1)
+    assert np.all(finite | (mean_w < 1e-70))
+    jet = reduced[finite] * scale[finite, None] ** np.arange(order + 1)
+    eigen = gaussian_stats._g_jet(state, sel, *gaussian_stats._selection_spectrum(state, sel),
+                                  0.0, order)[finite]
+    assert np.max(np.abs(jet - eigen) / np.maximum(np.abs(eigen), 1.0), initial=0.0) <= 1e-12
