@@ -36,7 +36,10 @@ Statistics of Linear and Nonlinear Optical Phenomena, 1991):
 so the moments up to k_max <= 8 need a few small matrix products and no
 eigendecomposition; 2 h_2 = <:(dW)^2:>.  Only p(n), a jet at s = 1 of
 order up to 512, uses the eigenvalues lam_i of Gamma (``np.linalg.eigh``),
-and only for the selections that request it.
+and only for the selections that request it; ``generating_function_jet``
+too takes the trace series at s0 = 0 and the spectrum elsewhere.  Every
+moment and p(n) is assembled and cross-checked by ``stats_report``:
+``moments_and_distribution`` is three of its fields, and raises with it.
 
 Quadrature conventions: p = A + A^+ and q = -i(A - A^+), and a compound
 field uses the plain operator sum A_j + A_k.  The vacuum variance is k
@@ -47,8 +50,8 @@ for compound vacuum).
 
 Every function accepts a stacked state (one per point of a z-grid, say)
 and returns its statistics stacked over the same leading axes.  The
-eigen jet's log-series is built in closed form; the trace series (order
-at most 8) and the series exponential loop over the order.
+eigen jet's log-series is built in closed form; the trace series and the
+series exponential loop over the order.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NumericalError, ValidationError
-from .model import GaussianState, ModeSelection
+from .exceptions import NumericalError
+from .model import GaussianState, ModeSelection, _check_orders
 
 __all__ = [
     "ModeSelection",
@@ -120,23 +123,26 @@ def intensity_covariance(state: GaussianState, j, k):
     return _intensity_pairs(state, ModeSelection((j, k)))[..., 0, 1]
 
 
-def _squeeze_terms(state: GaussianState, sel: ModeSelection):
-    """(vacuum level, symmetric noise S, pair term P) of the quadrature algebra."""
-    _, n, m = _selection_block(state, sel)
-    return n.shape[-1], np.sum(n, axis=(-2, -1)).real, np.sum(m, axis=(-2, -1))
-
-
 def _spread(vac, s, t):
     """vac + 2 (S -/+ t): the quadrature variances on either side of S."""
     return vac + 2.0 * (s - t), vac + 2.0 * (s + t)
+
+
+def _quadratures(state: GaussianState, sel: ModeSelection):
+    """(principal squeeze variance, var_p, var_q, uncertainty) from the
+    vacuum level, the symmetric noise S and the pair term P."""
+    _, n, m = _selection_block(state, sel)
+    vac, s, p = n.shape[-1], np.sum(n, axis=(-2, -1)).real, np.sum(m, axis=(-2, -1))
+    lo, hi = _spread(vac, s, np.abs(p))
+    var_q, var_p = _spread(vac, s, np.real(p))
+    return lo, var_p, var_q, lo * hi
 
 
 def principal_squeeze(state: GaussianState, sel):
     """Principal squeeze variance: the quadrature variance minimized over
     the quadrature phase.  Below the vacuum level (1 single / 2 compound)
     the field is squeezed."""
-    vac, s, p = _squeeze_terms(state, _as_selection(sel))
-    return _spread(vac, s, np.abs(p))[0]
+    return _quadratures(state, _as_selection(sel))[0]
 
 
 def quadrature_variances(state: GaussianState, sel):
@@ -145,10 +151,7 @@ def quadrature_variances(state: GaussianState, sel):
     ``uncertainty`` is the product of the minimal and maximal principal
     variances.
     """
-    vac, s, p = _squeeze_terms(state, _as_selection(sel))
-    var_q, var_p = _spread(vac, s, np.real(p))
-    lo, hi = _spread(vac, s, np.abs(p))
-    return var_p, var_q, lo * hi
+    return _quadratures(state, _as_selection(sel))[1:]
 
 
 # --------------------------------------------------------------------------
@@ -163,8 +166,8 @@ def _doubled_block(state: GaussianState, sel: ModeSelection):
     return gamma, np.concatenate([x, x.conj()], axis=-1)
 
 
-def _selection_spectrum(state: GaussianState, sel: ModeSelection):
-    """Eigen-data of the selected modes' normally ordered covariance.
+def _selection_spectrum(gamma: np.ndarray, y: np.ndarray):
+    """Eigen-data of a selection's doubled block (``_doubled_block``).
 
     Returns real eigenvalues lam_i of the 2m x 2m doubled covariance
     Gamma and the nonnegative weights w_i = |(Q^H y)_i|^2 with y the
@@ -175,7 +178,6 @@ def _selection_spectrum(state: GaussianState, sel: ModeSelection):
 
     which is manifestly real for real s.
     """
-    gamma, y = _doubled_block(state, sel)
     gamma = 0.5 * (gamma + gamma.swapaxes(-1, -2).conj())
     lam, q = np.linalg.eigh(gamma)
     w = np.abs(q.swapaxes(-1, -2).conj() @ y[..., None])[..., 0] ** 2
@@ -253,23 +255,28 @@ def _g_jet(state: GaussianState, sel: ModeSelection, lam: np.ndarray, w: np.ndar
 
 
 def generating_function_jet(state: GaussianState, sel, s0: float, order: int) -> np.ndarray:
-    """Taylor coefficients of G around s0, length order + 1."""
+    """Taylor coefficients of G around s0, length order + 1: at s0 = 0 from
+    the trace series (the moments' route), elsewhere from the spectrum."""
     sel = _as_selection(sel)
-    return _g_jet(state, sel, *_selection_spectrum(state, sel), float(s0), int(order))
+    s0, order = float(s0), int(order)
+    block = _doubled_block(state, sel)
+    if s0 == 0.0:
+        mean_w = mean_intensity(state, sel)
+        return _series_exp(_reduced_log_series(*block, mean_w, np.ones_like(mean_w), order))
+    return _g_jet(state, sel, *_selection_spectrum(*block), s0, order)
 
 
 def generating_function(state: GaussianState, sel, svalues) -> np.ndarray:
     """G(s) = <: exp(-s W) :> at the given points (last axis)."""
     sel = _as_selection(sel)
-    lam, w = _selection_spectrum(state, sel)
+    lam, w = _selection_spectrum(*_doubled_block(state, sel))
     return np.stack([_g_jet(state, sel, lam, w, float(s), 0)[..., 0]
                      for s in np.atleast_1d(np.asarray(svalues, dtype=float))], axis=-1)
 
 
-def _reduced_log_series(state: GaussianState, sel: ModeSelection, mean_w, scale,
-                        order: int):
+def _reduced_log_series(gamma: np.ndarray, y: np.ndarray, mean_w, scale, order: int):
     """The trace series of the module docstring, reduced: the log-series
-    of G(u / scale) around u = 0 through u^order.
+    of G(u / scale) around u = 0 through u^order, from ``_doubled_block``.
 
     Gamma is divided by the scale, <W> or 1, and y by its square root, so
     with scale = <W> the series holds h_k / <W>^k and its exponential
@@ -285,7 +292,6 @@ def _reduced_log_series(state: GaussianState, sel: ModeSelection, mean_w, scale,
     block has large diagonal entries of opposite sign, and its odd traces
     cancel catastrophically.
     """
-    gamma, y = _doubled_block(state, sel)
     d = gamma.shape[-1]
     neg = np.empty(gamma.shape[:-2] + (2 * d, 2 * d))
     neg[..., :d, :d] = neg[..., d:, d:] = gamma.real
@@ -299,60 +305,11 @@ def _reduced_log_series(state: GaussianState, sel: ModeSelection, mean_w, scale,
     for _ in range(order // 2):
         vecs.append(np.einsum("...ij,...j->...i", neg, vecs[-1]))
     h = np.zeros(np.shape(mean_w) + (order + 1,))
-    h[..., 1] = -mean_w / scale
+    h[..., 1:2] = (-mean_w / scale)[..., None]   # no h_1 at order 0
     for k in range(2, order + 1):
         trace = np.einsum("...ij,...ji->...", powers[(k + 1) // 2], powers[k // 2])
         h[..., k] = 0.25 * trace / k - 0.5 * np.vecdot(vecs[k // 2], vecs[(k - 1) // 2])
     return h
-
-
-def _moments(state: GaussianState, sel: ModeSelection, k_max: int, n_max: int,
-             with_pn: bool):
-    """(<W>, reduced moments, p_n or None, variances), see
-    moments_and_distribution.  ``variances`` holds <:(dW)^2:> from the
-    moment machinery: 2 h_2 of the trace series and, with ``with_pn``,
-    the eigen spectrum's (1/2) sum lam_i^2 + sum w_i lam_i."""
-    if not 1 <= k_max <= 8:
-        raise ValidationError(f"k_max must be in [1, 8], got {k_max}")
-    if not 1 <= n_max <= 512:
-        raise ValidationError(f"n_max must be in [1, 512], got {n_max}")
-    mean_w = mean_intensity(state, sel)
-    # below the normal range <W> has lost its digits, and 1 / <W> overflows
-    reducible = mean_w >= _TINY
-    scale = np.where(reducible, mean_w, 1.0)
-    # a reduced moment beyond the double range is inf, or NaN where a power
-    # of the reduced block overflowed on the way
-    signed = np.array([(-1.0) ** k * math.factorial(k) for k in range(2, k_max + 1)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = _reduced_log_series(state, sel, mean_w, scale, max(k_max, 2))
-        reduced = np.where(reducible[..., None],
-                           signed * _series_exp(h)[..., 2:k_max + 1] - 1.0, np.nan)
-    variances = [2.0 * h[..., 2] * scale * scale]
-    p_n = None
-    if with_pn:
-        lam, w = _selection_spectrum(state, sel)
-        variances.append(np.sum(0.5 * lam**2 + w * lam, axis=-1))
-        p_n = _g_jet(state, sel, lam, w, 1.0, n_max) * (-1.0) ** np.arange(n_max + 1)
-        dead = np.all(p_n == 0.0, axis=-1)
-        if np.any(dead):
-            raise NumericalError(
-                f"p(n) for n <= {n_max} underflows{_where(state, sel, dead)}: "
-                f"<W> = {float(np.max(np.asarray(mean_w)[dead])):.6g} lies too far beyond n_max"
-            )
-    return mean_w, reduced, p_n, variances
-
-
-def moments_and_distribution(state: GaussianState, sel, k_max: int = 5,
-                             n_max: int = 64):
-    """(<W>, reduced moments for k = 2..k_max, photon distribution p_n).
-
-    Reduced moments are <W^k>/<W>^k - 1; they come out as NaN markers
-    when <W> = 0 (vacuum in the selection) or <W> is below the normal
-    double range (2.2e-308), and as inf or NaN where they exceed the
-    double range (a weakly squeezed near-vacuum at large k).  ``p_n``
-    has length n_max + 1 and sums to one minus the truncated tail mass.
-    """
-    return _moments(state, _as_selection(sel), k_max, n_max, with_pn=True)[:3]
 
 
 @dataclass(frozen=True)
@@ -374,22 +331,53 @@ class StatsReport:
 
 def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
                  include_pn: bool = False) -> StatsReport:
-    """Assemble the full report for one selection.
+    """The full report for one selection, the one route to its moments and p(n).
+
+    <W> is the closed form, and the reduced moments come from the trace
+    series reduced by <W>: they are NaN markers when <W> = 0 (vacuum in
+    the selection) or <W> is below the normal double range (2.2e-308),
+    and inf or NaN where they exceed the double range (a weakly squeezed
+    near-vacuum at large k).  The spectrum and the order-n_max jet at s=1
+    are built only with ``include_pn``; ``p_n`` has length n_max + 1 and
+    sums to one minus the truncated tail mass ``pn_deficit``.
 
     The intensity variance is computed from the closed expression and
     checked against the moment machinery: 2 h_2 of the trace series, and
-    with ``include_pn`` also the order-2 sum of the eigen spectrum, so a
-    failed ``eigh`` is caught too.  Disagreement beyond 1e-8 (relative to
-    the natural scale) means the numerics cannot be trusted and raises
-    :class:`NumericalError`.  The spectrum and the order-n_max jet at s=1
-    are built only with ``include_pn``.
+    with ``include_pn`` also the order-2 sum (1/2) sum lam_i^2 +
+    sum w_i lam_i of the eigen spectrum, so a failed ``eigh`` is caught
+    too.  Disagreement beyond 1e-8 (relative to the natural scale) means
+    the numerics cannot be trusted and raises :class:`NumericalError`.
     """
+    _check_orders(k_max, n_max)
     sel = _as_selection(sel)
-    mean_w, reduced, p_n, variances = _moments(state, sel, k_max, n_max, include_pn)
+    gamma, y = _doubled_block(state, sel)
+    mean_w = mean_intensity(state, sel)
+    # below the normal range <W> has lost its digits, and 1 / <W> overflows
+    reducible = mean_w >= _TINY
+    scale = np.where(reducible, mean_w, 1.0)
+    # a reduced moment beyond the double range is inf, or NaN where a power
+    # of the reduced block overflowed on the way
+    signed = np.array([(-1.0) ** k * math.factorial(k) for k in range(2, k_max + 1)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _reduced_log_series(gamma, y, mean_w, scale, max(k_max, 2))
+        reduced = np.where(reducible[..., None],
+                           signed * _series_exp(h)[..., 2:k_max + 1] - 1.0, np.nan)
+    variances = [2.0 * h[..., 2] * scale * scale]
+    p_n = None
+    if include_pn:
+        lam, w = _selection_spectrum(gamma, y)
+        variances.append(np.sum(0.5 * lam**2 + w * lam, axis=-1))
+        p_n = _g_jet(state, sel, lam, w, 1.0, n_max) * (-1.0) ** np.arange(n_max + 1)
+        dead = np.all(p_n == 0.0, axis=-1)
+        if np.any(dead):
+            raise NumericalError(
+                f"p(n) for n <= {n_max} underflows{_where(state, sel, dead)}: "
+                f"<W> = {float(np.max(np.asarray(mean_w)[dead])):.6g} lies too far beyond n_max"
+            )
     var_formula = intensity_variance(state, sel)
-    scale = np.maximum(np.maximum(1.0, np.abs(var_formula)), mean_w**2)
+    tolerance = 1e-8 * np.maximum(np.maximum(1.0, np.abs(var_formula)), mean_w**2)
     for var_moments in variances:
-        bad = np.abs(var_moments - var_formula) > 1e-8 * scale  # NaN: not checked
+        bad = np.abs(var_moments - var_formula) > tolerance  # NaN: not checked
         if np.any(bad):
             i = int(np.argmax(np.ravel(bad)))
             raise NumericalError(
@@ -397,16 +385,25 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
                 f"closed form {float(np.ravel(var_formula)[i])!r} vs moments "
                 f"{float(np.ravel(var_moments)[i])!r}"
             )
-    var_p, var_q, uncertainty = quadrature_variances(state, sel)
+    squeeze, var_p, var_q, uncertainty = _quadratures(state, sel)
     return StatsReport(
         selection=sel,
         mean_w=mean_w,
         reduced_moments=reduced,
         variance_w=var_formula,
-        lam=principal_squeeze(state, sel),
+        lam=squeeze,
         var_p=var_p,
         var_q=var_q,
         uncertainty=uncertainty,
         p_n=p_n,
         pn_deficit=None if p_n is None else 1.0 - p_n.sum(axis=-1),
     )
+
+
+def moments_and_distribution(state: GaussianState, sel, k_max: int = 5,
+                             n_max: int = 64):
+    """(<W>, reduced moments for k = 2..k_max, photon distribution p_n):
+    three fields of ``stats_report(..., include_pn=True)``, so it raises
+    :class:`NumericalError` where that report's cross-check fails."""
+    report = stats_report(state, sel, k_max, n_max, include_pn=True)
+    return report.mean_w, report.reduced_moments, report.p_n

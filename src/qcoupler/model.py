@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
 
@@ -68,6 +69,16 @@ def _as_complex(value, name):
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise ValidationError(f"{name} must be finite, got {c}")
     return c
+
+
+def _as_real(value, name):
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} is not a real scalar: {value!r}") from None
+    if not math.isfinite(x):
+        raise ValidationError(f"{name} must be finite, got {x}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -130,13 +141,7 @@ def validate_params(params: CouplerParams) -> ValidatedParams:
     for name in _COUPLING_FIELDS:
         kwargs[name] = _as_complex(getattr(params, name), name)
     for name in _MISMATCH_FIELDS:
-        value = getattr(params, name)
-        try:
-            value = float(value)
-        except (TypeError, ValueError):
-            raise ValidationError(f"{name} is not a real scalar: {value!r}")
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value}")
+        value = _as_real(getattr(params, name), name)
         if value != 0.0:
             raise UnsupportedConfigurationError(
                 f"nonzero phase mismatch {name}={value}; only the "
@@ -174,13 +179,11 @@ class InputSpec:
 
     def validate(self, name="input"):
         _as_complex(self.xi, f"{name}.xi")
-        for attr in ("r", "theta", "n_ch"):
-            value = getattr(self, attr)
-            if not math.isfinite(float(value)):
-                raise ValidationError(f"{name}.{attr} must be finite")
-        if self.r < 0:
+        r, _, n_ch = (_as_real(getattr(self, attr), f"{name}.{attr}")
+                      for attr in ("r", "theta", "n_ch"))
+        if r < 0:
             raise ValidationError(f"{name}.r must be >= 0, got {self.r}")
-        if self.n_ch < 0:
+        if n_ch < 0:
             raise ValidationError(f"{name}.n_ch must be >= 0, got {self.n_ch}")
 
 
@@ -362,6 +365,18 @@ class ModeSelection:
             raise ValidationError(f"unknown mode name {exc.args[0]!r} in {text!r}")
 
 
+def _check_orders(k_max, n_max):
+    """Raise ValidationError unless k_max is an integer in [1, 8] and n_max
+    one in [1, 512], the limits documented on ScenarioConfig."""
+    for name, value, top in (("k_max", k_max, 8), ("n_max", n_max, 512)):
+        try:
+            ok = 1 <= operator.index(value) <= top
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValidationError(f"{name} must be an integer in [1, {top}], got {value!r}")
+
+
 QUANTITY_TAGS = ("moments", "variance", "squeeze", "quadratures", "pn")
 
 
@@ -389,10 +404,7 @@ class ScenarioConfig:
             raise ValidationError(f"z_max must be positive and finite, got {self.z_max}")
         if int(self.z_steps) != self.z_steps or self.z_steps < 2:
             raise ValidationError(f"z_steps must be an integer >= 2, got {self.z_steps}")
-        if not 1 <= self.n_max <= 512:
-            raise ValidationError(f"n_max must be in [1, 512], got {self.n_max}")
-        if not 1 <= self.k_max <= 8:
-            raise ValidationError(f"k_max must be in [1, 8], got {self.k_max}")
+        _check_orders(self.k_max, self.n_max)
         for tag, sel in self.observables:
             if tag not in QUANTITY_TAGS:
                 raise ValidationError(f"unknown observable quantity {tag!r}")

@@ -37,7 +37,7 @@ from qcoupler.model import (
 )
 from qcoupler.presets import PRESET_NAMES, load_preset
 
-from conftest import quiet_params
+from conftest import PROPERTY_PHASES, quiet_params
 
 TOL = 1e-12
 COLUMN_FLOOR = 1.0
@@ -164,7 +164,7 @@ z_points = st.one_of(
 )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=PROPERTY_PHASES)
 @given(stokes=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
        excess=st.lists(st.floats(0.3, 1.0), min_size=2, max_size=2),
        kappa=st.lists(st.floats(0.0, 1.5), min_size=2, max_size=2),
@@ -286,9 +286,13 @@ def test_variance_cross_check_in_sweep_names_z_and_selection(monkeypatch, k_max)
         return values
 
     monkeypatch.setattr(gaussian_stats, "intensity_variance", off_at_third_point)
-    with pytest.raises(NumericalError,
-                       match=f"cross-check failed at z={cfg.z_grid()[3]} for selection S1A1"):
+    message = f"cross-check failed at z={cfg.z_grid()[3]} for selection S1A1"
+    with pytest.raises(NumericalError, match=message):
         run_scenario(cfg)
+    states = evolve_state(propagator(build_drift_matrix(cfg.params), cfg.z_grid()),
+                          build_input_state(cfg.inputs))
+    with pytest.raises(NumericalError, match=message):
+        moments_and_distribution(states, ModeSelection((ModeId.S1, ModeId.A1)), k_max, 8)
 
 
 def test_failed_eigh_in_pn_selection_fails_cross_check(monkeypatch):
@@ -313,9 +317,9 @@ def test_s1_jet_only_for_pn_selections(monkeypatch):
     spectrum, g_jet = gaussian_stats._selection_spectrum, gaussian_stats._g_jet
     eigh = np.linalg.eigh
 
-    def recording_spectrum(state, sel):
-        spectra.append((sel.name, state.xi.shape[0]))
-        return spectrum(state, sel)
+    def recording_spectrum(gamma, y):
+        spectra.append(gamma.shape)
+        return spectrum(gamma, y)
 
     def recording_jet(state, sel, lam, w, s0, order):
         jets.append((sel.name, s0, order, lam.shape[0]))
@@ -332,7 +336,10 @@ def test_s1_jet_only_for_pn_selections(monkeypatch):
     # three selections; the moments come from the trace series, so only
     # the pn selection S1 gets an eigendecomposition (one, over the whole
     # grid) and the order-n_max jet at s=1
-    assert spectra == [("S1", 6)]
+    assert spectra == [(6, 2, 2)]
     assert jets == [("S1", 1.0, 32, 6)]
     assert eighs == [(6, 2, 2)]
     assert [sel for sel, _ in result.pn_tables] == ["S1"]
+    # the public s=0 jet takes the moments' route: no spectrum, no eigh
+    gaussian_stats.generating_function_jet(_sweep_state(), ModeSelection((ModeId.S1,)), 0.0, 8)
+    assert spectra == [(6, 2, 2)] and len(jets) == 1 and len(eighs) == 1

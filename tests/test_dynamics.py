@@ -26,7 +26,7 @@ from qcoupler.model import (
     permute_state,
 )
 
-from conftest import quiet_params, random_couplings, random_inputs
+from conftest import PROPERTY_PHASES, quiet_params, random_couplings, random_inputs
 
 S1, A1, V1, S2, A2, V2 = range(6)
 
@@ -255,7 +255,7 @@ def test_expm_jordan_block_closed_form(t):
     assert np.all(np.tril(out, -1) == 0.0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, phases=PROPERTY_PHASES)
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 50),
        top=st.floats(-3.0, 2.0), spread=st.floats(0.0, 4.0))
 def test_expm_matches_scipy_on_mixed_norm_stacks(seed, count, top, spread):

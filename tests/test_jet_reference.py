@@ -5,8 +5,8 @@ eigenvalues.  Here the stacked jet ``_g_jet`` is checked on spectra they
 miss: four distinct eigenvalues with squeezed (negative) ones, a
 repeated thermal pair, and a bright row; and the squeezed vacuum, whose
 two eigenvalues give log-series ratios P of opposite sign, at order 512.
-The moments' trace series is checked on a weakly squeezed vacuum, whose
-<W> lies far below its eigenvalues.
+The moments' trace series, which the public s=0 jet runs too, is checked
+on a weakly squeezed vacuum, whose <W> lies far below its eigenvalues.
 """
 
 import math
@@ -113,7 +113,9 @@ def squeezed_vacuum_jet(r, order):
 def test_weakly_squeezed_vacuum_moments_keep_their_digits(r):
     """<W> ~ r^2 is far below the eigenvalues +/- r of the doubled block,
     yet <W> and every reduced moment come out to 1e-12 relative; a
-    reduced moment beyond the double range (k >= 6 at r = 1e-62) is inf."""
+    reduced moment beyond the double range (k >= 6 at r = 1e-62) is inf.
+    The public s=0 jet runs the same trace series and keeps every
+    coefficient that is a normal double to 1e-12 relative."""
     order = 8
     inputs = [VACUUM_INPUT] * 6
     inputs[ModeId.S1] = InputSpec(r=r, theta=0.3)
@@ -126,12 +128,17 @@ def test_weakly_squeezed_vacuum_moments_keep_their_digits(r):
         w = [(-1) ** k * mp.factorial(k) * reduced_jet[k] - 1 for k in range(2, order + 1)]
     mean_w, moments, _ = gaussian_stats.moments_and_distribution(state, sel, order, 8)
     assert abs(mean_w - float(n)) <= 1e-15 * float(n)
+    block = gaussian_stats._doubled_block(state, sel)
     with np.errstate(over="ignore"):
         jet = gaussian_stats._series_exp(
-            gaussian_stats._reduced_log_series(state, sel, mean_w, mean_w, order))
+            gaussian_stats._reduced_log_series(*block, mean_w, mean_w, order))
     for k, ref in enumerate(reduced_jet):
         if abs(ref) < 1e300:
             assert abs(jet[k] - float(ref)) <= 1e-12 * abs(float(ref)), k
+    public = gaussian_stats.generating_function_jet(state, sel, 0.0, order)
+    for k, ref in enumerate(g):
+        if abs(ref) >= np.finfo(float).tiny:
+            assert abs(public[k] - float(ref)) <= 1e-12 * abs(float(ref)), k
     for k, ref in zip(range(2, order + 1), w):
         if ref < 1e300:
             assert abs(moments[k - 2] - float(ref)) <= 1e-12 * float(ref), k

@@ -15,7 +15,7 @@ from qcoupler.exceptions import (
     UnsupportedConfigurationError,
     ValidationError,
 )
-from qcoupler.gaussian_stats import mean_intensity
+from qcoupler.gaussian_stats import mean_intensity, stats_report
 from qcoupler.model import (
     CouplerParams,
     GaussianState,
@@ -95,13 +95,17 @@ def test_input_state_positive_semidefinite():
         assert s.min_covariance_eigenvalue() >= -1e-9
 
 
-def test_input_state_rejects_negative_parameters():
-    bad_r = [VACUUM_INPUT] * 5 + [InputSpec(r=-0.1)]
-    with pytest.raises(ValidationError):
-        build_input_state(bad_r)
-    bad_n = [InputSpec(n_ch=-1.0)] + [VACUUM_INPUT] * 5
-    with pytest.raises(ValidationError):
-        build_input_state(bad_n)
+@pytest.mark.parametrize("slot, spec, message", [
+    pytest.param(5, InputSpec(r=-0.1), "V2.r must be >= 0", id="r-negative"),
+    pytest.param(0, InputSpec(n_ch=-1.0), "S1.n_ch must be >= 0", id="n_ch-negative"),
+    pytest.param(1, InputSpec(r=1j), "A1.r is not a real scalar", id="r-complex"),
+    pytest.param(2, InputSpec(n_ch="a"), "V1.n_ch is not a real scalar", id="n_ch-text"),
+])
+def test_input_state_rejects_bad_parameters(slot, spec, message):
+    inputs = [VACUUM_INPUT] * 6
+    inputs[slot] = spec
+    with pytest.raises(ValidationError, match=message):
+        build_input_state(inputs)
 
 
 def test_state_noise_functions_read_off_n_and_m():
@@ -279,13 +283,22 @@ def test_parse_scenario_key_errors(doc, message):
     assert str(info.value) == message
 
 
-def test_parse_scenario_limit_validation():
-    doc = "[params]\ngS1 = 1\n[run]\nz_max = 1\nz_steps = 10\nk_max = 9\n"
-    with pytest.raises(ValidationError):
-        parse_scenario(doc)
-    doc = "[params]\ngS1 = 1\n[run]\nz_max = 1\nz_steps = 10\nn_max = 1000\n"
-    with pytest.raises(ValidationError):
-        parse_scenario(doc)
+@pytest.mark.parametrize("key, value", [
+    ("k_max", 9), ("n_max", 1000), ("k_max", 0), ("k_max", 2.5), ("n_max", 64.5),
+    ("k_max", "5"),
+])
+def test_order_limit_validation(key, value):
+    # the scenario, its parser and stats_report share one check of the orders
+    message = f"{key} must be an integer in"
+    with pytest.raises(ValidationError, match=message):
+        ScenarioConfig(params=CouplerParams(gS1=1), **{key: value})
+    with pytest.raises(ValidationError, match=message):
+        stats_report(build_input_state([VACUUM_INPUT] * 6), ModeSelection((ModeId.S1,)),
+                     **{key: value})
+    if isinstance(value, int):
+        doc = f"[params]\ngS1 = 1\n[run]\nz_max = 1\nz_steps = 10\n{key} = {value}\n"
+        with pytest.raises(ValidationError, match=message):
+            parse_scenario(doc)
 
 
 def test_scenario_mismatch_is_parseable_but_unsupported():

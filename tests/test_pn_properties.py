@@ -16,7 +16,7 @@ from qcoupler.dynamics import build_drift_matrix, evolve_state, propagator
 from qcoupler.gaussian_stats import generating_function_jet, moments_and_distribution
 from qcoupler.model import InputSpec, ModeId, ModeSelection, build_input_state, permute_state
 
-from conftest import quiet_params
+from conftest import PROPERTY_PHASES, quiet_params
 
 N_MAX = 96
 
@@ -52,7 +52,7 @@ def stable_state(mags, phase, specs, z_max):
     return evolve_state(propagator(em, np.linspace(0.0, z_max, 5)), build_input_state(specs))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, phases=PROPERTY_PHASES)
 @given(mags=magnitudes, phase=phases, specs=st.lists(inputs, min_size=6, max_size=6),
        z_max=st.floats(0.05, 2.0), sel=selections)
 def test_pn_properties(mags, phase, specs, z_max, sel):
@@ -81,7 +81,7 @@ def test_pn_properties(mags, phase, specs, z_max, sel):
         assert np.all((error <= 1e-10 * np.maximum(np.abs(moment), 1e-9))[full])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, phases=PROPERTY_PHASES)
 @given(mags=magnitudes, phase=phases, specs=st.lists(inputs, min_size=6, max_size=6),
        z_max=st.floats(0.05, 2.0), sel=selections, order=st.integers(2, 8))
 def test_trace_series_jet_equals_eigen_jet(mags, phase, specs, z_max, sel, order):
@@ -91,12 +91,13 @@ def test_trace_series_jet_equals_eigen_jet(mags, phase, specs, z_max, sel, order
     state = stable_state(mags, phase, specs, z_max)
     mean_w = gaussian_stats.mean_intensity(state, sel)
     scale = np.where(mean_w >= np.finfo(float).tiny, mean_w, 1.0)
+    block = gaussian_stats._doubled_block(state, sel)
     with np.errstate(over="ignore", invalid="ignore"):
         reduced = gaussian_stats._series_exp(
-            gaussian_stats._reduced_log_series(state, sel, mean_w, scale, order))
+            gaussian_stats._reduced_log_series(*block, mean_w, scale, order))
     finite = np.all(np.isfinite(reduced), axis=-1)
     assert np.all(finite | (mean_w < 1e-70))
     jet = reduced[finite] * scale[finite, None] ** np.arange(order + 1)
-    eigen = gaussian_stats._g_jet(state, sel, *gaussian_stats._selection_spectrum(state, sel),
+    eigen = gaussian_stats._g_jet(state, sel, *gaussian_stats._selection_spectrum(*block),
                                   0.0, order)[finite]
     assert np.max(np.abs(jet - eigen) / np.maximum(np.abs(eigen), 1.0), initial=0.0) <= 1e-12
