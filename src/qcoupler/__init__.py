@@ -37,12 +37,14 @@ from .model import (
 from .dynamics import (
     BogoliubovTransform,
     EvolutionMatrix,
+    SymplecticCheck,
     build_drift_matrix,
     conservation_residual,
     evolve_state,
     photon_number_balance,
     propagator,
     rk4_propagator,
+    symplectic_check,
     symplectic_residual,
 )
 from .analytic import AnalyticFrame, analytic_propagator, conditions_satisfied

@@ -34,7 +34,7 @@ from .dynamics import (
     conservation_residual,
     evolve_state,
     propagator,
-    symplectic_residual,
+    symplectic_check,
 )
 from .fock_oracle import FockConfig, evolve_fock, fock_statistics
 from .gaussian_stats import moments_and_distribution, principal_squeeze, stats_report
@@ -82,7 +82,10 @@ def run_scenario(cfg: ScenarioConfig) -> SweepResult:
     stacked ``stats_report`` per distinct selection, which builds the
     order-``n_max`` jet at s=1 only for selections that request ``pn``.
     For each of those, the metadata ``pn_max_deficit.<selection>`` gives
-    the largest tail mass 1 - sum p(n) beyond ``n_max`` and its z.
+    the largest tail mass 1 - sum p(n) beyond ``n_max`` and its z.  The
+    metadata also gives the drift of the photon-number balance and the
+    largest violation of the Bogoliubov identities, absolute and scaled
+    per point by max(1, max|U|^2) (see ``symplectic_check``).
     """
     params = validate_params(cfg.params)
     em = build_drift_matrix(params)
@@ -91,6 +94,9 @@ def run_scenario(cfg: ScenarioConfig) -> SweepResult:
     pn_selections = {sel for tag, sel in observables if tag == "pn"}
     zs = cfg.z_grid()
     transforms = propagator(em, zs)
+    # checked before the state is evolved, whose arrays then reuse the
+    # memory of the check's workspace
+    symplectic = symplectic_check(transforms)
     states = evolve_state(transforms, s0)
     reports = {
         sel: stats_report(states, sel, k_max=cfg.k_max, n_max=cfg.n_max,
@@ -108,7 +114,8 @@ def run_scenario(cfg: ScenarioConfig) -> SweepResult:
         ("qcoupler", __version__),
         ("scenario", serialize_scenario(cfg).replace("\n", "; ").rstrip("; ")),
         ("conservation_residual", f"{conservation_residual(states):.6e}"),
-        ("max_symplectic_residual", f"{symplectic_residual(transforms):.6e}"),
+        ("max_symplectic_residual", f"{symplectic.residual:.6e}"),
+        ("max_symplectic_residual_scaled", f"{symplectic.scaled:.6e}"),
     ) + tuple((f"pn_max_deficit.{sel.name}", _largest_over_z(rep.pn_deficit, zs))
               for sel, rep in pn_reports)
     return SweepResult(z=zs, columns=columns, pn_tables=pn_tables, metadata=metadata)

@@ -13,13 +13,34 @@ U V^T - V U^T = 0.
 
 An array of lengths gives the transforms of a whole z-grid at once,
 stacked along a leading axis, and ``evolve_state`` turns them into one
-stacked :class:`~qcoupler.model.GaussianState`.
+stacked :class:`~qcoupler.model.GaussianState`.  A scalar length has
+no leading axes and takes the same route.
+
+A grid is evolved with a few large arrays, each written in place and
+taken over by the transform or the state without a copy:
+
+* ``propagator`` multiplies every head of the grid's blocks by every
+  step in one GEMM and moves each product to its point in the
+  transform's one (Z, 6, 12) array of annihilator rows [U V]; U and V
+  are views of it.
+* ``symplectic_check`` checks both Bogoliubov identities, and their
+  violation scaled by the gain, with one workspace of four (Z, 6, 6)
+  planes.
+* ``evolve_state`` writes N and M into one array of two planes that the
+  state keeps, with G = F S^T in a two-plane scratch array.
+
+A sweep checks its transforms before it evolves the state, so the
+state's arrays reuse the memory the check frees: at its largest a sweep
+holds the transforms and four planes.  Products with an operand shared
+by every point are GEMMs, (Z*6, 12) @ (12, 12); the rest are stacked
+6x12 by 12x6 products.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +48,13 @@ from .exceptions import NumericalError
 from .model import GaussianState, N_MODES, ValidatedParams
 
 _DIM = 2 * N_MODES
+_DIAG = np.arange(N_MODES)
+# doubled-basis columns in [U V] order: annihilators first, then creators
+_UV = np.concatenate([np.arange(0, _DIM, 2), np.arange(1, _DIM, 2)])
+# the exchange of the two halves of [U V]: F[..., _SWAP] = [V U]
+_SWAP = np.concatenate([np.arange(N_MODES, _DIM), np.arange(N_MODES)])
+# on the real view of [U V]: (Re, Im) factors giving conj(F Sigma) = [U*, -V*]
+_CONJ_SIGMA = np.array([1.0, -1.0] * N_MODES + [-1.0, 1.0] * N_MODES)
 
 
 def _guide_block(gs: complex, ga: complex) -> np.ndarray:
@@ -79,21 +107,36 @@ class BogoliubovTransform:
     """The (U, V) blocks of the operator solution at propagation length z.
 
     Leading axes stack transforms: over a z-grid, U and V are (Z, 6, 6)
-    and z is the grid.
+    and z is the grid.  Both are read-only views of ``rows`` = [U V],
+    the (..., 6, 12) annihilator rows of the doubled propagator.
     """
 
     U: np.ndarray
     V: np.ndarray
     z: np.ndarray | float
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("U", "V"):
-            arr = np.array(getattr(self, name), dtype=complex)
-            if arr.shape[-2:] != (N_MODES, N_MODES) or arr.shape != np.shape(self.U):
+        u, v = (np.asarray(getattr(self, name), dtype=complex) for name in ("U", "V"))
+        for name, arr in (("U", u), ("V", v)):
+            if arr.shape[-2:] != (N_MODES, N_MODES) or arr.shape != u.shape:
                 raise NumericalError(f"{name} must be {N_MODES}x{N_MODES} (or a stack of them)")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        z = np.array(self.z, dtype=float)
+        self._freeze(np.concatenate([u, v], axis=-1), self.z)
+
+    @classmethod
+    def _from_rows(cls, rows: np.ndarray, z) -> "BogoliubovTransform":
+        """The transform whose rows [U V] are ``rows``, a complex (..., 6, 12)
+        array the caller has just made and hands over: it is frozen, not copied."""
+        t = cls.__new__(cls)
+        t._freeze(rows, z)
+        return t
+
+    def _freeze(self, rows: np.ndarray, z) -> None:
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "U", rows[..., :N_MODES])
+        object.__setattr__(self, "V", rows[..., N_MODES:])
+        z = np.array(z, dtype=float)
         z.setflags(write=False)
         object.__setattr__(self, "z", float(z) if z.ndim == 0 else z)
 
@@ -105,7 +148,10 @@ class BogoliubovTransform:
     @classmethod
     def from_doubled(cls, mat: np.ndarray, z: float) -> "BogoliubovTransform":
         """Extract (U, V) from a 12x12 propagator over the interleaved basis."""
-        return cls(U=mat[..., 0::2, 0::2], V=mat[..., 0::2, 1::2], z=z)
+        mat = np.asarray(mat, dtype=complex)
+        if mat.shape[-2:] != (_DIM, _DIM):
+            raise NumericalError(f"a doubled propagator must be {_DIM}x{_DIM} (or a stack of them)")
+        return cls._from_rows(mat[..., 0::2, _UV], z)
 
     def doubled(self) -> np.ndarray:
         """Rebuild the full 12x12 propagator (creator rows by conjugation)."""
@@ -177,11 +223,12 @@ def propagator(em: EvolutionMatrix, z) -> BogoliubovTransform:
     The one place where exp(i M z) is formed, always by the numpy Pade-13
     scaling-and-squaring of :func:`expm`, which stays accurate where M is
     defective.  An evenly spaced grid of Z points is cut into blocks of
-    B = ceil(sqrt(Z)): point qB + r is exp(i M z_qB) exp(i M r dz), so
-    2 sqrt(Z) stacked exponentials and one stacked product cover the grid.
-    A scalar or an unevenly spaced array takes B = 1, one exponential per
-    point.  A non-finite transform raises :class:`NumericalError` naming
-    the first failing z.
+    B = ceil(sqrt(Z)): point qB + r is exp(i M z_qB) exp(i M r dz), so one
+    :func:`expm` call over the ~sqrt(Z) heads and B steps and one stacked
+    product, written into the transform's rows, cover the grid.  A scalar
+    or an unevenly spaced array takes B = 1, one exponential per point.
+    A non-finite transform raises :class:`NumericalError` naming the
+    first failing z.
     """
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
@@ -189,20 +236,25 @@ def propagator(em: EvolutionMatrix, z) -> BogoliubovTransform:
     flat = z.ravel()
     step = _even_step(flat)
     block = 1 if step is None else math.ceil(math.sqrt(flat.size))
-    gen = 1j * em.matrix
+    heads = flat[::block]
+    rows = np.empty((heads.size, block, N_MODES, _DIM), dtype=complex)
+    lengths = np.concatenate([heads, (step or 0.0) * np.arange(block)])
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        heads = expm(gen * flat[::block, None, None])
-        steps = expm(gen * ((step or 0.0) * np.arange(block))[:, None, None])
-        # only the annihilator rows [U V]; the creator rows are their conjugates
-        rows = (heads[:, None, 0::2] @ steps).reshape(-1, N_MODES, _DIM)[:flat.size]
-    finite = np.all(np.isfinite(rows), axis=(-2, -1))
-    if not np.all(finite):
+        exps = expm(1j * em.matrix * lengths[:, None, None])
+        # only the annihilator rows [U V]; the creator rows are their
+        # conjugates.  Every head times every step is one GEMM, then each
+        # product is moved to its point.
+        steps = exps[heads.size:, :, _UV].transpose(1, 0, 2).reshape(_DIM, -1)
+        pairs = exps[:heads.size, 0::2].reshape(-1, _DIM) @ steps
+    np.copyto(rows, pairs.reshape(heads.size, N_MODES, block, _DIM).swapaxes(1, 2))
+    rows = rows.reshape(-1, N_MODES, _DIM)[:flat.size]
+    if not np.isfinite(rows).all():
+        finite = np.all(np.isfinite(rows), axis=(-2, -1))
         raise NumericalError(
             f"matrix exponential produced non-finite entries at z={flat[np.argmin(finite)]}; "
             f"|M|={np.max(np.abs(em.matrix)):.3g}"
         )
-    rows = rows.reshape(z.shape + (N_MODES, _DIM))
-    return BogoliubovTransform(U=rows[..., 0::2], V=rows[..., 1::2], z=z)
+    return BogoliubovTransform._from_rows(rows.reshape(z.shape + (N_MODES, _DIM)), z)
 
 
 def rk4_propagator(em: EvolutionMatrix, z: float, h: float = 1e-4) -> BogoliubovTransform:
@@ -225,37 +277,85 @@ def rk4_propagator(em: EvolutionMatrix, z: float, h: float = 1e-4) -> Bogoliubov
     return BogoliubovTransform.from_doubled(e, float(z))
 
 
+class SymplecticCheck(NamedTuple):
+    """How far a transform, or a stack of them, keeps the Bogoliubov identities."""
+
+    residual: float   # max-norm violation of U U^H - V V^H = I and U V^T = V U^T
+    scaled: float     # the largest violation of one transform over max(1, max|U|^2)
+
+
+def symplectic_check(t: BogoliubovTransform) -> SymplecticCheck:
+    """Both Bogoliubov identities over every transform of a stack, in one pass.
+
+    The identities cancel entries of size |U|^2, so roundoff alone leaves
+    a violation of a few ulps of max(1, max|U|^2): ``scaled`` divides each
+    transform's violation by that scale and stays at roundoff where the
+    absolute ``residual`` grows with the gain.
+
+    With F = [U V], U U^H - V V^H = F K^T for K = conj(F Sigma), Sigma =
+    diag(I, -I), and U V^T - V U^T = P - P^T for P = U V^T.  One workspace
+    of four (..., 6, 6) planes holds K, then the two violations, with P
+    and the magnitudes in K's spent planes.
+    """
+    f, u, v = t.rows, t.U, t.V
+    work = np.empty((4,) + f.shape[:-2] + (N_MODES, N_MODES), dtype=complex)
+    k, r = work[:2].reshape(f.shape), work[2:]
+    np.multiply(f.view(float), _CONJ_SIGMA, out=k.view(float))
+    np.matmul(f, k.swapaxes(-1, -2), out=r[0])
+    r[0][..., _DIAG, _DIAG] -= 1.0
+    p = work[0]
+    np.matmul(u, v.swapaxes(-1, -2), out=p)
+    np.subtract(p, p.swapaxes(-1, -2), out=r[1])
+    mag = work[1].view(float).reshape(r.shape)
+    violation = np.max(np.abs(r, out=mag), axis=(0, -2, -1))
+    scale = np.maximum(1.0, np.max(np.abs(u, out=mag[0]), axis=(-2, -1)) ** 2)
+    return SymplecticCheck(residual=float(np.max(violation, initial=0.0)),
+                           scaled=float(np.max(violation / scale, initial=0.0)))
+
+
 def symplectic_residual(t: BogoliubovTransform) -> float:
     """Max-norm violation of the two Bogoliubov (commutator) identities,
-    over every transform of a stack."""
-    u, v = t.U, t.V
-    ut, vt = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
-    r1 = u @ ut.conj() - v @ vt.conj() - np.eye(N_MODES)
-    r2 = u @ vt - v @ ut
-    return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
+    over every transform of a stack: ``symplectic_check(t).residual``."""
+    return symplectic_check(t).residual
 
 
 def evolve_state(t: BogoliubovTransform, s0: GaussianState) -> GaussianState:
     """Propagate a Gaussian state through a Bogoliubov transform.
 
     With F = [U V], A(z) = F (A; A^+): the means are F (xi; xi*), and
-    M = <dA dA>, N = <dA^+ dA> are F S F^T and conj(F) J S F^T, with
+    M = <dA dA>, N = <dA^+ dA> are F S F^T and conj(F J) S F^T, with
     S = [[M0, N0^T + I], [N0, M0*]] the input moments of (dA; dA^+)
     (cross-mode ones allowed) and J the swap of its row blocks.  A stack
     of transforms takes the one input state to a state stacked likewise.
+
+    G = F S^T is one GEMM over the stack, and M = F G^T.  Since N is
+    Hermitian, N = conj(G J) F^T, with G J = F S^T J a second GEMM into
+    G.  N and M are written into one array of two (..., 6, 6) planes that
+    the state keeps; G's array is freed on return, after serving as the
+    scratch for restoring the exact symmetries.
     """
-    f = np.concatenate([t.U, t.V], axis=-1)
-    xi = f @ np.concatenate([s0.xi, s0.xi.conj()])
+    f = t.rows
+    flat = f.reshape(-1, _DIM)
     n0, m0 = s0.N, s0.M
-    sft = np.block([[m0, n0.T + np.eye(N_MODES)], [n0, m0.conj()]]) @ f.swapaxes(-1, -2)
-    m1 = f @ sft
-    # conj(F) J = conj([V U]) in F's buffer; both (Z,6,12) operands go before symmetrizing
-    n1 = np.conjugate(np.concatenate([t.V, t.U], axis=-1, out=f), out=f) @ sft
-    del f, sft
-    # exact symmetries hold up to roundoff; restore them
-    n1 = 0.5 * (n1 + n1.swapaxes(-1, -2).conj())
-    m1 = 0.5 * (m1 + m1.swapaxes(-1, -2))
-    return GaussianState(xi, n1, m1, z=t.z)
+    s_t = np.block([[m0, n0.T + np.eye(N_MODES)], [n0, m0.conj()]]).T
+    nm = np.empty((2,) + f.shape[:-2] + (N_MODES, N_MODES), dtype=complex)
+    n1, m1 = nm
+    g = np.empty_like(f)
+    g_flat = g.reshape(-1, _DIM)
+    np.matmul(flat, s_t, out=g_flat)
+    np.matmul(f, g.swapaxes(-1, -2), out=m1)
+    np.matmul(flat, s_t[:, _SWAP], out=g_flat)
+    np.matmul(np.conjugate(g, out=g), f.swapaxes(-1, -2), out=n1)
+    # exact symmetries hold up to roundoff; restore them, with G's memory as scratch
+    h = g.reshape(-1)[:n1.size].reshape(n1.shape)
+    np.add(n1, np.conjugate(n1.swapaxes(-1, -2), out=h), out=h)
+    np.multiply(h, 0.5, out=n1)
+    np.add(m1, m1.swapaxes(-1, -2), out=h)
+    np.multiply(h, 0.5, out=m1)
+    xi = (flat @ np.concatenate([s0.xi, s0.xi.conj()])).reshape(f.shape[:-1])
+    xi.setflags(write=False)
+    nm.setflags(write=False)
+    return GaussianState(xi, nm[0], nm[1], z=t.z)
 
 
 def photon_number_balance(state: GaussianState):

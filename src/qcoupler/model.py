@@ -177,14 +177,17 @@ class InputSpec:
     theta: float = 0.0
     n_ch: float = 0.0
 
-    def validate(self, name="input"):
-        _as_complex(self.xi, f"{name}.xi")
-        r, _, n_ch = (_as_real(getattr(self, attr), f"{name}.{attr}")
-                      for attr in ("r", "theta", "n_ch"))
+    def validate(self, name="input") -> "InputSpec":
+        """Check the fields, returning a normalized copy: complex ``xi``
+        and float ``r``, ``theta`` and ``n_ch``."""
+        xi = _as_complex(self.xi, f"{name}.xi")
+        r, theta, n_ch = (_as_real(getattr(self, attr), f"{name}.{attr}")
+                          for attr in ("r", "theta", "n_ch"))
         if r < 0:
             raise ValidationError(f"{name}.r must be >= 0, got {self.r}")
         if n_ch < 0:
             raise ValidationError(f"{name}.n_ch must be >= 0, got {self.n_ch}")
+        return InputSpec(xi=xi, r=r, theta=theta, n_ch=n_ch)
 
 
 VACUUM_INPUT = InputSpec()
@@ -282,7 +285,15 @@ def _zero_diagonal(a: np.ndarray) -> np.ndarray:
 
 
 def _frozen(array, dtype, shape):
-    out = np.array(array, dtype=dtype)
+    """``array`` as a read-only array of ``dtype``.  A read-only array whose
+    memory no writeable array holds is taken as it is; anything else is
+    copied, so that later writes to the caller's array cannot reach it."""
+    base = getattr(array, "base", None)
+    if (isinstance(array, np.ndarray) and array.dtype == dtype and not array.flags.writeable
+            and (base is None or isinstance(base, np.ndarray) and not base.flags.writeable)):
+        out = array
+    else:
+        out = np.array(array, dtype=dtype)
     if out.shape != shape:
         raise ValidationError(f"expected array of shape {shape}, got {out.shape}")
     out.setflags(write=False)
@@ -304,8 +315,8 @@ def build_input_state(inputs) -> GaussianState:
     b = np.zeros(N_MODES)
     c = np.zeros(N_MODES, dtype=complex)
     for j, spec in enumerate(inputs):
-        spec.validate(MODE_NAMES[j])
-        xi[j] = complex(spec.xi)
+        spec = spec.validate(MODE_NAMES[j])
+        xi[j] = spec.xi
         b[j] = math.sinh(spec.r) ** 2 + spec.n_ch
         c[j] = 0.5 * np.exp(1j * spec.theta) * math.sinh(2.0 * spec.r)
     state = GaussianState(xi=xi, N=np.diag(b), M=np.diag(c))
@@ -400,10 +411,16 @@ class ScenarioConfig:
     def __post_init__(self):
         if len(self.inputs) != N_MODES:
             raise ValidationError(f"expected {N_MODES} inputs, got {len(self.inputs)}")
-        if not (self.z_max > 0 and math.isfinite(self.z_max)):
-            raise ValidationError(f"z_max must be positive and finite, got {self.z_max}")
-        if int(self.z_steps) != self.z_steps or self.z_steps < 2:
-            raise ValidationError(f"z_steps must be an integer >= 2, got {self.z_steps}")
+        z_max = _as_real(self.z_max, "z_max")
+        if not z_max > 0:
+            raise ValidationError(f"z_max must be positive and finite, got {z_max}")
+        object.__setattr__(self, "z_max", z_max)
+        try:
+            ok = operator.index(self.z_steps) >= 2
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValidationError(f"z_steps must be an integer >= 2, got {self.z_steps!r}")
         _check_orders(self.k_max, self.n_max)
         for tag, sel in self.observables:
             if tag not in QUANTITY_TAGS:

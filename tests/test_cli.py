@@ -206,6 +206,8 @@ def test_metadata_echoes_scenario():
     assert "gS1 = 1.0" in meta["scenario"]
     assert float(meta["conservation_residual"]) < 1e-9
     assert float(meta["max_symplectic_residual"]) < 1e-10
+    assert 0.0 <= float(meta["max_symplectic_residual_scaled"]) <= float(
+        meta["max_symplectic_residual"])
     for name in PRESET_NAMES:
         cfg = load_preset(name)
         result = run_scenario(cfg)

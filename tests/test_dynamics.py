@@ -5,8 +5,9 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from qcoupler.cli import run_scenario
 from qcoupler.dynamics import (
     BogoliubovTransform,
     build_drift_matrix,
@@ -16,11 +17,14 @@ from qcoupler.dynamics import (
     photon_number_balance,
     propagator,
     rk4_propagator,
+    symplectic_check,
     symplectic_residual,
 )
 from qcoupler.model import (
     EXCHANGE_PERMUTATION,
+    GaussianState,
     InputSpec,
+    ScenarioConfig,
     VACUUM_INPUT,
     build_input_state,
     permute_state,
@@ -326,6 +330,83 @@ def test_propagator_matches_mpmath_near_exceptional_points(couplings):
         assert rel_error(doubled[i], ref) <= 1e-13, i
     assert symplectic_residual(scalar) <= 1e-12
     assert symplectic_residual(grid) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::qcoupler.exceptions.ParameterRegimeWarning")
+def test_scaled_symplectic_residual_stays_at_roundoff_as_the_gain_grows():
+    # |gS| = |gA|, kappa = 0.5: max|U| reaches 24 at z = 5, and roundoff
+    # alone takes the absolute violation to several 1e-13
+    couplings = EXCEPTIONAL_POINTS["gS=gA,k=0.5"]
+    cfg = ScenarioConfig(params=quiet_params(**couplings), z_max=5.0, z_steps=500)
+    t = propagator(build_drift_matrix(cfg.params), cfg.z_grid())
+    check = symplectic_check(t)
+    assert 20.0 < np.max(np.abs(t.U)) < 30.0
+    assert check.scaled < 1e-13 < check.residual
+    assert check.residual == symplectic_residual(t)
+    meta = dict(run_scenario(cfg).metadata)
+    assert meta["max_symplectic_residual"] == f"{check.residual:.6e}"
+    assert meta["max_symplectic_residual_scaled"] == f"{check.scaled:.6e}"
+
+
+def test_grid_arrays_are_views_of_one_allocation():
+    em = build_drift_matrix(quiet_params(gS1=0.5, gA1=1.0, kappaS=0.3))
+    t = propagator(em, np.linspace(0.0, 1.0, 50))
+    assert t.rows.shape == (50, 6, 12) and not t.rows.flags.writeable
+    assert np.shares_memory(t.U, t.rows) and np.shares_memory(t.V, t.rows)
+    s = evolve_state(t, build_input_state(random_inputs(np.random.default_rng(4))))
+    assert s.N.base is not None and s.N.base is s.M.base    # one array of two planes
+    assert np.array_equal(s.z, t.z)
+    # a state takes read-only arrays over, and copies writeable ones
+    n = np.zeros((6, 6), dtype=complex)
+    copied = GaussianState(xi=np.zeros(6), N=n, M=n)
+    n[0, 0] = 1.0
+    assert copied.N[0, 0] == 0.0 and not np.shares_memory(copied.N, n)
+    n.setflags(write=False)
+    assert GaussianState(xi=np.zeros(6), N=n, M=n).N is n
+
+
+_stable_mags = st.tuples(st.floats(0.0, 1.0), st.floats(0.3, 1.0),
+                         st.floats(0.0, 1.0), st.floats(0.3, 1.0),
+                         st.floats(0.0, 1.5), st.floats(0.0, 1.5))
+# evenly spaced grids whose last block is ragged (Z = 7, 50, 101) or full
+# (Z = 2), and quadratically spaced ones, which take one exponential per point
+_grids = st.one_of(
+    st.builds(lambda start, span, n: np.linspace(start, start + span, n),
+              st.floats(0.0, 1.0), st.floats(0.01, 2.0), st.sampled_from([2, 7, 50, 101])),
+    st.builds(lambda start, span, n: start + span * np.linspace(0.0, 1.0, n) ** 2,
+              st.floats(0.0, 1.0), st.floats(0.01, 2.0), st.integers(3, 12)),
+)
+
+
+@settings(max_examples=40, deadline=None, phases=PROPERTY_PHASES)
+@given(mags=_stable_mags, phases=st.lists(st.floats(-3.1, 3.1), min_size=6, max_size=6),
+       seed=st.integers(0, 2**32 - 1), zs=_grids)
+def test_grid_route_equals_per_point_route(mags, phases, seed, zs):
+    """The stacked transforms, state and residuals of a grid equal those of
+    the lengths taken one at a time (scalar z), to 1e-13 max(1, max|U|^2)."""
+    gs1, excess1, gs2, excess2, ks, ka = mags
+    g = [m * np.exp(1j * p)
+         for m, p in zip((gs1, gs1 + excess1, gs2, gs2 + excess2, ks, ka), phases)]
+    em = build_drift_matrix(quiet_params(gS1=g[0], gA1=g[1], gS2=g[2], gA2=g[3],
+                                         kappaS=g[4], kappaA=g[5]))
+    assume(np.max(np.linalg.eigvals(1j * em.matrix).real) <= 1e-9)   # no gain
+    s0 = build_input_state(random_inputs(np.random.default_rng(seed)))
+    grid_t = propagator(em, zs)
+    grid = evolve_state(grid_t, s0)
+    point_t = [propagator(em, z) for z in zs]
+    points = [evolve_state(t, s0) for t in point_t]
+    tol = 1e-13 * max(1.0, float(np.max(np.abs(grid_t.U))) ** 2)
+    for name in ("U", "V"):
+        stacked = np.stack([getattr(t, name) for t in point_t])
+        assert np.max(np.abs(getattr(grid_t, name) - stacked)) <= tol, name
+    stacked = GaussianState(*(np.stack([getattr(p, f) for p in points]) for f in ("xi", "N", "M")),
+                            z=zs)
+    for name in ("xi", "N", "M"):
+        assert np.max(np.abs(getattr(grid, name) - getattr(stacked, name))) <= tol, name
+    grid_check, point_checks = symplectic_check(grid_t), [symplectic_check(t) for t in point_t]
+    assert abs(grid_check.residual - max(c.residual for c in point_checks)) <= tol
+    assert abs(grid_check.scaled - max(c.scaled for c in point_checks)) <= 1e-13
+    assert abs(conservation_residual(grid) - conservation_residual(stacked)) <= tol
 
 
 def test_permute_state_round_trip():

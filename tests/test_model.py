@@ -108,6 +108,37 @@ def test_input_state_rejects_bad_parameters(slot, spec, message):
         build_input_state(inputs)
 
 
+def test_input_state_builds_from_validated_fields():
+    # numeric text passes validation and is built as the number it spells
+    text = build_input_state([InputSpec(xi="1.5", r="0.5", theta="0.25", n_ch="0.2")]
+                             + [VACUUM_INPUT] * 5)
+    plain = build_input_state([InputSpec(xi=1.5, r=0.5, theta=0.25, n_ch=0.2)]
+                              + [VACUUM_INPUT] * 5)
+    for name in ("xi", "N", "M"):
+        assert np.array_equal(getattr(text, name), getattr(plain, name)), name
+    assert InputSpec(r="0.5").validate() == InputSpec(r=0.5)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param("z_steps", "a", "z_steps must be an integer >= 2, got 'a'", id="steps-text"),
+    pytest.param("z_steps", 2.5, "z_steps must be an integer >= 2, got 2.5", id="steps-fraction"),
+    pytest.param("z_steps", 1, "z_steps must be an integer >= 2, got 1", id="steps-one"),
+    pytest.param("z_max", 1j, "z_max is not a real scalar: 1j", id="max-complex"),
+    pytest.param("z_max", "a", "z_max is not a real scalar: 'a'", id="max-text"),
+    pytest.param("z_max", math.inf, "z_max must be finite, got inf", id="max-inf"),
+    pytest.param("z_max", -1.0, "z_max must be positive and finite, got -1.0", id="max-negative"),
+])
+def test_scenario_grid_validation(field, value, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        ScenarioConfig(params=CouplerParams(gS1=1), **{field: value})
+
+
+def test_scenario_grid_fields_are_normalized():
+    cfg = ScenarioConfig(params=CouplerParams(gS1=1), z_max="2.5", z_steps=np.int64(11))
+    assert cfg.z_max == 2.5 and isinstance(cfg.z_max, float)
+    assert np.array_equal(cfg.z_grid(), np.linspace(0.0, 2.5, 11))
+
+
 def test_state_noise_functions_read_off_n_and_m():
     rng = np.random.default_rng(23)
     em = build_drift_matrix(random_couplings(rng, mag=1.0))
