@@ -307,7 +307,8 @@ def symplectic_check(t: BogoliubovTransform) -> SymplecticCheck:
     np.matmul(u, v.swapaxes(-1, -2), out=p)
     np.subtract(p, p.swapaxes(-1, -2), out=r[1])
     mag = work[1].view(float).reshape(r.shape)
-    violation = np.max(np.abs(r, out=mag), axis=(0, -2, -1))
+    np.abs(r, out=mag)
+    violation = np.max(np.maximum(mag[0], mag[1], out=mag[0]), axis=(-2, -1))
     scale = np.maximum(1.0, np.max(np.abs(u, out=mag[0]), axis=(-2, -1)) ** 2)
     return SymplecticCheck(residual=float(np.max(violation, initial=0.0)),
                            scaled=float(np.max(violation / scale, initial=0.0)))
