@@ -95,9 +95,11 @@ def run_scenario(cfg: ScenarioConfig) -> SweepResult:
     zs = cfg.z_grid()
     transforms = propagator(em, zs)
     # checked before the state is evolved, whose arrays then reuse the
-    # memory of the check's workspace
+    # memory of the check's workspace; the transforms' memory goes back
+    # before the statistics are taken
     symplectic = symplectic_check(transforms)
     states = evolve_state(transforms, s0)
+    del transforms
     reports = {
         sel: stats_report(states, sel, k_max=cfg.k_max, n_max=cfg.n_max,
                           include_pn=sel in pn_selections)

@@ -19,10 +19,10 @@ no leading axes and takes the same route.
 A grid is evolved with a few large arrays, each written in place and
 taken over by the transform or the state without a copy:
 
-* ``propagator`` multiplies every head of the grid's blocks by every
-  step in one GEMM and moves each product to its point in the
-  transform's one (Z, 6, 12) array of annihilator rows [U V]; U and V
-  are views of it.
+* ``propagator`` multiplies each head of the grid's blocks by all its
+  steps at once and moves each product to its point in the transform's
+  one (Z, 6, 12) array of annihilator rows [U V]; U and V are views of
+  it.
 * ``symplectic_check`` checks both Bogoliubov identities, and their
   violation scaled by the gain, with one workspace of four (Z, 6, 6)
   planes.
@@ -31,9 +31,12 @@ taken over by the transform or the state without a copy:
 
 A sweep checks its transforms before it evolves the state, so the
 state's arrays reuse the memory the check frees: at its largest a sweep
-holds the transforms and four planes.  Products with an operand shared
-by every point are GEMMs, (Z*6, 12) @ (12, 12); the rest are stacked
-6x12 by 12x6 products.
+holds the transforms and four planes.
+
+Every product is a stack of small ones, one per head or per point.  A
+single (Z*6, 12) @ (12, 12) GEMM is faster alone, but it is big enough
+for OpenBLAS to start its thread pool, whose worker then spins between
+calls on a core the rest of the sweep, and any other process, needs.
 """
 
 from __future__ import annotations
@@ -224,9 +227,10 @@ def propagator(em: EvolutionMatrix, z) -> BogoliubovTransform:
     scaling-and-squaring of :func:`expm`, which stays accurate where M is
     defective.  An evenly spaced grid of Z points is cut into blocks of
     B = ceil(sqrt(Z)): point qB + r is exp(i M z_qB) exp(i M r dz), so one
-    :func:`expm` call over the ~sqrt(Z) heads and B steps and one stacked
-    product, written into the transform's rows, cover the grid.  A scalar
-    or an unevenly spaced array takes B = 1, one exponential per point.
+    :func:`expm` call over the ~sqrt(Z) heads and B steps and one 6x12 by
+    12x12B product per head, copied into the transform's rows, cover the
+    grid.  A scalar or an unevenly spaced array takes B = 1, one
+    exponential per point.
     A non-finite transform raises :class:`NumericalError` naming the
     first failing z.
     """
@@ -242,10 +246,10 @@ def propagator(em: EvolutionMatrix, z) -> BogoliubovTransform:
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         exps = expm(1j * em.matrix * lengths[:, None, None])
         # only the annihilator rows [U V]; the creator rows are their
-        # conjugates.  Every head times every step is one GEMM, then each
-        # product is moved to its point.
+        # conjugates.  Each head times all steps side by side is one
+        # product, then each product is moved to its point.
         steps = exps[heads.size:, :, _UV].transpose(1, 0, 2).reshape(_DIM, -1)
-        pairs = exps[:heads.size, 0::2].reshape(-1, _DIM) @ steps
+        pairs = exps[:heads.size, 0::2] @ steps
     np.copyto(rows, pairs.reshape(heads.size, N_MODES, block, _DIM).swapaxes(1, 2))
     rows = rows.reshape(-1, N_MODES, _DIM)[:flat.size]
     if not np.isfinite(rows).all():
@@ -329,31 +333,32 @@ def evolve_state(t: BogoliubovTransform, s0: GaussianState) -> GaussianState:
     (cross-mode ones allowed) and J the swap of its row blocks.  A stack
     of transforms takes the one input state to a state stacked likewise.
 
-    G = F S^T is one GEMM over the stack, and M = F G^T.  Since N is
-    Hermitian, N = conj(G J) F^T, with G J = F S^T J a second GEMM into
-    G.  N and M are written into one array of two (..., 6, 6) planes that
-    the state keeps; G's array is freed on return, after serving as the
-    scratch for restoring the exact symmetries.
+    Each product is a stack of one small product per transform: G = F S^T
+    and M = F G^T.  Since N is Hermitian, N = conj(G J) F^T, and G J is G
+    with its halves exchanged, done in place through N's memory before N
+    is written.  N and M are written into one array of two (..., 6, 6)
+    planes that the state keeps; G's array is freed on return, after
+    serving as the scratch for restoring the exact symmetries.
     """
-    f = t.rows
-    flat = f.reshape(-1, _DIM)
+    f, ft = t.rows, t.rows.swapaxes(-1, -2)
     n0, m0 = s0.N, s0.M
     s_t = np.block([[m0, n0.T + np.eye(N_MODES)], [n0, m0.conj()]]).T
     nm = np.empty((2,) + f.shape[:-2] + (N_MODES, N_MODES), dtype=complex)
     n1, m1 = nm
-    g = np.empty_like(f)
-    g_flat = g.reshape(-1, _DIM)
-    np.matmul(flat, s_t, out=g_flat)
+    g = np.matmul(f, s_t, out=np.empty_like(f))
     np.matmul(f, g.swapaxes(-1, -2), out=m1)
-    np.matmul(flat, s_t[:, _SWAP], out=g_flat)
-    np.matmul(np.conjugate(g, out=g), f.swapaxes(-1, -2), out=n1)
+    # conj(G J): exchange G's halves through N's plane, conjugating
+    np.copyto(n1, g[..., :N_MODES])
+    np.conjugate(g[..., N_MODES:], out=g[..., :N_MODES])
+    np.conjugate(n1, out=g[..., N_MODES:])
+    np.matmul(g, ft, out=n1)
     # exact symmetries hold up to roundoff; restore them, with G's memory as scratch
     h = g.reshape(-1)[:n1.size].reshape(n1.shape)
     np.add(n1, np.conjugate(n1.swapaxes(-1, -2), out=h), out=h)
     np.multiply(h, 0.5, out=n1)
     np.add(m1, m1.swapaxes(-1, -2), out=h)
     np.multiply(h, 0.5, out=m1)
-    xi = (flat @ np.concatenate([s0.xi, s0.xi.conj()])).reshape(f.shape[:-1])
+    xi = f @ np.concatenate([s0.xi, s0.xi.conj()])
     xi.setflags(write=False)
     nm.setflags(write=False)
     return GaussianState(xi, nm[0], nm[1], z=t.z)
