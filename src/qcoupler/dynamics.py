@@ -54,8 +54,6 @@ _DIM = 2 * N_MODES
 _DIAG = np.arange(N_MODES)
 # doubled-basis columns in [U V] order: annihilators first, then creators
 _UV = np.concatenate([np.arange(0, _DIM, 2), np.arange(1, _DIM, 2)])
-# the exchange of the two halves of [U V]: F[..., _SWAP] = [V U]
-_SWAP = np.concatenate([np.arange(N_MODES, _DIM), np.arange(N_MODES)])
 # on the real view of [U V]: (Re, Im) factors giving conj(F Sigma) = [U*, -V*]
 _CONJ_SIGMA = np.array([1.0, -1.0] * N_MODES + [-1.0, 1.0] * N_MODES)
 
@@ -340,7 +338,7 @@ def evolve_state(t: BogoliubovTransform, s0: GaussianState) -> GaussianState:
     planes that the state keeps; G's array is freed on return, after
     serving as the scratch for restoring the exact symmetries.
     """
-    f, ft = t.rows, t.rows.swapaxes(-1, -2)
+    f = t.rows
     n0, m0 = s0.N, s0.M
     s_t = np.block([[m0, n0.T + np.eye(N_MODES)], [n0, m0.conj()]]).T
     nm = np.empty((2,) + f.shape[:-2] + (N_MODES, N_MODES), dtype=complex)
@@ -351,7 +349,7 @@ def evolve_state(t: BogoliubovTransform, s0: GaussianState) -> GaussianState:
     np.copyto(n1, g[..., :N_MODES])
     np.conjugate(g[..., N_MODES:], out=g[..., :N_MODES])
     np.conjugate(n1, out=g[..., N_MODES:])
-    np.matmul(g, ft, out=n1)
+    np.matmul(g, f.swapaxes(-1, -2), out=n1)
     # exact symmetries hold up to roundoff; restore them, with G's memory as scratch
     h = g.reshape(-1)[:n1.size].reshape(n1.shape)
     np.add(n1, np.conjugate(n1.swapaxes(-1, -2), out=h), out=h)
