@@ -14,6 +14,7 @@ __version__ = "0.1.0"
 from .exceptions import (
     NumericalError,
     ParameterRegimeWarning,
+    PrecisionWarning,
     QcouplerError,
     ScenarioParseError,
     TruncationError,
@@ -70,6 +71,7 @@ from .fock_oracle import (
     FockConfig,
     FockEnsemble,
     FockLevel,
+    FockOperator,
     build_hamiltonian,
     evolve_fock,
     fock_statistics,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from . import __version__
 from .exceptions import (
     NumericalError,
+    PrecisionWarning,
     QcouplerError,
     ScenarioParseError,
     UnsupportedConfigurationError,
@@ -63,6 +65,12 @@ _QUANTITY_COLUMNS = {
     "pn": lambda r: [],
 }
 
+# Bounds on the propagator's scaled symplectic residual, which tracks its
+# relative error (within a factor of 4 where measured against mpmath):
+# above the first a sweep warns, above the second it raises.
+_SYMPLECTIC_ALARM = 1e-10
+_SYMPLECTIC_LIMIT = 1e-6
+
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -85,7 +93,10 @@ def run_scenario(cfg: ScenarioConfig) -> SweepResult:
     the largest tail mass 1 - sum p(n) beyond ``n_max`` and its z.  The
     metadata also gives the drift of the photon-number balance and the
     largest violation of the Bogoliubov identities, absolute and scaled
-    per point by max(1, max|U|^2) (see ``symplectic_check``).
+    per point by max(1, max|U|^2) (see ``symplectic_check``).  Where the
+    scaled residual exceeds 1e-6 the propagator has lost its digits and
+    the sweep raises :class:`NumericalError`; above 1e-10 it warns with
+    :class:`PrecisionWarning`.  Both name the first z past the bound.
     """
     params = validate_params(cfg.params)
     em = build_drift_matrix(params)
@@ -98,6 +109,7 @@ def run_scenario(cfg: ScenarioConfig) -> SweepResult:
     # memory of the check's workspace; the transforms' memory goes back
     # before the statistics are taken
     symplectic = symplectic_check(transforms)
+    _gate_symplectic(symplectic, zs)
     states = evolve_state(transforms, s0)
     del transforms
     reports = {
@@ -121,6 +133,20 @@ def run_scenario(cfg: ScenarioConfig) -> SweepResult:
     ) + tuple((f"pn_max_deficit.{sel.name}", _largest_over_z(rep.pn_deficit, zs))
               for sel, rep in pn_reports)
     return SweepResult(z=zs, columns=columns, pn_tables=pn_tables, metadata=metadata)
+
+
+def _gate_symplectic(symplectic, zs: np.ndarray) -> None:
+    """Raise where the propagator lost its digits; warn where it is losing them."""
+    if symplectic.scaled <= _SYMPLECTIC_ALARM:
+        return
+    fatal = symplectic.scaled > _SYMPLECTIC_LIMIT
+    bound = _SYMPLECTIC_LIMIT if fatal else _SYMPLECTIC_ALARM
+    z = zs[int(np.argmax(symplectic.each > bound))]
+    message = (f"scaled symplectic residual {symplectic.scaled:.3e} exceeds {bound:g} "
+               f"from z={z:.12g}")
+    if fatal:
+        raise NumericalError(f"propagator lost its digits: {message}")
+    warnings.warn(f"propagator losing digits: {message}", PrecisionWarning, stacklevel=3)
 
 
 def _largest_over_z(values: np.ndarray, zs: np.ndarray) -> str:

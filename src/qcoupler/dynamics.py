@@ -282,8 +282,9 @@ def rk4_propagator(em: EvolutionMatrix, z: float, h: float = 1e-4) -> Bogoliubov
 class SymplecticCheck(NamedTuple):
     """How far a transform, or a stack of them, keeps the Bogoliubov identities."""
 
-    residual: float   # max-norm violation of U U^H - V V^H = I and U V^T = V U^T
-    scaled: float     # the largest violation of one transform over max(1, max|U|^2)
+    residual: float        # max-norm violation of U U^H - V V^H = I and U V^T = V U^T
+    scaled: float          # the largest violation of one transform over max(1, max|U|^2)
+    each: np.ndarray       # that scaled violation of each transform, shaped like the stack
 
 
 def symplectic_check(t: BogoliubovTransform) -> SymplecticCheck:
@@ -312,8 +313,9 @@ def symplectic_check(t: BogoliubovTransform) -> SymplecticCheck:
     np.abs(r, out=mag)
     violation = np.max(np.maximum(mag[0], mag[1], out=mag[0]), axis=(-2, -1))
     scale = np.maximum(1.0, np.max(np.abs(u, out=mag[0]), axis=(-2, -1)) ** 2)
+    each = violation / scale
     return SymplecticCheck(residual=float(np.max(violation, initial=0.0)),
-                           scaled=float(np.max(violation / scale, initial=0.0)))
+                           scaled=float(np.max(each, initial=0.0)), each=each)
 
 
 def symplectic_residual(t: BogoliubovTransform) -> float:

@@ -47,3 +47,7 @@ class ParameterRegimeWarning(UserWarning):
 
 class TruncationWarning(UserWarning):
     """Non-fatal notice that a truncated basis is starting to fill up."""
+
+
+class PrecisionWarning(UserWarning):
+    """Non-fatal notice that a result is losing digits to roundoff."""

@@ -1,19 +1,23 @@
 """Brute-force truncated Fock-space evolution of small subsystems.
 
 Ground truth for the Gaussian pipeline: the interaction Hamiltonian of a
-dynamically closed subset of modes is built as a sparse matrix in a
-truncated occupation basis and states are advanced with an exact sparse
-exponential action.  Only subsystems that the couplings do not leak out
-of are supported; thermal phonons enter as a classical mixture over Fock
-inputs.
+dynamically closed subset of modes acts on a truncated occupation basis,
+and states are advanced by its exact exponential action.  Only subsystems
+that the couplings do not leak out of are supported; thermal phonons
+enter as a classical mixture over Fock inputs.
 
-The sparse-matrix modules are imported inside the functions that need
-them, so that importing qcoupler (or running a scenario) loads none of
-them.
+Everything is numpy.  In the lexicographic basis a ladder operator, and
+any product of them, moves each basis state by one fixed offset, so an
+operator is a few shifts (:class:`FockOperator`) and H v is a few sliced
+products.  exp(izH) acts on the whole ensemble at once, as a
+(members, dimension) array, through a Taylor series scaled by H's exact
+1-norm.  The statistics read <a>, <a^+ a>, <a a>, <a_j a_k> and
+<a_j^+ a_k> through the same shifts.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -32,6 +36,11 @@ MAX_CUTOFF = 16
 _THERMAL_TAIL_MASS = 1e-8
 _LEAK_ALARM = 1e-6
 _LEAK_LIMIT = 1e-4
+_DENSE_LIMIT = 4096
+# exp(izH): steps of |zH/s|_1 <= 4, at most 30 Taylor terms each
+_STEP_NORM = 4.0
+_TAYLOR_TERMS = 30
+_EPS = 2.0**-53
 
 # Subsystems that are closed under some subset of the couplings; every
 # cross-method check in this package uses one of these.
@@ -101,23 +110,101 @@ class FockConfig:
         return self.modes.index(ModeId(mode))
 
 
-def _annihilator(cfg: FockConfig, position: int) -> sp.csr_matrix:
-    """Sparse ladder operator for the mode at the given position.
+class FockOperator:
+    """An operator on the truncated occupation basis, as a sum of shifts.
+
+    A ladder operator, or a product of them, takes each basis state to
+    the state a fixed offset away (the basis is lexicographic, so one
+    quantum in a mode is a fixed stride), times an amplitude that depends
+    on the occupations.  The operator is held as ``{offset: amp}``, where
+    ``amp[src]`` is the amplitude from basis state ``src`` to
+    ``src + offset`` and is zero wherever that step leaves the basis or
+    crosses a cutoff.  ``op @ v`` applies it along the last axis of
+    ``v``, ``op @ other`` composes, ``op.H`` is the adjoint and
+    ``toarray()`` is the dense matrix of a small operator.
+    """
+
+    def __init__(self, dimension: int, shifts=None):
+        self.dimension = int(dimension)
+        self.shifts = dict(shifts or {})
+
+    def __add__(self, other: FockOperator) -> FockOperator:
+        out = dict(self.shifts)
+        for offset, amp in other.shifts.items():
+            out[offset] = out[offset] + amp if offset in out else amp
+        return FockOperator(self.dimension, out)
+
+    def __rmul__(self, scalar) -> FockOperator:
+        return FockOperator(self.dimension,
+                            {offset: scalar * amp for offset, amp in self.shifts.items()})
+
+    def __matmul__(self, other):
+        if isinstance(other, FockOperator):
+            product = FockOperator(self.dimension)
+            for off_a, amp_a in self.shifts.items():
+                for off_b, amp_b in other.shifts.items():
+                    product += FockOperator(self.dimension,
+                                            {off_a + off_b: _taken(amp_a, off_b) * amp_b})
+            return product
+        v = np.asarray(other)
+        out = np.zeros(v.shape, dtype=complex)
+        for offset, amp in self.shifts.items():
+            dst, src = _shift_slices(offset, self.dimension)
+            out[..., dst] += amp[src] * v[..., src]
+        return out
+
+    @property
+    def H(self) -> FockOperator:
+        """The adjoint: amplitude conj(amp[src]) from src + offset back to src."""
+        return FockOperator(self.dimension, {-offset: np.conj(_taken(amp, -offset))
+                                             for offset, amp in self.shifts.items()})
+
+    def norm1(self) -> float:
+        """The exact 1-norm, the largest column sum of |entries|: the
+        shifts of one operator have distinct offsets, so no two of them
+        meet in one entry."""
+        column = np.zeros(self.dimension)
+        for amp in self.shifts.values():
+            column += np.abs(amp)
+        return float(np.max(column, initial=0.0))
+
+    def toarray(self) -> np.ndarray:
+        """The dense (dimension, dimension) matrix, for small dimensions."""
+        if self.dimension > _DENSE_LIMIT:
+            raise ValidationError(
+                f"dense view of dimension {self.dimension} exceeds {_DENSE_LIMIT}")
+        out = np.zeros((self.dimension, self.dimension), dtype=complex)
+        src = np.arange(self.dimension)
+        for offset, amp in self.shifts.items():
+            keep = amp != 0
+            out[src[keep] + offset, src[keep]] += amp[keep]
+        return out
+
+
+def _shift_slices(offset: int, dim: int) -> tuple:
+    """(dst, src) slices of the basis indices with dst = src + offset."""
+    if offset >= 0:
+        return slice(min(offset, dim), dim), slice(0, max(dim - offset, 0))
+    return slice(0, max(dim + offset, 0)), slice(min(-offset, dim), dim)
+
+
+def _taken(amp: np.ndarray, offset: int) -> np.ndarray:
+    """``out[i] = amp[i + offset]``, zero where i + offset leaves the basis."""
+    out = np.zeros_like(amp)
+    dst, src = _shift_slices(-offset, len(amp))
+    out[dst] = amp[src]
+    return out
+
+
+def _annihilator(cfg: FockConfig, position: int) -> FockOperator:
+    """Ladder operator for the mode at the given position.
 
     Basis ordering is lexicographic in the canonical mode order, so a
     mode with local dimension d acts with stride prod(dims[position+1:]).
     """
-    import scipy.sparse as sp
-
-    dims = cfg.dims
-    dim = cfg.dimension
-    occupations = _occupation_table(cfg)[:, position]
-    rows_mask = occupations >= 1
-    stride = int(np.prod(dims[position + 1:], dtype=np.int64)) if position + 1 < len(dims) else 1
-    cols = np.nonzero(rows_mask)[0]
-    rows = cols - stride
-    data = np.sqrt(occupations[rows_mask].astype(float))
-    return sp.csr_matrix((data, (rows, cols)), shape=(dim, dim), dtype=complex)
+    stride = int(np.prod(cfg.dims[position + 1:], dtype=np.int64))
+    amp = np.sqrt(_occupation_table(cfg)[:, position]).astype(complex)
+    return FockOperator(cfg.dimension, {-stride: amp})
 
 
 def _occupation_table(cfg: FockConfig) -> np.ndarray:
@@ -132,33 +219,53 @@ def _occupation_table(cfg: FockConfig) -> np.ndarray:
     return table
 
 
-def build_hamiltonian(cfg: FockConfig) -> sp.csr_matrix:
-    """Interaction Hamiltonian of the subsystem (Hermitian, sparse).
+def build_hamiltonian(cfg: FockConfig) -> FockOperator:
+    """Interaction Hamiltonian of the subsystem (Hermitian).
 
     Terms: gS a_V^+ a_S^+, gA a_V a_A^+, kappaS a_S1 a_S2^+,
     kappaA a_A1 a_A2^+, plus Hermitian conjugates.  Free-propagation
     terms vanish in the interaction picture at zero mismatch.
     """
-    import scipy.sparse as sp
-
     a = {m: _annihilator(cfg, cfg.mode_index(m)) for m in cfg.modes}
-    dim = cfg.dimension
-    half = sp.csr_matrix((dim, dim), dtype=complex)
+    half = FockOperator(cfg.dimension)
     p = cfg.params
     if p.gS1 != 0:
-        half = half + p.gS1 * (a[ModeId.V1].conj().T @ a[ModeId.S1].conj().T)
+        half = half + p.gS1 * (a[ModeId.V1].H @ a[ModeId.S1].H)
     if p.gS2 != 0:
-        half = half + p.gS2 * (a[ModeId.V2].conj().T @ a[ModeId.S2].conj().T)
+        half = half + p.gS2 * (a[ModeId.V2].H @ a[ModeId.S2].H)
     if p.gA1 != 0:
-        half = half + p.gA1 * (a[ModeId.V1] @ a[ModeId.A1].conj().T)
+        half = half + p.gA1 * (a[ModeId.V1] @ a[ModeId.A1].H)
     if p.gA2 != 0:
-        half = half + p.gA2 * (a[ModeId.V2] @ a[ModeId.A2].conj().T)
+        half = half + p.gA2 * (a[ModeId.V2] @ a[ModeId.A2].H)
     if p.kappaS != 0:
-        half = half + p.kappaS * (a[ModeId.S1] @ a[ModeId.S2].conj().T)
+        half = half + p.kappaS * (a[ModeId.S1] @ a[ModeId.S2].H)
     if p.kappaA != 0:
-        half = half + p.kappaA * (a[ModeId.A1] @ a[ModeId.A2].conj().T)
-    h = half + half.conj().T
-    return h.tocsr()
+        half = half + p.kappaA * (a[ModeId.A1] @ a[ModeId.A2].H)
+    return half + half.H
+
+
+def _exp_action(h: FockOperator, z: float, vectors: np.ndarray) -> np.ndarray:
+    """exp(izH) applied to each row of ``vectors``, a (members, dimension) array.
+
+    A Taylor series with scaling: s = ceil(|z| |H|_1 / 4) steps of z/s,
+    so each step's |zH/s|_1 <= 4 and 30 terms leave a remainder below
+    4^31 / 31! < 1e-15.  A step stops early once two consecutive terms
+    are below the unit roundoff of its input.
+    """
+    steps = math.ceil(abs(z) * h.norm1() / _STEP_NORM)
+    out = vectors
+    for _ in range(steps):
+        tol = _EPS * np.max(np.abs(out))
+        term, out = out, out.copy()
+        previous = np.inf
+        for k in range(1, _TAYLOR_TERMS + 1):
+            term = (1j * z / (steps * k)) * (h @ term)
+            out += term
+            size = np.max(np.abs(term))
+            if size + previous <= tol:
+                break
+            previous = size
+    return out
 
 
 @dataclass(frozen=True)
@@ -180,11 +287,9 @@ class FockEnsemble:
     vectors: np.ndarray       # (members, dimension)
     leak: float               # weighted boundary occupation mass
 
-    def expectation(self, op) -> complex:
-        acc = 0j
-        for w, vec in zip(self.weights, self.vectors):
-            acc += w * np.vdot(vec, op @ vec)
-        return acc
+    def expectation(self, op: FockOperator) -> complex:
+        """Weighted sum of <v|op|v> over the members."""
+        return complex(self.weights @ np.sum(self.vectors.conj() * (op @ self.vectors), axis=-1))
 
 
 def _coherent_amplitudes(xi: complex, dim: int) -> np.ndarray:
@@ -226,8 +331,6 @@ def evolve_fock(cfg: FockConfig, inputs, z: float) -> FockEnsemble:
     results with boundary mass beyond 1e-6 should already be treated
     with suspicion.
     """
-    import scipy.sparse.linalg as spla
-
     specs = [inputs[m] if isinstance(inputs, dict) else inputs[i]
              for i, m in enumerate(cfg.modes)]
     for m, spec in zip(cfg.modes, specs):
@@ -264,27 +367,21 @@ def evolve_fock(cfg: FockConfig, inputs, z: float) -> FockEnsemble:
         else:
             factors.append([(1.0, _coherent_amplitudes(complex(spec.xi), d))])
 
-    h = build_hamiltonian(cfg)
-    generator = 1j * h.astype(complex) * float(z)
     occupations = _occupation_table(cfg)
     boundary = np.zeros(cfg.dimension, dtype=bool)
     for pos, d in enumerate(dims):
         boundary |= occupations[:, pos] == d - 1
 
-    weights, vectors = [], []
     stack = [(1.0, np.array([1.0 + 0j]))]
     for members in factors:
         stack = [(w1 * w2, np.kron(v1, v2)) for w1, v1 in stack for w2, v2 in members]
-    total_leak = 0.0
-    for weight, vec in stack:
-        norm0 = np.linalg.norm(vec)
-        out = spla.expm_multiply(generator, vec) if z != 0 else vec.copy()
-        drift = abs(np.linalg.norm(out) - norm0)
-        if drift > 1e-10:
-            raise NumericalError(f"norm drift {drift:.3e} in exponential action")
-        total_leak += weight * float(np.sum(np.abs(out[boundary]) ** 2))
-        weights.append(weight)
-        vectors.append(out)
+    weights = np.array([w for w, _ in stack])
+    start = np.array([v for _, v in stack])
+    vectors = _exp_action(build_hamiltonian(cfg), float(z), start)
+    drift = float(np.max(np.abs(np.linalg.norm(vectors, axis=1) - np.linalg.norm(start, axis=1))))
+    if drift > 1e-10:
+        raise NumericalError(f"norm drift {drift:.3e} in exponential action")
+    total_leak = float(weights @ np.sum(np.abs(vectors[:, boundary]) ** 2, axis=1))
     if total_leak > _LEAK_LIMIT:
         raise TruncationError(
             f"boundary occupation mass {total_leak:.3e} exceeds {_LEAK_LIMIT}; "
@@ -295,12 +392,7 @@ def evolve_fock(cfg: FockConfig, inputs, z: float) -> FockEnsemble:
             f"boundary occupation mass {total_leak:.3e} above {_LEAK_ALARM}",
             TruncationWarning, stacklevel=2,
         )
-    return FockEnsemble(
-        cfg=cfg,
-        weights=np.asarray(weights),
-        vectors=np.asarray(vectors),
-        leak=total_leak,
-    )
+    return FockEnsemble(cfg=cfg, weights=weights, vectors=vectors, leak=total_leak)
 
 
 @dataclass(frozen=True)
@@ -343,12 +435,12 @@ def fock_statistics(ensemble: FockEnsemble, sel, k_max: int = 4) -> FockStats:
     cc = {}
     for m in sel.modes:
         op = a_ops[m]
-        bb[m] = ensemble.expectation(op.conj().T @ op) - abs(mean[m]) ** 2
+        bb[m] = ensemble.expectation(op.H @ op) - abs(mean[m]) ** 2
         cc[m] = ensemble.expectation(op @ op) - mean[m] ** 2
     if sel.is_compound:
         j, k = sel.modes
         d_jk = ensemble.expectation(a_ops[j] @ a_ops[k]) - mean[j] * mean[k]
-        ndag_jk = ensemble.expectation(a_ops[j].conj().T @ a_ops[k]) - np.conj(mean[j]) * mean[k]
+        ndag_jk = ensemble.expectation(a_ops[j].H @ a_ops[k]) - np.conj(mean[j]) * mean[k]
         s = float(np.real(bb[j] + bb[k] + 2.0 * np.real(ndag_jk)))
         pair = cc[j] + cc[k] + 2.0 * d_jk
         vac = 2.0

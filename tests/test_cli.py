@@ -9,6 +9,7 @@ import pytest
 
 import qcoupler
 from qcoupler.cli import SweepResult, emit_csv, main, run_scenario
+from qcoupler.exceptions import NumericalError, PrecisionWarning
 from qcoupler.model import CouplerParams, ModeId, ScenarioConfig, parse_scenario
 from qcoupler.presets import PRESET_NAMES, load_preset
 
@@ -221,23 +222,57 @@ def test_metadata_echoes_scenario():
             assert meta[f"pn_max_deficit.{sel}"] == f"{deficit[i]:.6e} at z={result.z[i]:.12g}"
 
 
+# scipy is made unimportable before qcoupler is imported
 _NO_SCIPY_PROBE = """
 import sys
-import qcoupler
-loaded = [sorted(m for m in sys.modules if m.startswith("scipy"))]
+sys.modules["scipy"] = None
 from qcoupler.cli import main
 run = main(["run", "--preset", "fig7", "--out", sys.argv[1]])
-loaded.append(sorted(m for m in sys.modules if m.startswith("scipy")))
-print(run, *loaded, main(["check"]))
+check = main(["check"])
+print(run, check, sorted(m for m, mod in sys.modules.items()
+                         if m.startswith("scipy") and mod is not None))
 """
 
 
-def test_import_and_run_load_no_scipy(tmp_path):
-    """scipy serves only the Fock oracle: importing qcoupler and a preset
-    run load none of it, and ``check`` (which needs it) still passes."""
+def _run_uninstalled(args, tmp_path):
+    """Run the interpreter with only the source tree on the path."""
     src = os.path.dirname(os.path.dirname(qcoupler.__file__))
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE, str(tmp_path / "fig7.csv")],
-                          capture_output=True, text=True, timeout=300,
-                          env={**os.environ, "PYTHONPATH": src})
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=300, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_import_and_run_load_no_scipy(tmp_path):
+    """qcoupler needs numpy only: with scipy unimportable a preset run and
+    ``check`` (the Fock oracle included) both pass and load none of it."""
+    proc = _run_uninstalled(["-c", _NO_SCIPY_PROBE, str(tmp_path / "fig7.csv")], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 [] [] 0"
+    assert proc.stdout.splitlines()[-1] == "0 0 []"
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    proc = _run_uninstalled(["-m", "qcoupler", "list-presets"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == list(PRESET_NAMES)
+    proc = _run_uninstalled(["-m", "qcoupler", "check"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == ["PASS"] * 3
+
+
+def _near_exceptional_point(z_max):
+    # |gA1| just above |gS1|: no regime warning, but the propagator's
+    # transient growth eats its digits at long z
+    return ScenarioConfig(params=CouplerParams(gS1=1, gA1=1 + 1e-4),
+                          z_max=z_max, z_steps=500)
+
+
+def test_propagator_that_lost_its_digits_raises():
+    # the scaled symplectic residual reads 3.5e-2 here
+    with pytest.raises(NumericalError, match=r"lost its digits.* from z="):
+        run_scenario(_near_exceptional_point(1000.0))
+
+
+def test_propagator_losing_digits_warns():
+    # the scaled symplectic residual reads 1.0e-9 here
+    with pytest.warns(PrecisionWarning, match=r"exceeds 1e-10 from z="):
+        result = run_scenario(_near_exceptional_point(300.0))
+    assert 1e-10 < float(dict(result.metadata)["max_symplectic_residual_scaled"]) < 1e-6

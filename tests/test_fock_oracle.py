@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qcoupler import fock_oracle
 from qcoupler.exceptions import TruncationError, ValidationError
 from qcoupler.fock_oracle import (
     FockConfig,
@@ -32,12 +33,15 @@ def test_config_validation():
     big = FockConfig(modes=(ModeId.S1, ModeId.V1, ModeId.S2, ModeId.V2),
                      cutoffs=(16, 16, 16, 16), params=quiet_params(gS1=1))
     assert big.dimension == 17**4 <= 200_000
+    # whose Hamiltonian has no dense view
+    with pytest.raises(ValidationError):
+        build_hamiltonian(big).toarray()
 
 
 def test_hamiltonian_zero_without_couplings():
     cfg = FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=(3, 3),
                      params=quiet_params())
-    assert build_hamiltonian(cfg).nnz == 0
+    assert not np.any(build_hamiltonian(cfg).toarray())
 
 
 def test_hamiltonian_pair_creation_element():
@@ -53,8 +57,64 @@ def test_hamiltonian_hermitian_random():
     params = quiet_params(gS1=0.3 + 0.1j, gA1=0.5j, kappaS=0, kappaA=0)
     cfg = FockConfig(modes=(ModeId.S1, ModeId.A1, ModeId.V1),
                      cutoffs=(5, 5, 5), params=params)
+    h = build_hamiltonian(cfg).toarray()
+    assert np.max(np.abs(h - h.conj().T)) == 0.0
+
+
+# (modes, cutoffs, couplings) of small 2-, 3- and 4-mode subsystems
+SMALL_SUBSYSTEMS = [
+    ((ModeId.S1, ModeId.V1), (6, 6), dict(gS1=0.3 + 0.2j)),
+    ((ModeId.S1, ModeId.A1, ModeId.V1), (3, 3, 3), dict(gS1=0.3, gA1=0.5j)),
+    ((ModeId.S1, ModeId.V1, ModeId.S2, ModeId.V2), (2, 2, 2, 2),
+     dict(gS1=0.3, gS2=0.2 - 0.1j, kappaS=0.7j)),
+    ((ModeId.A1, ModeId.V1, ModeId.A2, ModeId.V2), (2, 1, 2, 1),
+     dict(gA1=0.3, gA2=-0.4j, kappaA=0.7)),
+]
+
+
+@pytest.mark.parametrize("modes,cutoffs,couplings", SMALL_SUBSYSTEMS)
+def test_operator_action_and_norm_match_dense_view(modes, cutoffs, couplings):
+    cfg = FockConfig(modes=modes, cutoffs=cutoffs, params=quiet_params(**couplings))
     h = build_hamiltonian(cfg)
-    assert abs(h - h.conj().T).max() == 0.0
+    dense = h.toarray()
+    v = np.random.default_rng(3).normal(size=(3, cfg.dimension, 2)).view(complex)[..., 0]
+    assert np.max(np.abs(h @ v - v @ dense.T)) <= 1e-14
+    assert h.norm1() == pytest.approx(np.max(np.sum(np.abs(dense), axis=0)), rel=1e-15)
+    # products and adjoints of ladder operators
+    a = [fock_oracle._annihilator(cfg, i) for i in range(len(modes))]
+    a0, a1 = a[0].toarray(), a[-1].toarray()
+    assert np.array_equal((a[0].H @ a[-1]).toarray(), a0.conj().T @ a1)
+    assert np.array_equal((a[0] @ a[0]).toarray(), a0 @ a0)
+
+
+@pytest.mark.parametrize("modes,cutoffs,couplings", SMALL_SUBSYSTEMS)
+@pytest.mark.parametrize("z", [0.3, -7.0])
+def test_exponential_matches_dense_expm(modes, cutoffs, couplings, z):
+    """exp(izH) on every basis vector, against scipy's dense expm; |z| = 7
+    takes several scaled steps."""
+    import scipy.linalg
+
+    cfg = FockConfig(modes=modes, cutoffs=cutoffs, params=quiet_params(**couplings))
+    h = build_hamiltonian(cfg)
+    ref = scipy.linalg.expm(1j * z * h.toarray())
+    out = fock_oracle._exp_action(h, z, np.eye(cfg.dimension, dtype=complex))
+    assert np.max(np.abs(out - ref.T)) <= 1e-13
+
+
+def test_thermal_ensemble_matches_dense_expm():
+    """Each member of a thermal mixture is a basis vector evolved at once."""
+    import scipy.linalg
+
+    cfg = FockConfig(modes=(ModeId.A1, ModeId.V1), cutoffs=(10, 12),
+                     params=quiet_params(gA1=0.6 - 0.2j))
+    z = 0.8
+    ens = evolve_fock(cfg, [FockLevel(1), InputSpec(n_ch=0.3)], z)
+    members = len(ens.weights)
+    assert members > 5 and ens.vectors.shape == (members, cfg.dimension)
+    ref = scipy.linalg.expm(1j * z * build_hamiltonian(cfg).toarray())
+    # member l starts in |A1 = 1, V1 = l>
+    columns = cfg.dims[1] + np.arange(members)
+    assert np.max(np.abs(ens.vectors - ref[:, columns].T)) <= 1e-13
 
 
 def test_evolution_z_zero_is_identity():
