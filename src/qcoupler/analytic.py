@@ -68,36 +68,30 @@ class AnalyticFrame:
     l -> 0 limit handled by a series branch.
     """
 
-    r: complex
     l: complex
     kappa: float
     shh: complex
     chh: complex
     sh: complex
     ch: complex
-    sl: complex
     cl: complex
     slol: complex
-    z: float
 
     @classmethod
     def from_params(cls, params: ValidatedParams, z: float) -> "AnalyticFrame":
         kappa = abs(params.kappaS)
         r_sq = abs(params.gS1) ** 2 - abs(params.gA1) ** 2
-        r = cmath.sqrt(r_sq)
         l = cmath.sqrt(kappa**2 - 4.0 * r_sq)
         x = 0.5 * l * z
-        sl = cmath.sin(x)
-        cl = cmath.cos(x)
         if abs(l * z) < _SMALL_LZ:
             slol = 0.5 * z * (1.0 - x**2 / 6.0 + x**4 / 120.0)
         else:
-            slol = sl / l
+            slol = cmath.sin(x) / l
         return cls(
-            r=r, l=l, kappa=kappa,
+            l=l, kappa=kappa,
             shh=cmath.sin(kappa * z), chh=cmath.cos(kappa * z),
             sh=cmath.sin(0.5 * kappa * z), ch=cmath.cos(0.5 * kappa * z),
-            sl=sl, cl=cl, slol=slol, z=float(z),
+            cl=cmath.cos(x), slol=slol,
         )
 
 

@@ -330,8 +330,10 @@ def evolve_state(t: BogoliubovTransform, s0: GaussianState) -> GaussianState:
     With F = [U V], A(z) = F (A; A^+): the means are F (xi; xi*), and
     M = <dA dA>, N = <dA^+ dA> are F S F^T and conj(F J) S F^T, with
     S = [[M0, N0^T + I], [N0, M0*]] the input moments of (dA; dA^+)
-    (cross-mode ones allowed) and J the swap of its row blocks.  A stack
-    of transforms takes the one input state to a state stacked likewise.
+    (cross-mode ones allowed) and J the swap of its row blocks.  S is the
+    input's antinormal covariance with its column halves exchanged.  A
+    stack of transforms takes the one input state to a state stacked
+    likewise.
 
     Each product is a stack of one small product per transform: G = F S^T
     and M = F G^T.  Since N is Hermitian, N = conj(G J) F^T, and G J is G
@@ -341,8 +343,7 @@ def evolve_state(t: BogoliubovTransform, s0: GaussianState) -> GaussianState:
     serving as the scratch for restoring the exact symmetries.
     """
     f = t.rows
-    n0, m0 = s0.N, s0.M
-    s_t = np.block([[m0, n0.T + np.eye(N_MODES)], [n0, m0.conj()]]).T
+    s_t = np.roll(s0.antinormal_covariance(), N_MODES, axis=-1).T
     nm = np.empty((2,) + f.shape[:-2] + (N_MODES, N_MODES), dtype=complex)
     n1, m1 = nm
     g = np.matmul(f, s_t, out=np.empty_like(f))

@@ -17,6 +17,7 @@ products.  exp(izH) acts on the whole ensemble at once, as a
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -107,7 +108,11 @@ class FockConfig:
         return out
 
     def mode_index(self, mode) -> int:
-        return self.modes.index(ModeId(mode))
+        mode = ModeId(mode)
+        if mode not in self.modes:
+            raise ValidationError(f"mode {mode.name} is outside the subsystem "
+                                  f"{tuple(m.name for m in self.modes)}")
+        return self.modes.index(mode)
 
 
 class FockOperator:
@@ -273,9 +278,6 @@ class FockLevel:
     """Oracle input: exactly n quanta in one mode."""
 
     n: int
-    r: float = 0.0
-    xi: complex = 0j
-    n_ch: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -306,14 +308,14 @@ def _thermal_weights(n_mean: float, dim: int):
     """Geometric occupation weights truncated at tail mass 1e-8 and
     renormalized."""
     if n_mean == 0.0:
-        return np.array([1.0]), 1
+        return np.array([1.0])
     q = n_mean / (1.0 + n_mean)
     levels = np.arange(dim)
     w = (1.0 - q) * q**levels
     keep = int(np.searchsorted(np.cumsum(w), 1.0 - _THERMAL_TAIL_MASS) + 1)
     keep = min(max(keep, 1), dim)
     w = w[:keep]
-    return w / w.sum(), keep
+    return w / w.sum()
 
 
 def evolve_fock(cfg: FockConfig, inputs, z: float) -> FockEnsemble:
@@ -334,6 +336,8 @@ def evolve_fock(cfg: FockConfig, inputs, z: float) -> FockEnsemble:
     specs = [inputs[m] if isinstance(inputs, dict) else inputs[i]
              for i, m in enumerate(cfg.modes)]
     for m, spec in zip(cfg.modes, specs):
+        if isinstance(spec, FockLevel):
+            continue
         if getattr(spec, "r", 0.0) != 0.0:
             raise ValidationError("squeezed inputs are outside the oracle's scope")
         if spec.n_ch != 0.0 and m not in (ModeId.V1, ModeId.V2):
@@ -357,7 +361,7 @@ def evolve_fock(cfg: FockConfig, inputs, z: float) -> FockEnsemble:
                     "simultaneous coherent and chaotic phonon input is not "
                     "supported by the oracle"
                 )
-            weights, _ = _thermal_weights(spec.n_ch, d)
+            weights = _thermal_weights(spec.n_ch, d)
             members = []
             for level, w in enumerate(weights):
                 vec = np.zeros(d, dtype=complex)
@@ -428,27 +432,15 @@ def fock_statistics(ensemble: FockEnsemble, sel, k_max: int = 4) -> FockStats:
         falling = falling * (levels - (k - 1))
         moments[k - 1] = float(np.dot(p_n, falling))
 
-    # second-moment data for the quadrature variances
-    a_ops = {m: _annihilator(cfg, cfg.mode_index(m)) for m in sel.modes}
-    mean = {m: ensemble.expectation(a_ops[m]) for m in sel.modes}
-    bb = {}
-    cc = {}
-    for m in sel.modes:
-        op = a_ops[m]
-        bb[m] = ensemble.expectation(op.H @ op) - abs(mean[m]) ** 2
-        cc[m] = ensemble.expectation(op @ op) - mean[m] ** 2
-    if sel.is_compound:
-        j, k = sel.modes
-        d_jk = ensemble.expectation(a_ops[j] @ a_ops[k]) - mean[j] * mean[k]
-        ndag_jk = ensemble.expectation(a_ops[j].H @ a_ops[k]) - np.conj(mean[j]) * mean[k]
-        s = float(np.real(bb[j] + bb[k] + 2.0 * np.real(ndag_jk)))
-        pair = cc[j] + cc[k] + 2.0 * d_jk
-        vac = 2.0
-    else:
-        j = sel.modes[0]
-        s = float(np.real(bb[j]))
-        pair = cc[j]
-        vac = 1.0
+    # the quadrature variances from sums over the selected pairs: the
+    # symmetric noise S = sum Re(<a_j^+ a_k> - m_j* m_k) and the pair term
+    # P = sum (<a_j a_k> - m_j m_k), with vacuum level the number of modes
+    a_ops = [_annihilator(cfg, pos) for pos in positions]
+    pairs = list(itertools.product([(op, ensemble.expectation(op)) for op in a_ops], repeat=2))
+    s = sum(float(np.real(ensemble.expectation(aj.H @ ak) - np.conj(mj) * mk))
+            for (aj, mj), (ak, mk) in pairs)
+    pair = sum(ensemble.expectation(aj @ ak) - mj * mk for (aj, mj), (ak, mk) in pairs)
+    vac = float(len(a_ops))
     lam = vac + 2.0 * (s - abs(pair))
     var_p = vac + 2.0 * s + 2.0 * float(np.real(pair))
     var_q = vac + 2.0 * s - 2.0 * float(np.real(pair))

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .model import GaussianState, ModeSelection, _check_orders
+from .model import GaussianState, ModeSelection, _check_orders, _doubled_covariance
 
 __all__ = [
     "ModeSelection",
@@ -161,9 +161,7 @@ def _doubled_block(state: GaussianState, sel: ModeSelection):
     """The doubled covariance Gamma = [[n^T, m], [m*, n]] and the doubled
     mean y = (x, x*) of the selection's block."""
     x, n, m = _selection_block(state, sel)
-    gamma = np.concatenate([np.concatenate([n.swapaxes(-1, -2), m], axis=-1),
-                            np.concatenate([m.conj(), n], axis=-1)], axis=-2)
-    return gamma, np.concatenate([x, x.conj()], axis=-1)
+    return _doubled_covariance(n, m), np.concatenate([x, x.conj()], axis=-1)
 
 
 def _selection_spectrum(gamma: np.ndarray, y: np.ndarray):
@@ -267,10 +265,9 @@ def generating_function_jet(state: GaussianState, sel, s0: float, order: int) ->
 
 
 def generating_function(state: GaussianState, sel, svalues) -> np.ndarray:
-    """G(s) = <: exp(-s W) :> at the given points (last axis)."""
-    sel = _as_selection(sel)
-    lam, w = _selection_spectrum(*_doubled_block(state, sel))
-    return np.stack([_g_jet(state, sel, lam, w, float(s), 0)[..., 0]
+    """G(s) = <: exp(-s W) :> at the given points (last axis): the order-0
+    coefficient of ``generating_function_jet`` at each point."""
+    return np.stack([generating_function_jet(state, sel, s, 0)[..., 0]
                      for s in np.atleast_1d(np.asarray(svalues, dtype=float))], axis=-1)
 
 
@@ -317,7 +314,6 @@ class StatsReport:
     """All requested statistics of one mode selection at one length, or
     stacked over the leading axes of a stacked state."""
 
-    selection: ModeSelection
     mean_w: np.ndarray | float
     reduced_moments: np.ndarray   # k = 2..k_max; NaN markers when <W> = 0 or subnormal
     variance_w: np.ndarray | float
@@ -387,7 +383,6 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
             )
     squeeze, var_p, var_q, uncertainty = _quadratures(state, sel)
     return StatsReport(
-        selection=sel,
         mean_w=mean_w,
         reduced_moments=reduced,
         variance_w=var_formula,

@@ -37,7 +37,6 @@ import numpy as np
 from .exceptions import (
     ParameterRegimeWarning,
     ScenarioParseError,
-    UnsupportedConfigurationError,
     ValidationError,
 )
 
@@ -88,8 +87,8 @@ class CouplerParams:
     ``gS*``/``gA*`` are the Stokes/anti-Stokes nonlinear couplings with
     the classical pump amplitude already absorbed; ``kappaS``/``kappaA``
     are the evanescent couplings between like radiation modes of the two
-    guides.  The phase mismatches are carried for completeness but must
-    all be exactly zero: only the mismatch-free coupler is supported.
+    guides.  The coupler is phase-matched: these six couplings are the
+    whole parameter set.
     """
 
     gS1: complex = 0j
@@ -98,12 +97,6 @@ class CouplerParams:
     gA2: complex = 0j
     kappaS: complex = 0j
     kappaA: complex = 0j
-    dkS1: float = 0.0
-    dkA1: float = 0.0
-    dkS2: float = 0.0
-    dkA2: float = 0.0
-    dKS: float = 0.0
-    dKA: float = 0.0
 
     def swapped(self) -> "CouplerParams":
         """Parameters of the guide-exchanged coupler (kappas conjugated)."""
@@ -111,7 +104,6 @@ class CouplerParams:
             self,
             gS1=self.gS2, gA1=self.gA2, gS2=self.gS1, gA2=self.gA1,
             kappaS=self.kappaS.conjugate(), kappaA=self.kappaA.conjugate(),
-            dkS1=self.dkS2, dkA1=self.dkA2, dkS2=self.dkS1, dkA2=self.dkA1,
         )
 
 
@@ -120,7 +112,6 @@ class CouplerParams:
 ValidatedParams = CouplerParams
 
 _COUPLING_FIELDS = ("gS1", "gA1", "gS2", "gA2", "kappaS", "kappaA")
-_MISMATCH_FIELDS = ("dkS1", "dkA1", "dkS2", "dkA2", "dKS", "dKA")
 
 
 def validate_params(params: CouplerParams) -> ValidatedParams:
@@ -129,26 +120,13 @@ def validate_params(params: CouplerParams) -> ValidatedParams:
     Raises
     ------
     ValidationError
-        If any magnitude is non-finite.
-    UnsupportedConfigurationError
-        If any phase mismatch is nonzero; mismatched propagation is out
-        of scope for this package.
+        If any coupling is non-finite.
 
     Warns with :class:`ParameterRegimeWarning` when a driven guide has
     ``|gA| <= |gS|``, since nonclassical regimes favor the opposite.
     """
-    kwargs = {}
-    for name in _COUPLING_FIELDS:
-        kwargs[name] = _as_complex(getattr(params, name), name)
-    for name in _MISMATCH_FIELDS:
-        value = _as_real(getattr(params, name), name)
-        if value != 0.0:
-            raise UnsupportedConfigurationError(
-                f"nonzero phase mismatch {name}={value}; only the "
-                "mismatch-free coupler is supported"
-            )
-        kwargs[name] = value
-    validated = CouplerParams(**kwargs)
+    validated = CouplerParams(**{name: _as_complex(getattr(params, name), name)
+                                 for name in _COUPLING_FIELDS})
     for guide, (gs, ga) in enumerate(
         [(validated.gS1, validated.gA1), (validated.gS2, validated.gA2)], start=1
     ):
@@ -248,8 +226,9 @@ class GaussianState:
         Positive semidefiniteness of this matrix is the physicality
         condition for the state.
         """
-        n, m = self.N, self.M
-        return np.block([[n.swapaxes(-1, -2) + np.eye(N_MODES), m], [m.conj(), n]])
+        gamma = _doubled_covariance(self.N, self.M)
+        gamma[..., :N_MODES, :N_MODES] += np.eye(N_MODES)
+        return gamma
 
     def min_covariance_eigenvalue(self):
         gamma = self.antinormal_covariance()
@@ -275,6 +254,13 @@ class GaussianState:
 
 
 _DIAG = np.arange(N_MODES)
+
+
+def _doubled_covariance(n: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The normally ordered doubled covariance Gamma = [[n^T, m], [m*, n]]
+    of moment blocks n and m (or stacks of them), as a fresh array."""
+    return np.concatenate([np.concatenate([n.swapaxes(-1, -2), m], axis=-1),
+                           np.concatenate([m.conj(), n], axis=-1)], axis=-2)
 
 
 def _zero_diagonal(a: np.ndarray) -> np.ndarray:
@@ -422,11 +408,13 @@ class ScenarioConfig:
         if not ok:
             raise ValidationError(f"z_steps must be an integer >= 2, got {self.z_steps!r}")
         _check_orders(self.k_max, self.n_max)
-        for tag, sel in self.observables:
+        for i, (tag, sel) in enumerate(self.observables):
             if tag not in QUANTITY_TAGS:
                 raise ValidationError(f"unknown observable quantity {tag!r}")
             if not isinstance(sel, ModeSelection):
                 raise ValidationError("observable selections must be ModeSelection")
+            if (tag, sel) in self.observables[:i]:
+                raise ValidationError(f"observable {tag}: {sel.name} is requested twice")
 
     def z_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.z_max, int(self.z_steps))
@@ -490,8 +478,7 @@ def format_complex(value: complex) -> str:
 
 
 _KEY_TYPES = {
-    "parameter": {**dict.fromkeys(_COUPLING_FIELDS, complex),
-                  **dict.fromkeys(_MISMATCH_FIELDS, float)},
+    "parameter": dict.fromkeys(_COUPLING_FIELDS, complex),
     "input": {"xi": complex, "r": float, "theta": float, "n_ch": float},
     "run": {"z_max": float, "z_steps": int, "n_max": int, "k_max": int},
 }
@@ -590,7 +577,7 @@ def serialize_scenario(cfg: ScenarioConfig) -> str:
             value = getattr(obj, key)
             if value == 0 and what != "run":  # zero is the default
                 continue
-            if kind is complex or what == "parameter":
+            if kind is complex:
                 value = format_complex(value)
             elif kind is float:  # a numpy scalar's repr is not a literal
                 value = repr(float(value))

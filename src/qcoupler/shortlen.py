@@ -41,13 +41,8 @@ def _poly_eval(coeffs: np.ndarray, z: float) -> np.ndarray:
 def short_propagator_poly(params: ValidatedParams):
     """(U, V) blocks of I + iMz - M^2 z^2/2 as degree-2 matrix polynomials."""
     gen = 1j * build_drift_matrix(params).matrix
-    powers = (np.eye(2 * N_MODES, dtype=complex), gen, 0.5 * (gen @ gen))
-    u = np.zeros((_ORDER + 1, N_MODES, N_MODES), dtype=complex)
-    v = np.zeros((_ORDER + 1, N_MODES, N_MODES), dtype=complex)
-    for p, mat in enumerate(powers):
-        u[p] = mat[0::2, 0::2]
-        v[p] = mat[0::2, 1::2]
-    return u, v
+    powers = np.stack([np.eye(2 * N_MODES, dtype=complex), gen, 0.5 * (gen @ gen)])
+    return powers[:, 0::2, 0::2], powers[:, 0::2, 1::2]
 
 
 def short_propagator(params: ValidatedParams, z: float) -> BogoliubovTransform:
@@ -58,16 +53,14 @@ def short_propagator(params: ValidatedParams, z: float) -> BogoliubovTransform:
 
 def shortlen_mean_amplitudes(params: ValidatedParams, xi0, z: float) -> np.ndarray:
     """Coherent amplitudes after length z, to second order."""
-    xi0 = np.asarray(xi0, dtype=complex)
-    if xi0.shape != (N_MODES,):
-        raise ValidationError(f"expected {N_MODES} amplitudes, got shape {xi0.shape}")
-    t = short_propagator(params, z)
-    return t.U @ xi0 + t.V @ xi0.conj()
+    return _poly_eval(mean_amplitude_poly(params, xi0), z)
 
 
 def mean_amplitude_poly(params: ValidatedParams, xi0) -> np.ndarray:
     """Amplitudes as degree-2 polynomials, shape (3, 6)."""
     xi0 = np.asarray(xi0, dtype=complex)
+    if xi0.shape != (N_MODES,):
+        raise ValidationError(f"expected {N_MODES} amplitudes, got shape {xi0.shape}")
     u, v = short_propagator_poly(params)
     return np.einsum("pjk,k->pj", u, xi0) + np.einsum("pjk,k->pj", v, xi0.conj())
 

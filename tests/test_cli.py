@@ -180,8 +180,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["bogus"]) == 1
     assert main(["run", "--scenario", str(tmp_path / "missing.txt")]) == 1
     bad = tmp_path / "bad.txt"
-    bad.write_text("[params]\ndkS1 = 0.1\n[run]\nz_max = 1\nz_steps = 2\n")
+    # the coupler is phase-matched: even a zero mismatch is an unknown key
+    bad.write_text("[params]\ndkS1 = 0\n[run]\nz_max = 1\nz_steps = 2\n")
     assert main(["run", "--scenario", str(bad)]) == 2
+    assert "unknown parameter key 'dkS1'" in capsys.readouterr().err
+    twice = tmp_path / "twice.txt"
+    twice.write_text("[params]\ngS1 = 1\ngA1 = 2\n[run]\nz_max = 1\nz_steps = 2\n"
+                     "[observables]\nmoments: S1,A1\nmoments: A1,S1\n")
+    assert main(["run", "--scenario", str(twice)]) == 2
+    assert "requested twice" in capsys.readouterr().err
     malformed = tmp_path / "malformed.txt"
     malformed.write_text("[params]\ngS1 = huh\n[run]\nz_max = 1\nz_steps = 2\n")
     assert main(["run", "--scenario", str(malformed)]) == 2

@@ -225,3 +225,21 @@ def test_squeezed_input_rejected():
                      params=quiet_params(gS1=0.2))
     with pytest.raises(ValidationError):
         evolve_fock(cfg, [InputSpec(r=0.5), VACUUM_INPUT], 0.1)
+
+
+def test_fock_level_holds_only_a_level():
+    # a Fock input has no amplitude, squeezing or chaotic part to ignore
+    assert FockLevel(1).n == 1
+    with pytest.raises(TypeError):
+        FockLevel(1, xi=0.7)
+    with pytest.raises(TypeError):
+        FockLevel(0, n_ch=0.5)
+
+
+def test_statistics_outside_subsystem_rejected():
+    cfg = FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=(4, 4),
+                     params=quiet_params(gS1=0.2))
+    ens = evolve_fock(cfg, [VACUUM_INPUT, VACUUM_INPUT], 0.1)
+    for sel in [(ModeId.A1,), (ModeId.S1, ModeId.A1)]:
+        with pytest.raises(ValidationError, match=r"mode A1 is outside the subsystem \('S1', 'V1'\)"):
+            fock_statistics(ens, sel)

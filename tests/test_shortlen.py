@@ -6,6 +6,7 @@ import pytest
 from qcoupler.dynamics import build_drift_matrix, propagator
 from qcoupler.exceptions import ValidationError
 from qcoupler.shortlen import (
+    mean_amplitude_poly,
     short_propagator,
     short_propagator_poly,
     shortlen_coefficients,
@@ -173,6 +174,13 @@ def test_mean_amplitude_examples():
     xi2[S2] = 2
     out2 = shortlen_mean_amplitudes(quiet_params(kappaS=-10), xi2, 0.01)
     assert out2[S1] == pytest.approx(-0.2j, abs=1e-6)
+
+
+def test_mean_amplitudes_need_six_modes():
+    for route in (lambda xi: shortlen_mean_amplitudes(quiet_params(gS1=1), xi, 0.1),
+                  lambda xi: mean_amplitude_poly(quiet_params(gS1=1), xi)):
+        with pytest.raises(ValidationError, match="expected 6 amplitudes"):
+            route(np.ones(3, complex))
 
 
 def test_identity_records_consistency():
