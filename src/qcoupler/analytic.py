@@ -178,4 +178,4 @@ def analytic_propagator(params: ValidatedParams, z: float,
     u2, v2 = _guide_rows(params.swapped(), frame)
     perm = np.asarray(EXCHANGE_PERMUTATION)
     u[3:], v[3:] = u2[:, perm], v2[:, perm]
-    return BogoliubovTransform(U=u, V=v, z=float(z))
+    return BogoliubovTransform(np.concatenate([u, v], axis=-1), float(z))

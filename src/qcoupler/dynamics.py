@@ -1,10 +1,11 @@
 """Spatial dynamics: drift matrix, propagator, and state evolution.
 
-The six mode operators and their conjugates are stacked into a 12-vector
-in the interleaved order (S1, S1+, A1, A1+, V1, V1+, S2, ...).  The
-linear equations of motion read dA/dz = i M A with a z-independent drift
-matrix M, so the propagator is exp(i M z).  Its action on annihilation
-operators defines the (U, V) pair of a Bogoliubov transform,
+The six mode operators A = (S1, A1, V1, S2, A2, V2) and their
+conjugates are stacked into the 12-vector (A; A^+), the package's one
+operator order.  The linear equations of motion read
+dA/dz = i (K A + L A^+), so the drift matrix is M = [[K, L], [-L*, -K*]]
+and the propagator exp(i M z).  Its annihilator rows [U V] define a
+Bogoliubov transform,
 
     A_j(z) = sum_k U[j,k] A_k(0) + V[j,k] A_k^+(0),
 
@@ -42,132 +43,92 @@ calls on a core the rest of the sweep, and any other process, needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import NumericalError
-from .model import GaussianState, N_MODES, ValidatedParams
+from .model import GaussianState, N_MODES, ValidatedParams, _frozen
 
 _DIM = 2 * N_MODES
 _DIAG = np.arange(N_MODES)
-# doubled-basis columns in [U V] order: annihilators first, then creators
-_UV = np.concatenate([np.arange(0, _DIM, 2), np.arange(1, _DIM, 2)])
 # on the real view of [U V]: (Re, Im) factors giving conj(F Sigma) = [U*, -V*]
 _CONJ_SIGMA = np.array([1.0, -1.0] * N_MODES + [-1.0, 1.0] * N_MODES)
 
 
-def _guide_block(gs: complex, ga: complex) -> np.ndarray:
-    """Intra-guide couplings over (S, S+, A, A+, V, V+)."""
-    m = np.zeros((6, 6), dtype=complex)
-    m[0, 5] = gs
-    m[1, 4] = -np.conj(gs)
-    m[2, 4] = ga
-    m[3, 5] = -np.conj(ga)
-    m[4, 1] = gs
-    m[4, 2] = np.conj(ga)
-    m[5, 0] = -np.conj(gs)
-    m[5, 3] = -ga
-    return m
-
-
-def _cross_block(ks: complex, ka: complex) -> np.ndarray:
-    """Evanescent guide-to-guide couplings; phonons do not cross over."""
-    return np.diag([np.conj(ks), -ks, np.conj(ka), -ka, 0j, 0j])
-
-
-@dataclass
+@dataclass(frozen=True)
 class EvolutionMatrix:
     """The 12x12 drift matrix M, read-only; ``propagator`` exponentiates it."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.matrix = np.array(self.matrix, dtype=complex)
-        if self.matrix.shape != (_DIM, _DIM):
-            raise NumericalError(f"drift matrix must be {_DIM}x{_DIM}")
-        self.matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", _frozen(self.matrix, complex, (_DIM, _DIM)))
 
 
 def build_drift_matrix(params: ValidatedParams) -> EvolutionMatrix:
-    """Assemble the block drift matrix from validated couplings.
+    """The drift matrix M = [[K, L], [-L*, -K*]] over (A; A^+).
 
-    The lower-left cross block is the elementwise conjugate of the
-    upper-right one, which realizes the guide-exchange symmetry.
+    In each guide (S, A, V), K[A, V] = gA and L[S, V] = L[V, S] = gS.
+    Across the guides K[S1, S2] = kappaS* and K[A1, A2] = kappaA*; K is
+    Hermitian, which realizes the guide-exchange symmetry.
     """
-    m1 = _guide_block(params.gS1, params.gA1)
-    m2 = _guide_block(params.gS2, params.gA2)
-    m12 = _cross_block(params.kappaS, params.kappaA)
-    full = np.block([[m1, m12], [m12.conj(), m2]])
-    return EvolutionMatrix(full)
+    k = np.zeros((N_MODES, N_MODES), dtype=complex)
+    l = np.zeros_like(k)
+    for s, gs, ga in ((0, params.gS1, params.gA1), (3, params.gS2, params.gA2)):
+        k[s + 1, s + 2] = ga
+        l[s, s + 2] = l[s + 2, s] = gs
+    k[0, 3], k[1, 4] = np.conj(params.kappaS), np.conj(params.kappaA)
+    k += k.conj().T
+    return EvolutionMatrix(np.block([[k, l], [-l.conj(), -k.conj()]]))
 
 
 @dataclass(frozen=True)
 class BogoliubovTransform:
-    """The (U, V) blocks of the operator solution at propagation length z.
+    """The operator solution at length z: ``rows`` = [U V], the (..., 6, 12)
+    annihilator rows of the doubled propagator; U and V are views of it.
 
-    Leading axes stack transforms: over a z-grid, U and V are (Z, 6, 6)
-    and z is the grid.  Both are read-only views of ``rows`` = [U V],
-    the (..., 6, 12) annihilator rows of the doubled propagator.
+    Leading axes stack transforms: over a z-grid, ``rows`` is (Z, 6, 12)
+    and z is the grid.  Both are frozen as a GaussianState's arrays are.
     """
 
-    U: np.ndarray
-    V: np.ndarray
+    rows: np.ndarray
     z: np.ndarray | float
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        u, v = (np.asarray(getattr(self, name), dtype=complex) for name in ("U", "V"))
-        for name, arr in (("U", u), ("V", v)):
-            if arr.shape[-2:] != (N_MODES, N_MODES) or arr.shape != u.shape:
-                raise NumericalError(f"{name} must be {N_MODES}x{N_MODES} (or a stack of them)")
-        self._freeze(np.concatenate([u, v], axis=-1), self.z)
-
-    @classmethod
-    def _from_rows(cls, rows: np.ndarray, z) -> "BogoliubovTransform":
-        """The transform whose rows [U V] are ``rows``, a complex (..., 6, 12)
-        array the caller has just made and hands over: it is frozen, not copied."""
-        t = cls.__new__(cls)
-        t._freeze(rows, z)
-        return t
-
-    def _freeze(self, rows: np.ndarray, z) -> None:
-        rows.setflags(write=False)
+        rows = _frozen(self.rows, complex, np.shape(self.rows)[:-2] + (N_MODES, _DIM))
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "U", rows[..., :N_MODES])
-        object.__setattr__(self, "V", rows[..., N_MODES:])
-        z = np.array(z, dtype=float)
-        z.setflags(write=False)
-        object.__setattr__(self, "z", float(z) if z.ndim == 0 else z)
+        object.__setattr__(self, "z", _frozen(self.z, float, rows.shape[:-2]))
+
+    @property
+    def U(self) -> np.ndarray:
+        return self.rows[..., :N_MODES]
+
+    @property
+    def V(self) -> np.ndarray:
+        return self.rows[..., N_MODES:]
 
     @classmethod
     def identity(cls) -> "BogoliubovTransform":
-        return cls(U=np.eye(N_MODES, dtype=complex),
-                   V=np.zeros((N_MODES, N_MODES), dtype=complex), z=0.0)
+        return cls(np.eye(N_MODES, _DIM, dtype=complex), 0.0)
 
     @classmethod
     def from_doubled(cls, mat: np.ndarray, z: float) -> "BogoliubovTransform":
-        """Extract (U, V) from a 12x12 propagator over the interleaved basis."""
+        """The transform of a 12x12 propagator over (A; A^+): its annihilator rows."""
         mat = np.asarray(mat, dtype=complex)
         if mat.shape[-2:] != (_DIM, _DIM):
             raise NumericalError(f"a doubled propagator must be {_DIM}x{_DIM} (or a stack of them)")
-        return cls._from_rows(mat[..., 0::2, _UV], z)
+        return cls(mat[..., :N_MODES, :], z)
 
     def doubled(self) -> np.ndarray:
-        """Rebuild the full 12x12 propagator (creator rows by conjugation)."""
-        out = np.zeros(self.U.shape[:-2] + (_DIM, _DIM), dtype=complex)
-        out[..., 0::2, 0::2] = self.U
-        out[..., 0::2, 1::2] = self.V
-        out[..., 1::2, 0::2] = self.V.conj()
-        out[..., 1::2, 1::2] = self.U.conj()
-        return out
+        """Rebuild the full 12x12 propagator; the creator rows [V* U*] are
+        the conjugates of [U V] with their halves exchanged."""
+        return np.concatenate([self.rows, np.roll(self.rows.conj(), N_MODES, axis=-1)], axis=-2)
 
     def compose(self, first: "BogoliubovTransform") -> "BogoliubovTransform":
         """The transform equivalent to applying ``first`` and then ``self``."""
-        u = self.U @ first.U + self.V @ first.V.conj()
-        v = self.U @ first.V + self.V @ first.U.conj()
-        return BogoliubovTransform(U=u, V=v, z=self.z + first.z)
+        return BogoliubovTransform(self.rows @ first.doubled(), self.z + first.z)
 
 
 def _even_step(flat: np.ndarray) -> float | None:
@@ -246,9 +207,10 @@ def propagator(em: EvolutionMatrix, z) -> BogoliubovTransform:
         # only the annihilator rows [U V]; the creator rows are their
         # conjugates.  Each head times all steps side by side is one
         # product, then each product is moved to its point.
-        steps = exps[heads.size:, :, _UV].transpose(1, 0, 2).reshape(_DIM, -1)
-        pairs = exps[:heads.size, 0::2] @ steps
+        steps = exps[heads.size:].transpose(1, 0, 2).reshape(_DIM, -1)
+        pairs = exps[:heads.size, :N_MODES] @ steps
     np.copyto(rows, pairs.reshape(heads.size, N_MODES, block, _DIM).swapaxes(1, 2))
+    rows.setflags(write=False)  # the transform takes the views over without a copy
     rows = rows.reshape(-1, N_MODES, _DIM)[:flat.size]
     if not np.isfinite(rows).all():
         finite = np.all(np.isfinite(rows), axis=(-2, -1))
@@ -256,7 +218,7 @@ def propagator(em: EvolutionMatrix, z) -> BogoliubovTransform:
             f"matrix exponential produced non-finite entries at z={flat[np.argmin(finite)]}; "
             f"|M|={np.max(np.abs(em.matrix)):.3g}"
         )
-    return BogoliubovTransform._from_rows(rows.reshape(z.shape + (N_MODES, _DIM)), z)
+    return BogoliubovTransform(rows.reshape(z.shape + (N_MODES, _DIM)), z)
 
 
 def rk4_propagator(em: EvolutionMatrix, z: float, h: float = 1e-4) -> BogoliubovTransform:

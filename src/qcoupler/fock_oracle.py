@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -80,7 +81,10 @@ class FockConfig:
                 f"unsupported subsystem {tuple(m.name for m in modes)}; "
                 f"supported: {[tuple(m.name for m in s) for s in CLOSED_SUBSYSTEMS]}"
             )
-        cutoffs = tuple(int(c) for c in self.cutoffs)
+        try:
+            cutoffs = tuple(operator.index(c) for c in self.cutoffs)
+        except TypeError:
+            raise ValidationError(f"cutoffs must be integers, got {self.cutoffs!r}") from None
         if len(cutoffs) != len(modes):
             raise ValidationError("one cutoff per mode required")
         if any(c < 1 or c > MAX_CUTOFF for c in cutoffs):

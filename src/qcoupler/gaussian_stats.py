@@ -266,9 +266,14 @@ def generating_function_jet(state: GaussianState, sel, s0: float, order: int) ->
 
 def generating_function(state: GaussianState, sel, svalues) -> np.ndarray:
     """G(s) = <: exp(-s W) :> at the given points (last axis): the order-0
-    coefficient of ``generating_function_jet`` at each point."""
-    return np.stack([generating_function_jet(state, sel, s, 0)[..., 0]
-                     for s in np.atleast_1d(np.asarray(svalues, dtype=float))], axis=-1)
+    coefficient of the spectrum's jet at each point, from one spectrum."""
+    sel = _as_selection(sel)
+    lam, w = _selection_spectrum(*_doubled_block(state, sel))
+    svalues = np.atleast_1d(np.asarray(svalues, dtype=float))
+    out = np.empty(lam.shape[:-1] + svalues.shape)
+    for i, s in enumerate(svalues):
+        out[..., i] = _g_jet(state, sel, lam, w, float(s), 0)[..., 0]
+    return out
 
 
 def _reduced_log_series(gamma: np.ndarray, y: np.ndarray, mean_w, scale, order: int):

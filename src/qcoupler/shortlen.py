@@ -42,13 +42,13 @@ def short_propagator_poly(params: ValidatedParams):
     """(U, V) blocks of I + iMz - M^2 z^2/2 as degree-2 matrix polynomials."""
     gen = 1j * build_drift_matrix(params).matrix
     powers = np.stack([np.eye(2 * N_MODES, dtype=complex), gen, 0.5 * (gen @ gen)])
-    return powers[:, 0::2, 0::2], powers[:, 0::2, 1::2]
+    return powers[:, :N_MODES, :N_MODES], powers[:, :N_MODES, N_MODES:]
 
 
 def short_propagator(params: ValidatedParams, z: float) -> BogoliubovTransform:
     """Bogoliubov transform accurate through z^2 (error is O(z^3))."""
-    u, v = short_propagator_poly(params)
-    return BogoliubovTransform(U=_poly_eval(u, z), V=_poly_eval(v, z), z=float(z))
+    rows = _poly_eval(np.concatenate(short_propagator_poly(params), axis=-1), z)
+    return BogoliubovTransform(rows, float(z))
 
 
 def shortlen_mean_amplitudes(params: ValidatedParams, xi0, z: float) -> np.ndarray:

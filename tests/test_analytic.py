@@ -93,7 +93,7 @@ def test_imaginary_internal_rate_branch():
         t = analytic_propagator(params, 1.1)
         assert symplectic_residual(t) < 1e-12
         doubled = t.doubled()
-        assert np.allclose(doubled[1::2, 1::2], t.U.conj(), atol=0)
+        assert np.allclose(doubled[6:, 6:], t.U.conj(), atol=0)
 
 
 def test_degenerate_oscillation_rate():

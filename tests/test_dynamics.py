@@ -1,5 +1,6 @@
 """Drift matrix structure, propagator closed forms, state evolution."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -12,6 +13,7 @@ from qcoupler.dynamics import (
     BogoliubovTransform,
     build_drift_matrix,
     conservation_residual,
+    EvolutionMatrix,
     evolve_state,
     expm,
     photon_number_balance,
@@ -20,6 +22,7 @@ from qcoupler.dynamics import (
     symplectic_check,
     symplectic_residual,
 )
+from qcoupler.exceptions import ValidationError
 from qcoupler.model import (
     EXCHANGE_PERMUTATION,
     GaussianState,
@@ -36,11 +39,11 @@ S1, A1, V1, S2, A2, V2 = range(6)
 
 
 def ann(j):      # doubled-basis row of the annihilator of mode j
-    return 2 * j
+    return j
 
 
 def cre(j):
-    return 2 * j + 1
+    return 6 + j
 
 
 def test_drift_matrix_zero():
@@ -90,6 +93,57 @@ def test_drift_matrix_sparsity_and_conjugation_structure():
         for k in range(6):
             assert m[cre(j), cre(k)] == pytest.approx(-np.conj(m[ann(j), ann(k)]))
             assert m[cre(j), ann(k)] == pytest.approx(-np.conj(m[ann(j), cre(k)]))
+
+
+def test_drift_matrix_block_form_over_annihilators_then_creators():
+    # M = [[K, L], [-L*, -K*]] over (A; A^+), K Hermitian and L symmetric
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        params = random_couplings(rng)
+        m = build_drift_matrix(params).matrix
+        k, l = m[:6, :6], m[:6, 6:]
+        assert np.array_equal(m[6:, :6], -l.conj()) and np.array_equal(m[6:, 6:], -k.conj())
+        assert np.array_equal(k, k.conj().T) and np.array_equal(l, l.T)
+        assert k[A1, V1] == params.gA1 and k[S1, S2] == np.conj(params.kappaS)
+        assert l[S2, V2] == params.gS2
+
+
+def test_transform_is_its_rows():
+    assert [f.name for f in dataclasses.fields(BogoliubovTransform)] == ["rows", "z"]
+    rows = np.arange(72, dtype=complex).reshape(6, 12).copy()    # owns its memory
+    t = BogoliubovTransform(rows, 0.5)
+    assert np.array_equal(t.U, rows[:, :6]) and np.array_equal(t.V, rows[:, 6:])
+    assert not t.U.flags.writeable and np.shares_memory(t.U, t.rows)
+    # a writeable array is copied and stays the caller's
+    assert rows.flags.writeable and not np.shares_memory(t.rows, rows)
+    rows[0, 0] = -1.0
+    assert t.rows[0, 0] == 0.0
+    # a read-only array whose memory no writeable array holds is taken over
+    rows.setflags(write=False)
+    assert BogoliubovTransform(rows, 0.5).rows is rows
+    view = rows[None]
+    assert BogoliubovTransform(view, [0.5]).rows is view
+    # a read-only view of writeable memory is copied
+    owner = np.zeros((6, 12), dtype=complex)
+    ro = owner[:]
+    ro.setflags(write=False)
+    assert BogoliubovTransform(ro, 0.0).rows is not ro
+    for bad in (np.zeros((6, 6)), np.zeros(12), np.zeros((12, 12))):
+        with pytest.raises(ValidationError):
+            BogoliubovTransform(bad, 0.0)
+    with pytest.raises(ValidationError):
+        BogoliubovTransform(np.zeros((3, 6, 12)), 0.0)     # one z per transform
+    with pytest.raises(ValidationError):
+        EvolutionMatrix(np.zeros((6, 6)))
+
+
+def test_doubled_round_trip():
+    t = propagator(build_drift_matrix(random_couplings(np.random.default_rng(8))),
+                   np.linspace(0.0, 1.0, 4))
+    doubled = t.doubled()
+    assert np.array_equal(doubled[..., 6:, :6], t.V.conj())
+    assert np.array_equal(doubled[..., 6:, 6:], t.U.conj())
+    assert np.array_equal(BogoliubovTransform.from_doubled(doubled, t.z).rows, t.rows)
 
 
 def test_propagator_zero_matrix_is_identity():

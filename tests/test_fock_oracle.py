@@ -227,6 +227,18 @@ def test_squeezed_input_rejected():
         evolve_fock(cfg, [InputSpec(r=0.5), VACUUM_INPUT], 0.1)
 
 
+@pytest.mark.parametrize("cutoffs", [(2.7, 3), (3, "3"), (3, None)])
+def test_config_rejects_non_integral_cutoffs(cutoffs):
+    with pytest.raises(ValidationError, match="cutoffs must be integers"):
+        FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=cutoffs, params=quiet_params(gS1=1))
+
+
+def test_config_takes_numpy_integer_cutoffs():
+    cfg = FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=np.array([3, 4]),
+                     params=quiet_params(gS1=1))
+    assert cfg.cutoffs == (3, 4) and all(type(c) is int for c in cfg.cutoffs)
+
+
 def test_fock_level_holds_only_a_level():
     # a Fock input has no amplitude, squeezing or chaotic part to ignore
     assert FockLevel(1).n == 1

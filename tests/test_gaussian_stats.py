@@ -138,6 +138,22 @@ def test_generating_function_geometric():
     assert np.allclose(out, [1 / 1.5, 1 / 3.0], atol=1e-14)
 
 
+def test_generating_function_takes_one_spectrum(monkeypatch):
+    em = build_drift_matrix(random_couplings(np.random.default_rng(6)))
+    s = evolve_state(propagator(em, np.linspace(0.0, 1.0, 5)),
+                     build_input_state(random_inputs(np.random.default_rng(7))))
+    sel = ModeSelection((ModeId.S1, ModeId.A1))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    out = generating_function(s, sel, [0.0, 0.25, 0.5, 1.0])
+    assert len(calls) == 1 and out.shape == (5, 4)
+    assert np.array_equal(out[:, 0], np.ones(5))
+    for i, sv in enumerate((0.25, 0.5, 1.0), start=1):
+        assert np.array_equal(out[:, i], generating_function_jet(s, sel, sv, 0)[..., 0])
+    assert generating_function(s, sel, []).shape == (5, 0)
+
+
 def test_generating_function_calibration():
     """G(0) = 1 exactly; -G'(0) is the mean intensity; the second
     derivative reproduces the closed-form variance."""
