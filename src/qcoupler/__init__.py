@@ -71,7 +71,6 @@ from .fock_oracle import (
     FockConfig,
     FockEnsemble,
     FockLevel,
-    FockOperator,
     build_hamiltonian,
     evolve_fock,
     fock_statistics,

@@ -29,11 +29,12 @@ DEFAULT_CONDITION_TOL = 1e-12
 _SMALL_LZ = 1e-6
 
 
-def conditions_satisfied(params: ValidatedParams, tol: float = DEFAULT_CONDITION_TOL) -> bool:
+def conditions_satisfied(params: ValidatedParams) -> bool:
     """True when the closed-form solution applies to these parameters.
 
     Requires |gS1| = |gS2|, |gA1| = |gA2|, |kappaS| = |kappaA| within
-    ``tol`` and, for nonzero coupling, the phase compatibility relation
+    ``DEFAULT_CONDITION_TOL`` (relative) and, for nonzero coupling, the
+    phase compatibility relation
 
         (kappaA*/|kappaA|) (gA2/gA1) = -(kappaS/|kappaS|) (gS2*/gS1*).
 
@@ -43,20 +44,21 @@ def conditions_satisfied(params: ValidatedParams, tol: float = DEFAULT_CONDITION
     report False and are left to the numerical route.
     """
     scale = max(abs(params.gS1), abs(params.gA1), abs(params.kappaS), 1.0)
-    if abs(abs(params.gS1) - abs(params.gS2)) > tol * scale:
+    slack = DEFAULT_CONDITION_TOL * scale
+    if abs(abs(params.gS1) - abs(params.gS2)) > slack:
         return False
-    if abs(abs(params.gA1) - abs(params.gA2)) > tol * scale:
+    if abs(abs(params.gA1) - abs(params.gA2)) > slack:
         return False
-    if abs(abs(params.kappaS) - abs(params.kappaA)) > tol * scale:
+    if abs(abs(params.kappaS) - abs(params.kappaA)) > slack:
         return False
-    if abs(params.kappaS) <= tol * scale:
+    if abs(params.kappaS) <= slack:
         return True
-    if abs(params.gA1) <= tol * scale or abs(params.gS1) <= tol * scale:
+    if abs(params.gA1) <= slack or abs(params.gS1) <= slack:
         return False
     # cross-multiplied form of the phase relation, stable near zeros
     lhs = params.kappaA.conjugate() * abs(params.kappaS) * params.gA2 * params.gS1.conjugate()
     rhs = -params.kappaS * abs(params.kappaA) * params.gS2.conjugate() * params.gA1
-    return abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs), scale**3)
+    return abs(lhs - rhs) <= DEFAULT_CONDITION_TOL * max(abs(lhs), abs(rhs), scale**3)
 
 
 @dataclass(frozen=True)
@@ -152,8 +154,7 @@ def _guide_rows(params: ValidatedParams, f: AnalyticFrame):
     return u, v
 
 
-def analytic_propagator(params: ValidatedParams, z: float,
-                        tol: float = DEFAULT_CONDITION_TOL) -> BogoliubovTransform:
+def analytic_propagator(params: ValidatedParams, z: float) -> BogoliubovTransform:
     """Closed-form Bogoliubov transform on the matched-coupling manifold.
 
     Guide-2 rows follow from the guide-exchange symmetry; creator rows
@@ -162,10 +163,10 @@ def analytic_propagator(params: ValidatedParams, z: float,
     Raises
     ------
     UnsupportedConfigurationError
-        If the matched-coupling conditions fail at tolerance ``tol``, or
+        If the matched-coupling conditions fail, or
         if |gS1| = |gA1| makes the closed form singular.
     """
-    if not conditions_satisfied(params, tol):
+    if not conditions_satisfied(params):
         raise UnsupportedConfigurationError(
             "parameters violate the matched-coupling conditions of the closed form"
         )

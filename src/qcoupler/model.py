@@ -170,6 +170,10 @@ class InputSpec:
 
 VACUUM_INPUT = InputSpec()
 
+# absolute slack of GaussianState.check_physical, relative to max(1, max B)
+# for the covariance eigenvalue
+_PHYSICAL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class GaussianState:
@@ -239,17 +243,18 @@ class GaussianState:
         """<n_j> = B_j + |xi_j|^2 per mode."""
         return self.B + np.abs(self.xi) ** 2
 
-    def check_physical(self, tol=1e-9):
-        """Raise ValidationError if the state violates its invariants."""
+    def check_physical(self):
+        """Raise ValidationError if the state violates its invariants, to
+        within ``_PHYSICAL_TOL``."""
         b = self.B
-        if np.any(b < -tol):
+        if np.any(b < -_PHYSICAL_TOL):
             raise ValidationError(f"negative noise variance B: {b}")
-        if not np.allclose(self.N, self.N.swapaxes(-1, -2).conj(), atol=tol, rtol=0.0):
+        if not np.allclose(self.N, self.N.swapaxes(-1, -2).conj(), atol=_PHYSICAL_TOL, rtol=0.0):
             raise ValidationError("N is not Hermitian")
-        if not np.allclose(self.M, self.M.swapaxes(-1, -2), atol=tol, rtol=0.0):
+        if not np.allclose(self.M, self.M.swapaxes(-1, -2), atol=_PHYSICAL_TOL, rtol=0.0):
             raise ValidationError("M is not symmetric")
         scale = max(1.0, float(np.max(b)) if b.size else 1.0)
-        if np.min(self.min_covariance_eigenvalue()) < -tol * scale:
+        if np.min(self.min_covariance_eigenvalue()) < -_PHYSICAL_TOL * scale:
             raise ValidationError("antinormal covariance is not positive semidefinite")
 
 

@@ -1,5 +1,6 @@
 """Truncated Fock-space oracle: Hamiltonian, evolution, statistics."""
 
+import functools
 import math
 
 import numpy as np
@@ -19,6 +20,35 @@ from qcoupler.model import InputSpec, ModeId, VACUUM_INPUT
 from conftest import quiet_params
 
 
+def _dense_product(cfg, steps):
+    """The dense matrix of ladder steps on distinct modes: a Kronecker
+    product of (d, d) lowering matrices a|n> = sqrt(n)|n-1>, their
+    transposes for raising steps, and identities."""
+    factors = [np.eye(d) for d in cfg.dims]
+    for mode, raises in steps:
+        pos = cfg.modes.index(mode)
+        lower = np.diag(np.sqrt(np.arange(1.0, cfg.dims[pos])), k=1)
+        factors[pos] = lower.T if raises else lower
+    return functools.reduce(np.kron, factors)
+
+
+def _dense_hamiltonian(cfg):
+    """H over the coupling table, each term plus its dense adjoint; shares
+    no code with the oracle's sliced products."""
+    h = np.zeros((cfg.dimension, cfg.dimension), dtype=complex)
+    for name, steps in fock_oracle._TERMS.items():
+        g = complex(getattr(cfg.params, name))
+        if g != 0:
+            term = g * _dense_product(cfg, steps)
+            h += term + term.conj().T
+    return h
+
+
+def _applied_hamiltonian(cfg):
+    """The oracle's H as a dense matrix: its action on every basis vector."""
+    return fock_oracle._apply(cfg, build_hamiltonian(cfg), np.eye(cfg.dimension)).T
+
+
 def test_config_validation():
     params = quiet_params(gS1=1)
     with pytest.raises(ValidationError):
@@ -33,23 +63,22 @@ def test_config_validation():
     big = FockConfig(modes=(ModeId.S1, ModeId.V1, ModeId.S2, ModeId.V2),
                      cutoffs=(16, 16, 16, 16), params=quiet_params(gS1=1))
     assert big.dimension == 17**4 <= 200_000
-    # whose Hamiltonian has no dense view
-    with pytest.raises(ValidationError):
-        build_hamiltonian(big).toarray()
 
 
 def test_hamiltonian_zero_without_couplings():
     cfg = FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=(3, 3),
                      params=quiet_params())
-    assert not np.any(build_hamiltonian(cfg).toarray())
+    assert build_hamiltonian(cfg) == ()
+    assert not np.any(_applied_hamiltonian(cfg))
 
 
 def test_hamiltonian_pair_creation_element():
     cfg = FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=(1, 1),
                      params=quiet_params(gS1=1))
-    h = build_hamiltonian(cfg).toarray()
+    h = _applied_hamiltonian(cfg)
     # lexicographic basis: |S1,V1> in {00, 01, 10, 11}
     assert h[3, 0] == pytest.approx(1.0)
+    assert _dense_hamiltonian(cfg)[3, 0] == pytest.approx(1.0)
     assert np.max(np.abs(h - h.conj().T)) == 0.0
 
 
@@ -57,8 +86,9 @@ def test_hamiltonian_hermitian_random():
     params = quiet_params(gS1=0.3 + 0.1j, gA1=0.5j, kappaS=0, kappaA=0)
     cfg = FockConfig(modes=(ModeId.S1, ModeId.A1, ModeId.V1),
                      cutoffs=(5, 5, 5), params=params)
-    h = build_hamiltonian(cfg).toarray()
+    h = _applied_hamiltonian(cfg)
     assert np.max(np.abs(h - h.conj().T)) == 0.0
+    assert np.max(np.abs(h - _dense_hamiltonian(cfg))) <= 1e-14
 
 
 # (modes, cutoffs, couplings) of small 2-, 3- and 4-mode subsystems
@@ -75,16 +105,19 @@ SMALL_SUBSYSTEMS = [
 @pytest.mark.parametrize("modes,cutoffs,couplings", SMALL_SUBSYSTEMS)
 def test_operator_action_and_norm_match_dense_view(modes, cutoffs, couplings):
     cfg = FockConfig(modes=modes, cutoffs=cutoffs, params=quiet_params(**couplings))
-    h = build_hamiltonian(cfg)
-    dense = h.toarray()
+    terms = build_hamiltonian(cfg)
+    dense = _dense_hamiltonian(cfg)
     v = np.random.default_rng(3).normal(size=(3, cfg.dimension, 2)).view(complex)[..., 0]
-    assert np.max(np.abs(h @ v - v @ dense.T)) <= 1e-14
-    assert h.norm1() == pytest.approx(np.max(np.sum(np.abs(dense), axis=0)), rel=1e-15)
-    # products and adjoints of ladder operators
-    a = [fock_oracle._annihilator(cfg, i) for i in range(len(modes))]
-    a0, a1 = a[0].toarray(), a[-1].toarray()
-    assert np.array_equal((a[0].H @ a[-1]).toarray(), a0.conj().T @ a1)
-    assert np.array_equal((a[0] @ a[0]).toarray(), a0 @ a0)
+    assert np.max(np.abs(fock_oracle._apply(cfg, terms, v) - v @ dense.T)) <= 1e-14
+    assert fock_oracle._norm1(cfg, terms) == pytest.approx(
+        np.max(np.sum(np.abs(dense), axis=0)), rel=1e-15)
+    # the one-step lowerings the statistics read, once and chained
+    for mode in cfg.modes:
+        a = _dense_product(cfg, [(mode, False)])
+        lower = [(1.0, ((mode, False),))]
+        av = fock_oracle._apply(cfg, lower, v)
+        assert np.max(np.abs(av - v @ a.T)) <= 1e-14
+        assert np.max(np.abs(fock_oracle._apply(cfg, lower, av) - v @ (a @ a).T)) <= 1e-13
 
 
 @pytest.mark.parametrize("modes,cutoffs,couplings", SMALL_SUBSYSTEMS)
@@ -95,9 +128,9 @@ def test_exponential_matches_dense_expm(modes, cutoffs, couplings, z):
     import scipy.linalg
 
     cfg = FockConfig(modes=modes, cutoffs=cutoffs, params=quiet_params(**couplings))
-    h = build_hamiltonian(cfg)
-    ref = scipy.linalg.expm(1j * z * h.toarray())
-    out = fock_oracle._exp_action(h, z, np.eye(cfg.dimension, dtype=complex))
+    ref = scipy.linalg.expm(1j * z * _dense_hamiltonian(cfg))
+    out = fock_oracle._exp_action(cfg, build_hamiltonian(cfg), z,
+                                  np.eye(cfg.dimension, dtype=complex))
     assert np.max(np.abs(out - ref.T)) <= 1e-13
 
 
@@ -111,7 +144,7 @@ def test_thermal_ensemble_matches_dense_expm():
     ens = evolve_fock(cfg, [FockLevel(1), InputSpec(n_ch=0.3)], z)
     members = len(ens.weights)
     assert members > 5 and ens.vectors.shape == (members, cfg.dimension)
-    ref = scipy.linalg.expm(1j * z * build_hamiltonian(cfg).toarray())
+    ref = scipy.linalg.expm(1j * z * _dense_hamiltonian(cfg))
     # member l starts in |A1 = 1, V1 = l>
     columns = cfg.dims[1] + np.arange(members)
     assert np.max(np.abs(ens.vectors - ref[:, columns].T)) <= 1e-13
@@ -218,6 +251,29 @@ def test_truncation_warning_below_hard_limit():
     with _warnings.catch_warnings():
         _warnings.simplefilter("error")
         evolve_fock(cfg, [VACUUM_INPUT, VACUUM_INPUT], 0.2)
+
+
+@pytest.mark.parametrize("inputs", [
+    [VACUUM_INPUT, InputSpec(n_ch=-0.3)],
+    [VACUUM_INPUT, InputSpec(n_ch=math.nan)],
+    [InputSpec(xi=math.inf), VACUUM_INPUT],
+    [FockLevel(1.5), VACUUM_INPUT],
+], ids=["negative-n_ch", "nan-n_ch", "inf-xi", "fractional-level"])
+def test_bad_inputs_rejected(inputs):
+    cfg = FockConfig(modes=(ModeId.A1, ModeId.V1), cutoffs=(4, 4),
+                     params=quiet_params(gA1=0.2))
+    with pytest.raises(ValidationError):
+        evolve_fock(cfg, inputs, 0.1)
+
+
+def test_inputs_normalized_as_for_the_gaussian_state():
+    # InputSpec.validate reads a numeric string as its number, as
+    # build_input_state does
+    cfg = FockConfig(modes=(ModeId.A1, ModeId.V1), cutoffs=(4, 12),
+                     params=quiet_params(gA1=0.2))
+    as_text = evolve_fock(cfg, [VACUUM_INPUT, InputSpec(n_ch="0.3")], 0.1)
+    as_number = evolve_fock(cfg, [VACUUM_INPUT, InputSpec(n_ch=0.3)], 0.1)
+    assert np.array_equal(as_text.vectors, as_number.vectors)
 
 
 def test_squeezed_input_rejected():
