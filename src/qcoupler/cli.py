@@ -14,7 +14,9 @@ Exit codes: 0 ok, 1 usage, 2 validation/parse, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import cmath
 import os
+import random
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -27,6 +29,7 @@ from .exceptions import (
     PrecisionWarning,
     QcouplerError,
     ScenarioParseError,
+    TruncationWarning,
     UnsupportedConfigurationError,
     ValidationError,
 )
@@ -70,6 +73,9 @@ _QUANTITY_COLUMNS = {
 # above the first a sweep warns, above the second it raises.
 _SYMPLECTIC_ALARM = 1e-10
 _SYMPLECTIC_LIMIT = 1e-6
+# Above this tail mass 1 - sum p(n) beyond n_max, a p(n) table is a
+# truncated head of its distribution and the sweep warns.
+_PN_DEFICIT_ALARM = 1e-6
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,8 @@ def run_scenario(cfg: ScenarioConfig) -> SweepResult:
     stacked ``stats_report`` per distinct selection, which builds the
     order-``n_max`` jet at s=1 only for selections that request ``pn``.
     For each of those, the metadata ``pn_max_deficit.<selection>`` gives
-    the largest tail mass 1 - sum p(n) beyond ``n_max`` and its z.  The
+    the largest tail mass 1 - sum p(n) beyond ``n_max`` and its z; above
+    1e-6 the sweep also warns with :class:`TruncationWarning`.  The
     metadata also gives the drift of the photon-number balance and the
     largest violation of the Bogoliubov identities, absolute and scaled
     per point by max(1, max|U|^2) (see ``symplectic_check``).  Where the
@@ -124,6 +131,11 @@ def run_scenario(cfg: ScenarioConfig) -> SweepResult:
     )
     pn_reports = [(sel, rep) for sel, rep in reports.items() if rep.p_n is not None]
     pn_tables = tuple((sel.name, rep.p_n) for sel, rep in pn_reports)
+    for sel, rep in pn_reports:
+        if np.max(rep.pn_deficit) > _PN_DEFICIT_ALARM:
+            warnings.warn(f"p(n) of {sel.name} is truncated at n_max={cfg.n_max}: largest "
+                          f"deficit 1 - sum p(n) {_largest_over_z(rep.pn_deficit, zs)} "
+                          f"exceeds {_PN_DEFICIT_ALARM:g}", TruncationWarning, stacklevel=2)
     metadata = (
         ("qcoupler", __version__),
         ("scenario", serialize_scenario(cfg).replace("\n", "; ").rstrip("; ")),
@@ -202,12 +214,14 @@ def _check_analytic(tol):
 
 
 def _check_shortlen():
-    rng = np.random.default_rng(2024)
+    # the standard library's generator: numpy.random would be the only
+    # thing that loads it (and hashlib, secrets, OpenSSL), about 6 MB
+    rng = random.Random(2024)
     ratios = []
     for _ in range(5):
-        mags = rng.uniform(0.3, 5.0, 6)
-        phases = np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
-        vals = mags * phases
+        mags = [rng.uniform(0.3, 5.0) for _ in range(6)]
+        phases = [rng.uniform(-np.pi, np.pi) for _ in range(6)]
+        vals = [cmath.rect(mag, phase) for mag, phase in zip(mags, phases)]
         params = CouplerParams(gS1=vals[0], gA1=vals[1], gS2=vals[2],
                                gA2=vals[3], kappaS=vals[4], kappaA=vals[5])
         em = build_drift_matrix(params)

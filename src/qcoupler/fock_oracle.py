@@ -31,7 +31,7 @@ from .exceptions import (
     TruncationWarning,
     ValidationError,
 )
-from .model import CouplerParams, ModeId, ModeSelection
+from .model import CouplerParams, InputSpec, ModeId, ModeSelection
 
 MAX_DIMENSION = 200_000
 MAX_CUTOFF = 16
@@ -256,9 +256,21 @@ def evolve_fock(cfg: FockConfig, inputs, z: float) -> FockEnsemble:
     results with boundary mass beyond 1e-6 should already be treated
     with suspicion.
     """
-    specs = [inputs[m] if isinstance(inputs, dict) else inputs[i]
-             for i, m in enumerate(cfg.modes)]
+    if isinstance(inputs, dict):
+        for m in cfg.modes:
+            if m not in inputs:
+                raise ValidationError(f"no input given for subsystem mode {m.name}")
+        specs = [inputs[m] for m in cfg.modes]
+    else:
+        specs = list(inputs)
+        if len(specs) != len(cfg.modes):
+            raise ValidationError(
+                f"expected one input per subsystem mode "
+                f"({', '.join(m.name for m in cfg.modes)}), got {len(specs)}")
     for i, (m, spec) in enumerate(zip(cfg.modes, specs)):
+        if not isinstance(spec, (InputSpec, FockLevel)):
+            raise ValidationError(
+                f"{m.name} input must be an InputSpec or a FockLevel, got {spec!r}")
         if isinstance(spec, FockLevel):
             try:
                 specs[i] = FockLevel(operator.index(spec.n))

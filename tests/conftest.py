@@ -1,17 +1,22 @@
 """Shared test helpers.
 
-Provides quiet parameter construction, seeded random draws, small
-z-polynomial arithmetic (exact convolution, truncation at degree 4), and
-the generic short-length composition that the fixture-identity tests and
-the acceptance suite both consume.
+Provides quiet parameter construction, sweeps that assert their p(n)
+truncation alarm, seeded random draws, small z-polynomial arithmetic
+(exact convolution, truncation at degree 4), and the generic short-length
+composition that the fixture-identity tests and the acceptance suite both
+consume.
 """
 
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import Phase
 
+from qcoupler.cli import run_scenario
+from qcoupler.exceptions import TruncationWarning
 from qcoupler.model import CouplerParams, InputSpec, validate_params
+from qcoupler.presets import load_preset
 from qcoupler.shortlen import mean_amplitude_poly, shortlen_noise_polys
 
 ORDER = 4
@@ -28,6 +33,25 @@ def quiet_params(**kwargs) -> CouplerParams:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return validate_params(CouplerParams(**kwargs))
+
+
+# The p(n) selection of each preset whose tail beyond n_max exceeds the
+# sweep's alarm level: fig7's S1A1 misses up to 64% of its distribution.
+TRUNCATED_PN = {"fig7": "S1A1"}
+
+
+def run_truncated(cfg, selection=None):
+    """``run_scenario``, asserting its ``TruncationWarning`` for the named
+    p(n) selection (and, as warnings are errors, no other warning)."""
+    if selection is None:
+        return run_scenario(cfg)
+    with pytest.warns(TruncationWarning, match=rf"p\(n\) of {selection} is truncated"):
+        return run_scenario(cfg)
+
+
+def run_preset(name):
+    """The preset's sweep, asserting the truncation alarm where it is due."""
+    return run_truncated(load_preset(name), TRUNCATED_PN.get(name))
 
 
 def random_couplings(rng, mag=3.0, kappa_mag=None):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from qcoupler.analytic import analytic_propagator
-from qcoupler.cli import run_scenario
 from qcoupler.dynamics import (
     build_drift_matrix,
     conservation_residual,
@@ -42,6 +41,7 @@ from conftest import (
     quiet_params,
     random_couplings,
     random_inputs,
+    run_preset,
     shortlen_identity_records,
 )
 
@@ -60,7 +60,7 @@ def preset_sweeps():
     for name in PRESET_NAMES:
         cfg = load_preset(name)
         start = time.perf_counter()
-        result = run_scenario(cfg)
+        result = run_preset(name)
         out[name] = (cfg, result, time.perf_counter() - start)
     return out
 

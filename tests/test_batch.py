@@ -37,7 +37,7 @@ from qcoupler.model import (
 )
 from qcoupler.presets import PRESET_NAMES, load_preset
 
-from conftest import PROPERTY_PHASES, quiet_params
+from conftest import PROPERTY_PHASES, quiet_params, run_preset, run_truncated
 
 TOL = 1e-12
 COLUMN_FLOOR = 1.0
@@ -104,7 +104,7 @@ def point_columns(report, tag, k_max):
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_preset_sweep_matches_per_point_route(name):
     cfg = load_preset(name)
-    result = run_scenario(cfg)
+    result = run_preset(name)
     em = build_drift_matrix(cfg.params)
     s0 = build_input_state(cfg.inputs)
     observables = cfg.effective_observables()
@@ -332,7 +332,7 @@ def test_s1_jet_only_for_pn_selections(monkeypatch):
     monkeypatch.setattr(gaussian_stats, "_selection_spectrum", recording_spectrum)
     monkeypatch.setattr(gaussian_stats, "_g_jet", recording_jet)
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    result = run_scenario(cfg)
+    result = run_truncated(cfg, "S1")
     # three selections; the moments come from the trace series, so only
     # the pn selection S1 gets an eigendecomposition (one, over the whole
     # grid) and the order-n_max jet at s=1

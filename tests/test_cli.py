@@ -3,15 +3,19 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import qcoupler
+import qcoupler.cli as cli
 from qcoupler.cli import SweepResult, emit_csv, main, run_scenario
-from qcoupler.exceptions import NumericalError, PrecisionWarning
+from qcoupler.exceptions import NumericalError, PrecisionWarning, TruncationWarning
 from qcoupler.model import CouplerParams, ModeId, ScenarioConfig, parse_scenario
 from qcoupler.presets import PRESET_NAMES, load_preset
+
+from conftest import run_preset, run_truncated
 
 
 SMALL_DOC = """
@@ -38,8 +42,14 @@ def small_config():
     return parse_scenario(SMALL_DOC)
 
 
+def run_small():
+    # S1 starts coherent with <W> = 4; at z = 1, 2.8e-3 of its
+    # distribution lies beyond n_max = 32
+    return run_truncated(small_config(), "S1")
+
+
 def test_run_scenario_columns_and_grid():
-    result = run_scenario(small_config())
+    result = run_small()
     assert len(result.z) == 6 and result.z[0] == 0.0 and result.z[-1] == 1.0
     names = [name for name, _ in result.columns]
     assert names == ["S1A1.meanW", "S1A1.w2", "S1A1.w3", "S1A1.w4", "S1V1.lambda"]
@@ -59,7 +69,7 @@ def test_vacuum_zero_params_defaults():
 
 
 def test_emit_csv_round_trip(tmp_path):
-    result = run_scenario(small_config())
+    result = run_small()
     out = tmp_path / "run.csv"
     paths = emit_csv(result, out)
     assert [str(out), str(tmp_path / "run.S1.pn.csv")] == paths
@@ -115,7 +125,7 @@ def test_emit_csv_bytes_match_per_cell_format(tmp_path, name):
     if name == "synthetic":
         result = synthetic_result()
     else:
-        result = run_scenario(load_preset(name))
+        result = run_preset(name)
     paths = emit_csv(result, tmp_path / "out.csv")
     expected = reference_csv_bytes(result)
     assert paths == [str(tmp_path / f"out{suffix}.csv") for suffix in expected]
@@ -126,8 +136,8 @@ def test_emit_csv_bytes_match_per_cell_format(tmp_path, name):
 def test_run_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    emit_csv(run_scenario(small_config()), a)
-    emit_csv(run_scenario(small_config()), b)
+    emit_csv(run_small(), a)
+    emit_csv(run_small(), b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -151,7 +161,6 @@ def test_presets_complete_and_inherit():
 
 
 def test_preset_run_column_contract(tmp_path):
-    from dataclasses import replace
     cfg = replace(load_preset("fig2"), z_steps=4)
     result = run_scenario(cfg)
     names = [name for name, _ in result.columns]
@@ -162,7 +171,8 @@ def test_cli_run_scenario_file(tmp_path, capsys):
     doc = tmp_path / "scn.txt"
     doc.write_text(SMALL_DOC)
     out = tmp_path / "out.csv"
-    assert main(["run", "--scenario", str(doc), "--out", str(out)]) == 0
+    with pytest.warns(TruncationWarning, match=r"p\(n\) of S1 is truncated"):
+        assert main(["run", "--scenario", str(doc), "--out", str(out)]) == 0
     assert out.exists() and (tmp_path / "out.S1.pn.csv").exists()
 
 
@@ -209,7 +219,7 @@ def test_presets_serialize_round_trip():
 
 
 def test_metadata_echoes_scenario():
-    result = run_scenario(small_config())
+    result = run_small()
     meta = dict(result.metadata)
     assert "gS1 = 1.0" in meta["scenario"]
     assert float(meta["conservation_residual"]) < 1e-9
@@ -218,7 +228,7 @@ def test_metadata_echoes_scenario():
         meta["max_symplectic_residual"])
     for name in PRESET_NAMES:
         cfg = load_preset(name)
-        result = run_scenario(cfg)
+        result = run_preset(name)
         meta = dict(result.metadata)
         keys = {key for key in meta if key.startswith("pn_max_deficit.")}
         assert keys == {f"pn_max_deficit.{sel}" for sel, _ in result.pn_tables}, name
@@ -229,15 +239,44 @@ def test_metadata_echoes_scenario():
             assert meta[f"pn_max_deficit.{sel}"] == f"{deficit[i]:.6e} at z={result.z[i]:.12g}"
 
 
-# scipy is made unimportable before qcoupler is imported
+def test_truncated_pn_warns_with_selection_deficit_and_z():
+    # fig7's S1A1 table is a small head of its distribution at n_max = 64
+    with pytest.warns(TruncationWarning) as record:
+        result = run_scenario(load_preset("fig7"))
+    deficit = dict(result.metadata)["pn_max_deficit.S1A1"]
+    assert deficit == "6.387384e-01 at z=1.81162324649"
+    assert [str(w.message) for w in record] == [
+        f"p(n) of S1A1 is truncated at n_max=64: largest deficit 1 - sum p(n) "
+        f"{deficit} exceeds 1e-06"]
+
+
+def test_pn_deficit_alarm_level(monkeypatch):
+    # below the alarm no warning is raised (warnings are errors here): the
+    # small document's S1 misses 1.2e-8 of its mass at n_max = 64, and
+    # fig3's S1A1 misses 2.2e-15, which is roundoff
+    run_scenario(replace(small_config(), n_max=64))
+    assert float(dict(run_scenario(load_preset("fig3")).metadata)[
+        "pn_max_deficit.S1A1"].split()[0]) < 1e-14
+    monkeypatch.setattr(cli, "_PN_DEFICIT_ALARM", 1e-16)
+    with pytest.warns(TruncationWarning, match=r"S1A1 .* exceeds 1e-16"):
+        run_scenario(load_preset("fig3"))
+
+
+# scipy is made unimportable before qcoupler is imported; the loaded
+# scipy and numpy.random modules are listed after the run and after check
 _NO_SCIPY_PROBE = """
 import sys
 sys.modules["scipy"] = None
 from qcoupler.cli import main
+
+def loaded():
+    return sorted(m for m, mod in sys.modules.items()
+                  if m.startswith(("scipy", "numpy.random")) and mod is not None)
+
 run = main(["run", "--preset", "fig7", "--out", sys.argv[1]])
+after_run = loaded()
 check = main(["check"])
-print(run, check, sorted(m for m, mod in sys.modules.items()
-                         if m.startswith("scipy") and mod is not None))
+print(run, check, after_run, loaded())
 """
 
 
@@ -250,10 +289,11 @@ def _run_uninstalled(args, tmp_path):
 
 def test_import_and_run_load_no_scipy(tmp_path):
     """qcoupler needs numpy only: with scipy unimportable a preset run and
-    ``check`` (the Fock oracle included) both pass and load none of it."""
+    ``check`` (the Fock oracle included) both pass and load none of it,
+    nor ``numpy.random`` (about 6 MB of resident memory with its imports)."""
     proc = _run_uninstalled(["-c", _NO_SCIPY_PROBE, str(tmp_path / "fig7.csv")], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 0 []"
+    assert proc.stdout.splitlines()[-1] == "0 0 [] []"
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

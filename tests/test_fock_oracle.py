@@ -253,16 +253,21 @@ def test_truncation_warning_below_hard_limit():
         evolve_fock(cfg, [VACUUM_INPUT, VACUUM_INPUT], 0.2)
 
 
-@pytest.mark.parametrize("inputs", [
-    [VACUUM_INPUT, InputSpec(n_ch=-0.3)],
-    [VACUUM_INPUT, InputSpec(n_ch=math.nan)],
-    [InputSpec(xi=math.inf), VACUUM_INPUT],
-    [FockLevel(1.5), VACUUM_INPUT],
-], ids=["negative-n_ch", "nan-n_ch", "inf-xi", "fractional-level"])
-def test_bad_inputs_rejected(inputs):
+@pytest.mark.parametrize("inputs, match", [
+    ([VACUUM_INPUT, InputSpec(n_ch=-0.3)], None),
+    ([VACUUM_INPUT, InputSpec(n_ch=math.nan)], None),
+    ([InputSpec(xi=math.inf), VACUUM_INPUT], None),
+    ([FockLevel(1.5), VACUUM_INPUT], None),
+    ({ModeId.A1: VACUUM_INPUT}, "mode V1"),
+    ([VACUUM_INPUT], r"per subsystem mode \(A1, V1\), got 1"),
+    ([VACUUM_INPUT] * 3, r"per subsystem mode \(A1, V1\), got 3"),
+    ([VACUUM_INPUT, None], "V1 input must be an InputSpec or a FockLevel, got None"),
+], ids=["negative-n_ch", "nan-n_ch", "inf-xi", "fractional-level",
+        "dict-missing-mode", "too-few", "too-many", "none-entry"])
+def test_bad_inputs_rejected(inputs, match):
     cfg = FockConfig(modes=(ModeId.A1, ModeId.V1), cutoffs=(4, 4),
                      params=quiet_params(gA1=0.2))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=match):
         evolve_fock(cfg, inputs, 0.1)
 
 
