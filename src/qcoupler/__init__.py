@@ -46,7 +46,6 @@ from .dynamics import (
     propagator,
     rk4_propagator,
     symplectic_check,
-    symplectic_residual,
 )
 from .analytic import AnalyticFrame, analytic_propagator, conditions_satisfied
 from .shortlen import (
@@ -55,18 +54,7 @@ from .shortlen import (
     shortlen_mean_amplitudes,
     shortlen_state,
 )
-from .gaussian_stats import (
-    StatsReport,
-    generating_function,
-    generating_function_jet,
-    intensity_covariance,
-    intensity_variance,
-    mean_intensity,
-    moments_and_distribution,
-    principal_squeeze,
-    quadrature_variances,
-    stats_report,
-)
+from .gaussian_stats import StatsReport, stats_report
 from .fock_oracle import (
     FockConfig,
     FockEnsemble,

@@ -42,7 +42,7 @@ from .dynamics import (
     symplectic_check,
 )
 from .fock_oracle import FockConfig, evolve_fock, fock_statistics
-from .gaussian_stats import moments_and_distribution, principal_squeeze, stats_report
+from .gaussian_stats import stats_report
 from .model import (
     CouplerParams,
     InputSpec,
@@ -256,11 +256,10 @@ def _check_oracle():
                   (ModeId.S1, ModeId.A1), (ModeId.S1, ModeId.V1)]:
         sel = ModeSelection(modes)
         fock = fock_statistics(ensemble, sel)
-        mean_w, _, p_n = moments_and_distribution(state, sel, k_max=2, n_max=16)
-        lam = principal_squeeze(state, sel)
-        d_pn = float(np.max(np.abs(fock.p_n[:9] - p_n[:9])))
-        d_n = abs(fock.mean_w - mean_w) / max(mean_w, 1e-12)
-        d_lam = abs(fock.lam - lam)
+        report = stats_report(state, sel, k_max=2, n_max=16, include_pn=True)
+        d_pn = float(np.max(np.abs(fock.p_n[:9] - report.p_n[:9])))
+        d_n = abs(fock.mean_w - report.mean_w) / max(report.mean_w, 1e-12)
+        d_lam = abs(fock.lam - report.lam)
         good = d_pn < 1e-4 and d_n < 1e-3 and d_lam < 1e-3
         ok = ok and good
         lines.append(f"{sel.name}: p(n) {d_pn:.1e}, <n> rel {d_n:.1e}, lambda {d_lam:.1e}")

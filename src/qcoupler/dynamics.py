@@ -126,10 +126,6 @@ class BogoliubovTransform:
         the conjugates of [U V] with their halves exchanged."""
         return np.concatenate([self.rows, np.roll(self.rows.conj(), N_MODES, axis=-1)], axis=-2)
 
-    def compose(self, first: "BogoliubovTransform") -> "BogoliubovTransform":
-        """The transform equivalent to applying ``first`` and then ``self``."""
-        return BogoliubovTransform(self.rows @ first.doubled(), self.z + first.z)
-
 
 def _even_step(flat: np.ndarray) -> float | None:
     """The spacing of an evenly spaced grid (to a few ulps), else None."""
@@ -278,12 +274,6 @@ def symplectic_check(t: BogoliubovTransform) -> SymplecticCheck:
     each = violation / scale
     return SymplecticCheck(residual=float(np.max(violation, initial=0.0)),
                            scaled=float(np.max(each, initial=0.0)), each=each)
-
-
-def symplectic_residual(t: BogoliubovTransform) -> float:
-    """Max-norm violation of the two Bogoliubov (commutator) identities,
-    over every transform of a stack: ``symplectic_check(t).residual``."""
-    return symplectic_check(t).residual
 
 
 def evolve_state(t: BogoliubovTransform, s0: GaussianState) -> GaussianState:

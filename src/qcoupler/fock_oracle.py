@@ -354,7 +354,7 @@ def fock_statistics(ensemble: FockEnsemble, sel) -> FockStats:
     """Photon distribution, factorial moments and squeeze variance for a
     selection of subsystem modes."""
     cfg = ensemble.cfg
-    sel = sel if isinstance(sel, ModeSelection) else ModeSelection(tuple(sel))
+    sel = sel if isinstance(sel, ModeSelection) else ModeSelection(sel)
     positions = [cfg.mode_index(m) for m in sel.modes]
     occupations = np.indices(cfg.dims).reshape(len(cfg.dims), -1)
     total = occupations[positions].sum(axis=0)

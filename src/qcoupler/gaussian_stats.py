@@ -36,10 +36,8 @@ Statistics of Linear and Nonlinear Optical Phenomena, 1991):
 so the moments up to k_max <= 8 need a few small matrix products and no
 eigendecomposition; 2 h_2 = <:(dW)^2:>.  Only p(n), a jet at s = 1 of
 order up to 512, uses the eigenvalues lam_i of Gamma (``np.linalg.eigh``),
-and only for the selections that request it; ``generating_function_jet``
-too takes the trace series at s0 = 0 and the spectrum elsewhere.  Every
-moment and p(n) is assembled and cross-checked by ``stats_report``:
-``moments_and_distribution`` is three of its fields, and raises with it.
+and only for the selections that request it.  Every statistic is
+assembled and cross-checked by ``stats_report``, the one public route.
 
 Quadrature conventions: p = A + A^+ and q = -i(A - A^+), and a compound
 field uses the plain operator sum A_j + A_k.  The vacuum variance is k
@@ -48,7 +46,7 @@ The uncertainty product is the product of the smallest and largest
 principal variances, k + 2 (S -/+ |P|) (1 for a coherent single mode, 4
 for compound vacuum).
 
-Every function accepts a stacked state (one per point of a z-grid, say)
+``stats_report`` accepts a stacked state (one per point of a z-grid, say)
 and returns its statistics stacked over the same leading axes.  The
 eigen jet's log-series is built in closed form; the trace series and the
 series exponential loop over the order.
@@ -64,27 +62,13 @@ import numpy as np
 from .exceptions import NumericalError
 from .model import GaussianState, ModeSelection, _check_orders, _doubled_covariance
 
-__all__ = [
-    "ModeSelection",
-    "StatsReport",
-    "mean_intensity",
-    "intensity_covariance",
-    "intensity_variance",
-    "principal_squeeze",
-    "quadrature_variances",
-    "generating_function",
-    "generating_function_jet",
-    "moments_and_distribution",
-    "stats_report",
-]
+__all__ = ["StatsReport", "stats_report"]
 
 _MIN_PIVOT = 1e-12  # singularity floor for (1 + s * eigenvalue)
 _MAX_SHIFT = 600.0  # largest seed shift of the series exponential; e^600 p(n) < e^709
 _TINY = np.finfo(float).tiny  # smallest normal double
-
-
-def _as_selection(sel) -> ModeSelection:
-    return sel if isinstance(sel, ModeSelection) else ModeSelection(tuple(sel))
+_EPS = np.finfo(float).eps
+_SQUEEZE_DIGITS = 1e-8  # largest roundoff of a quadrature variance, relative to lambda
 
 
 def _where(state: GaussianState, sel: ModeSelection, bad) -> str:
@@ -100,27 +84,13 @@ def _selection_block(state: GaussianState, sel: ModeSelection):
     return state.xi[..., idx], state.N[..., idx[:, None], idx], state.M[..., idx[:, None], idx]
 
 
-def mean_intensity(state: GaussianState, sel):
-    """<W> = Re tr n + |x|^2 over the selection's block."""
-    x, n, _ = _selection_block(state, _as_selection(sel))
-    return np.trace(n, axis1=-2, axis2=-1).real + np.sum(np.abs(x) ** 2, axis=-1)
-
-
-def _intensity_pairs(state: GaussianState, sel: ModeSelection):
-    """C_jk = <:dW_j dW_k:> over the selection's block."""
+def _intensity_variance(state: GaussianState, sel: ModeSelection):
+    """<:(dW)^2:>: the sum over the selection's block of the pair
+    correlations C_jk = <:dW_j dW_k:>."""
     x, n, m = _selection_block(state, sel)
     xr, xc = x[..., :, None], x.conj()[..., None, :]
-    return np.abs(n) ** 2 + np.abs(m) ** 2 + 2.0 * np.real(xr * n * xc + xr.conj() * m * xc)
-
-
-def intensity_variance(state: GaussianState, sel):
-    """<:(dW)^2:> = sum of C_jk over the selection, single or compound."""
-    return np.sum(_intensity_pairs(state, _as_selection(sel)), axis=(-2, -1))
-
-
-def intensity_covariance(state: GaussianState, j, k):
-    """<:dW_j dW_k:> between two distinct modes."""
-    return _intensity_pairs(state, ModeSelection((j, k)))[..., 0, 1]
+    pairs = np.abs(n) ** 2 + np.abs(m) ** 2 + 2.0 * np.real(xr * n * xc + xr.conj() * m * xc)
+    return np.sum(pairs, axis=(-2, -1))
 
 
 def _spread(vac, s, t):
@@ -130,42 +100,35 @@ def _spread(vac, s, t):
 
 def _quadratures(state: GaussianState, sel: ModeSelection):
     """(principal squeeze variance, var_p, var_q, uncertainty) from the
-    vacuum level, the symmetric noise S and the pair term P."""
+    vacuum level, the symmetric noise S and the pair term P.
+
+    Each variance is a difference of sums of N and M, whose roundoff is
+    about eps (k + 2 (S + |P|)), the largest principal variance.  Where
+    that exceeds 1e-8 lambda (a strongly squeezed field under gain, or an
+    unphysical lambda <= 0) the digits are gone; as var_p, var_q >= lambda
+    and u = lambda (k + 2 (S + |P|)), one bound covers all four columns.
+    """
     _, n, m = _selection_block(state, sel)
     vac, s, p = n.shape[-1], np.sum(n, axis=(-2, -1)).real, np.sum(m, axis=(-2, -1))
     lo, hi = _spread(vac, s, np.abs(p))
+    lost = _EPS * hi > _SQUEEZE_DIGITS * lo
+    if np.any(lost):
+        i = int(np.argmax(np.ravel(lost)))
+        raise NumericalError(
+            f"quadrature variances lose their digits{_where(state, sel, lost)}: principal "
+            f"squeeze variance {float(np.ravel(lo)[i]):.6g} against a roundoff of "
+            f"{_EPS * float(np.ravel(hi)[i]):.3g} (state is unphysical or squeezed "
+            "beyond double precision)"
+        )
     var_q, var_p = _spread(vac, s, np.real(p))
     return lo, var_p, var_q, lo * hi
-
-
-def principal_squeeze(state: GaussianState, sel):
-    """Principal squeeze variance: the quadrature variance minimized over
-    the quadrature phase.  Below the vacuum level (1 single / 2 compound)
-    the field is squeezed."""
-    return _quadratures(state, _as_selection(sel))[0]
-
-
-def quadrature_variances(state: GaussianState, sel):
-    """(var_p, var_q, uncertainty) for the selected mode(s).
-
-    ``uncertainty`` is the product of the minimal and maximal principal
-    variances.
-    """
-    return _quadratures(state, _as_selection(sel))[1:]
 
 
 # --------------------------------------------------------------------------
 # Generating function and jet machinery.
 
-def _doubled_block(state: GaussianState, sel: ModeSelection):
-    """The doubled covariance Gamma = [[n^T, m], [m*, n]] and the doubled
-    mean y = (x, x*) of the selection's block."""
-    x, n, m = _selection_block(state, sel)
-    return _doubled_covariance(n, m), np.concatenate([x, x.conj()], axis=-1)
-
-
 def _selection_spectrum(gamma: np.ndarray, y: np.ndarray):
-    """Eigen-data of a selection's doubled block (``_doubled_block``).
+    """Eigen-data of a selection's doubled covariance and mean.
 
     Returns real eigenvalues lam_i of the 2m x 2m doubled covariance
     Gamma and the nonnegative weights w_i = |(Q^H y)_i|^2 with y the
@@ -207,26 +170,26 @@ def _series_exp(h: np.ndarray) -> np.ndarray:
 
 
 def _g_jet(state: GaussianState, sel: ModeSelection, lam: np.ndarray, w: np.ndarray,
-           s0: float, order: int) -> np.ndarray:
-    """Taylor coefficients of G(s0 + t) through t^order, from the spectrum
-    of the selection ``sel`` of ``state``.
+           order: int) -> np.ndarray:
+    """Taylor coefficients of G(1 + t) through t^order, from the spectrum
+    of the selection ``sel`` of ``state``: (-1)^n p(n) at t^n.
 
-    log G(s0 + t) = -(1/2) sum_i [log(a_i + lam_i t) + (s0 + t) w_i / (a_i + lam_i t)]
-    with a_i = 1 + s0 lam_i.  Expanding both terms in powers of
-    P_i = -lam_i / a_i, and using 1 - s0 lam_i / a_i = 1 / a_i to merge
+    log G(1 + t) = -(1/2) sum_i [log(a_i + lam_i t) + (1 + t) w_i / (a_i + lam_i t)]
+    with a_i = 1 + lam_i.  Expanding both terms in powers of
+    P_i = -lam_i / a_i, and using 1 - lam_i / a_i = 1 / a_i to merge
     the t-shifted prefactor term, gives the log-series h in closed form:
 
-        h_0 = -(1/2) sum_i (log a_i + s0 w_i / a_i),
+        h_0 = -(1/2) sum_i (log a_i + w_i / a_i),
         h_n = (1/2) sum_i P_i^(n-1) (P_i / n - w_i / a_i^2),   n >= 1.
 
     The powers come from one cumulative product per eigenvalue, written
     into a buffer that is reused for every eigenvalue.
     """
-    a = 1.0 + s0 * lam
+    a = 1.0 + lam
     bad = np.any(a <= _MIN_PIVOT, axis=-1)
     if np.any(bad):
         raise NumericalError(
-            f"generating function singular at s={s0}{_where(state, sel, bad)}: "
+            f"generating function singular at s=1.0{_where(state, sel, bad)}: "
             f"covariance eigenvalue {np.min(lam[bad]):.6g} (state is unphysical "
             "or too close to singular)"
         )
@@ -234,7 +197,7 @@ def _g_jet(state: GaussianState, sel: ModeSelection, lam: np.ndarray, w: np.ndar
     q = w / a**2
     inv_n = 1.0 / np.arange(1, order + 1)
     h = np.zeros(lam.shape[:-1] + (order + 1,))
-    h[..., 0] = -0.5 * np.sum(np.log(a) + s0 * w / a, axis=-1)
+    h[..., 0] = -0.5 * np.sum(np.log(a) + w / a, axis=-1)
     tail = h[..., 1:]
     powers = np.empty_like(tail)
     term = np.empty_like(tail)
@@ -252,33 +215,10 @@ def _g_jet(state: GaussianState, sel: ModeSelection, lam: np.ndarray, w: np.ndar
     return _series_exp(h)
 
 
-def generating_function_jet(state: GaussianState, sel, s0: float, order: int) -> np.ndarray:
-    """Taylor coefficients of G around s0, length order + 1: at s0 = 0 from
-    the trace series (the moments' route), elsewhere from the spectrum."""
-    sel = _as_selection(sel)
-    s0, order = float(s0), int(order)
-    block = _doubled_block(state, sel)
-    if s0 == 0.0:
-        mean_w = mean_intensity(state, sel)
-        return _series_exp(_reduced_log_series(*block, mean_w, np.ones_like(mean_w), order))
-    return _g_jet(state, sel, *_selection_spectrum(*block), s0, order)
-
-
-def generating_function(state: GaussianState, sel, svalues) -> np.ndarray:
-    """G(s) = <: exp(-s W) :> at the given points (last axis): the order-0
-    coefficient of the spectrum's jet at each point, from one spectrum."""
-    sel = _as_selection(sel)
-    lam, w = _selection_spectrum(*_doubled_block(state, sel))
-    svalues = np.atleast_1d(np.asarray(svalues, dtype=float))
-    out = np.empty(lam.shape[:-1] + svalues.shape)
-    for i, s in enumerate(svalues):
-        out[..., i] = _g_jet(state, sel, lam, w, float(s), 0)[..., 0]
-    return out
-
-
 def _reduced_log_series(gamma: np.ndarray, y: np.ndarray, mean_w, scale, order: int):
     """The trace series of the module docstring, reduced: the log-series
-    of G(u / scale) around u = 0 through u^order, from ``_doubled_block``.
+    of G(u / scale) around u = 0 through u^order, from the doubled
+    covariance Gamma and the doubled mean y of a selection's block.
 
     Gamma is divided by the scale, <W> or 1, and y by its square root, so
     with scale = <W> the series holds h_k / <W>^k and its exponential
@@ -332,8 +272,9 @@ class StatsReport:
 
 def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
                  include_pn: bool = False) -> StatsReport:
-    """The full report for one selection, the one route to its moments and p(n).
+    """The full report for one selection, the one route to its statistics.
 
+    ``sel`` is a ``ModeSelection`` or a sequence of one or two ``ModeId``.
     <W> is the closed form, and the reduced moments come from the trace
     series reduced by <W>: they are NaN markers when <W> = 0 (vacuum in
     the selection) or <W> is below the normal double range (2.2e-308),
@@ -347,12 +288,14 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
     with ``include_pn`` also the order-2 sum (1/2) sum lam_i^2 +
     sum w_i lam_i of the eigen spectrum, so a failed ``eigh`` is caught
     too.  Disagreement beyond 1e-8 (relative to the natural scale) means
-    the numerics cannot be trusted and raises :class:`NumericalError`.
+    the numerics cannot be trusted and raises :class:`NumericalError`, as
+    does a quadrature roundoff beyond 1e-8 lambda (``_quadratures``).
     """
     _check_orders(k_max, n_max)
-    sel = _as_selection(sel)
-    gamma, y = _doubled_block(state, sel)
-    mean_w = mean_intensity(state, sel)
+    sel = sel if isinstance(sel, ModeSelection) else ModeSelection(sel)
+    x, n, m = _selection_block(state, sel)
+    gamma, y = _doubled_covariance(n, m), np.concatenate([x, x.conj()], axis=-1)
+    mean_w = np.trace(n, axis1=-2, axis2=-1).real + np.sum(np.abs(x) ** 2, axis=-1)
     # below the normal range <W> has lost its digits, and 1 / <W> overflows
     reducible = mean_w >= _TINY
     scale = np.where(reducible, mean_w, 1.0)
@@ -368,14 +311,14 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
     if include_pn:
         lam, w = _selection_spectrum(gamma, y)
         variances.append(np.sum(0.5 * lam**2 + w * lam, axis=-1))
-        p_n = _g_jet(state, sel, lam, w, 1.0, n_max) * (-1.0) ** np.arange(n_max + 1)
+        p_n = _g_jet(state, sel, lam, w, n_max) * (-1.0) ** np.arange(n_max + 1)
         dead = np.all(p_n == 0.0, axis=-1)
         if np.any(dead):
             raise NumericalError(
                 f"p(n) for n <= {n_max} underflows{_where(state, sel, dead)}: "
                 f"<W> = {float(np.max(np.asarray(mean_w)[dead])):.6g} lies too far beyond n_max"
             )
-    var_formula = intensity_variance(state, sel)
+    var_formula = _intensity_variance(state, sel)
     tolerance = 1e-8 * np.maximum(np.maximum(1.0, np.abs(var_formula)), mean_w**2)
     for var_moments in variances:
         bad = np.abs(var_moments - var_formula) > tolerance  # NaN: not checked
@@ -399,11 +342,3 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
         pn_deficit=None if p_n is None else 1.0 - p_n.sum(axis=-1),
     )
 
-
-def moments_and_distribution(state: GaussianState, sel, k_max: int = 5,
-                             n_max: int = 64):
-    """(<W>, reduced moments for k = 2..k_max, photon distribution p_n):
-    three fields of ``stats_report(..., include_pn=True)``, so it raises
-    :class:`NumericalError` where that report's cross-check fails."""
-    report = stats_report(state, sel, k_max, n_max, include_pn=True)
-    return report.mean_w, report.reduced_moments, report.p_n

@@ -315,25 +315,34 @@ def build_input_state(inputs) -> GaussianState:
     return state
 
 
-def permute_state(state: GaussianState) -> GaussianState:
-    """The same state with the two guides' modes exchanged."""
-    p = np.asarray(EXCHANGE_PERMUTATION)
-    ix = (..., p[:, None], p)
-    return GaussianState(xi=state.xi[..., p], N=state.N[ix], M=state.M[ix], z=state.z)
+def _as_mode(entry) -> ModeId:
+    try:
+        return ModeId(entry)
+    except (ValueError, TypeError):
+        raise ValidationError(f"mode selection entry {entry!r} is not a ModeId") from None
 
 
 @dataclass(frozen=True)
 class ModeSelection:
     """One or two distinct modes whose joint statistics are requested.
 
-    Two-mode selections are stored in canonical index order regardless
-    of how they were written.
+    ``modes`` is a sequence of ``ModeId`` members or their indices; a bare
+    string is rejected (``parse`` reads mode names).  Two-mode selections
+    are stored in canonical index order regardless of how they were
+    written.
     """
 
     modes: tuple
 
     def __post_init__(self):
-        modes = tuple(ModeId(m) for m in self.modes)
+        if isinstance(self.modes, str):
+            raise ValidationError(f"a mode selection is a sequence of modes, not the string "
+                                  f"{self.modes!r}; ModeSelection.parse reads names")
+        try:
+            modes = tuple(map(_as_mode, self.modes))
+        except TypeError:
+            raise ValidationError(
+                f"a mode selection is a sequence of modes, got {self.modes!r}") from None
         if len(modes) not in (1, 2):
             raise ValidationError("a mode selection holds one or two modes")
         if len(modes) == 2:

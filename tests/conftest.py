@@ -1,10 +1,12 @@
 """Shared test helpers.
 
 Provides quiet parameter construction, sweeps that assert their p(n)
-truncation alarm, seeded random draws, small z-polynomial arithmetic
-(exact convolution, truncation at degree 4), and the generic short-length
-composition that the fixture-identity tests and the acceptance suite both
-consume.
+truncation alarm, seeded random draws, the guide exchange of a state,
+the generating function of an eigen spectrum (closed product form, its
+jet by scalar loops, and the same jet through the moments' trace series),
+small z-polynomial arithmetic (exact convolution, truncation at degree
+4), and the generic short-length composition that the fixture-identity
+tests and the acceptance suite both consume.
 """
 
 import warnings
@@ -13,9 +15,17 @@ import numpy as np
 import pytest
 from hypothesis import Phase
 
+import qcoupler.gaussian_stats as gaussian_stats
 from qcoupler.cli import run_scenario
 from qcoupler.exceptions import TruncationWarning
-from qcoupler.model import CouplerParams, InputSpec, validate_params
+from qcoupler.model import (
+    EXCHANGE_PERMUTATION,
+    CouplerParams,
+    GaussianState,
+    InputSpec,
+    _doubled_covariance,
+    validate_params,
+)
 from qcoupler.presets import load_preset
 from qcoupler.shortlen import mean_amplitude_poly, shortlen_noise_polys
 
@@ -73,6 +83,71 @@ def random_inputs(rng, xi_mag=2.0, squeezed=True, thermal=True):
         n_ch = rng.uniform(0, 1.0) if thermal and rng.random() < 0.5 else 0.0
         specs.append(InputSpec(xi=complex(xi), r=r, theta=theta, n_ch=n_ch))
     return tuple(specs)
+
+
+def permute_state(state: GaussianState) -> GaussianState:
+    """The same state with the two guides' modes exchanged."""
+    p = np.asarray(EXCHANGE_PERMUTATION)
+    ix = (..., p[:, None], p)
+    return GaussianState(xi=state.xi[..., p], N=state.N[ix], M=state.M[ix], z=state.z)
+
+
+# ---------------------------------------------------------------------------
+# The generating function of an eigen spectrum: eigenvalues lam_i of a
+# selection's doubled covariance and weights w_i of its doubled mean, as
+# ``gaussian_stats._selection_spectrum`` returns them.
+
+def doubled_block(state, sel):
+    """The doubled covariance Gamma = [[n^T, m], [m*, n]] and the doubled
+    mean y = (x, x*) of the selection's block."""
+    x, n, m = gaussian_stats._selection_block(state, sel)
+    return _doubled_covariance(n, m), np.concatenate([x, x.conj()], axis=-1)
+
+
+def selection_spectrum(state, sel):
+    """(lam, w) of the selection's doubled block."""
+    return gaussian_stats._selection_spectrum(*doubled_block(state, sel))
+
+
+def spectrum_g(lam, w, s):
+    """G(s) = prod_i (1 + s lam_i)^(-1/2) exp(-(s/2) sum_i w_i / (1 + s lam_i))."""
+    a = 1.0 + s * lam
+    return np.prod(a, axis=-1) ** -0.5 * np.exp(-0.5 * s * np.sum(w / a, axis=-1))
+
+
+def spectrum_jet(lam, w, s0, order):
+    """The Taylor coefficients of G(s0 + t) of one spectrum by scalar loops:
+    log-series coefficients, then the exponential recurrence with one dot
+    product per order."""
+    a = 1.0 + s0 * lam
+    h = np.zeros(order + 1)
+    h[0] = -0.5 * np.sum(np.log(a)) - 0.5 * s0 * np.sum(w / a)
+    for n in range(1, order + 1):
+        g_n = np.sum(w / a * (-lam / a) ** n)
+        g_prev = np.sum(w / a * (-lam / a) ** (n - 1))
+        h[n] = 0.5 * (-1.0) ** n * np.sum((lam / a) ** n) / n - 0.5 * (s0 * g_n + g_prev)
+    f = np.zeros(order + 1)
+    f[0] = np.exp(h[0])
+    for n in range(1, order + 1):
+        f[n] = np.dot(np.arange(1, n + 1) * h[1:n + 1], f[n - 1::-1]) / n
+    return f
+
+
+def unreduced_jet(gamma, y, mean_w, order):
+    """The Taylor coefficients of G(s) at s = 0 through the moments' trace
+    series, unreduced (scale 1, the route of a vacuum row)."""
+    return gaussian_stats._series_exp(gaussian_stats._reduced_log_series(
+        gamma, y, mean_w, np.ones_like(mean_w), order))
+
+
+def trace_series_jet(lam, w, order):
+    """``unreduced_jet`` of a stack of spectra: Gamma = diag(lam),
+    y = sqrt(w) and <W> = (1/2) sum_i (lam_i + w_i)."""
+    idx = np.arange(lam.shape[-1])
+    gamma = np.zeros(lam.shape + lam.shape[-1:], dtype=complex)
+    gamma[..., idx, idx] = lam
+    return unreduced_jet(gamma, np.sqrt(w).astype(complex), 0.5 * np.sum(lam + w, axis=-1),
+                         order)
 
 
 def matched_coupling_params(rng, mag=3.0):

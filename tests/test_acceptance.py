@@ -19,14 +19,10 @@ from qcoupler.dynamics import (
     evolve_state,
     propagator,
     rk4_propagator,
-    symplectic_residual,
+    symplectic_check,
 )
 from qcoupler.fock_oracle import FockConfig, evolve_fock, fock_statistics
-from qcoupler.gaussian_stats import (
-    moments_and_distribution,
-    principal_squeeze,
-    stats_report,
-)
+from qcoupler.gaussian_stats import stats_report
 from qcoupler.model import (
     InputSpec,
     ModeId,
@@ -98,7 +94,7 @@ def test_criterion_1_symplectic_residual():
         em = build_drift_matrix(params)
         for z in (0.1, 1.0, 5.0):
             t = propagator(em, z)
-            residual = symplectic_residual(t)
+            residual = symplectic_check(t).residual
             size = float(np.max(np.abs(t.U)))
             worst_scaled = max(worst_scaled, residual / max(1.0, size**2))
             if size <= 100.0:
@@ -203,13 +199,12 @@ def test_criterion_6_oracle_equivalence():
         for modes in [(S1,), (A1,), (V1,), (S1, A1), (S1, V1), (A1, V1)]:
             sel = ModeSelection(tuple(ModeId(m) for m in modes))
             fock = fock_statistics(ensemble, sel)
-            mean_w, _, p_n = moments_and_distribution(state, sel, 2, 16)
-            lam = principal_squeeze(state, sel)
+            rep = stats_report(state, sel, 2, 16, include_pn=True)
             top = min(8, len(fock.p_n) - 1)
             worst_pn = max(worst_pn, float(np.max(np.abs(
-                fock.p_n[:top + 1] - p_n[:top + 1]))))
-            worst_n = max(worst_n, abs(fock.mean_w - mean_w) / max(mean_w, 1e-12))
-            worst_lam = max(worst_lam, abs(fock.lam - lam))
+                fock.p_n[:top + 1] - rep.p_n[:top + 1]))))
+            worst_n = max(worst_n, abs(fock.mean_w - rep.mean_w) / max(rep.mean_w, 1e-12))
+            worst_lam = max(worst_lam, abs(fock.lam - rep.lam))
     elapsed = time.perf_counter() - start
     ok = worst_pn < 1e-4 and worst_n < 1e-3 and worst_lam < 1e-3 and elapsed < 120
     _report(6, ok, f"oracle equivalence: p(n<=8) {worst_pn:.1e} < 1e-4, "
@@ -224,7 +219,7 @@ def test_criterion_7_squeeze_benchmark():
     for g in (0.6, 1.0):
         em = build_drift_matrix(quiet_params(gS1=g))
         zs = np.linspace(0.0, 3.0, 61)
-        lam = principal_squeeze(evolve_state(propagator(em, zs), s0), sel)
+        lam = stats_report(evolve_state(propagator(em, zs), s0), sel).lam
         worst = max(worst, float(np.max(np.abs(lam - 2.0 * np.exp(-2.0 * g * zs)))))
     _report(7, worst < 1e-9,
             f"two-mode squeeze benchmark |lambda - 2 exp(-2|g|z)| = {worst:.2e} < 1e-9")
@@ -238,10 +233,10 @@ def test_criterion_8_no_single_mode_nonclassicality(preset_states):
         assert np.max(np.abs(state.C)) < 1e-12
         for mode in ModeId:
             sel = ModeSelection((mode,))
-            worst_lam = min(worst_lam, float(np.min(principal_squeeze(state, sel))))
-            mean_w, reduced, _ = moments_and_distribution(state, sel, k_max, 2)
-            worst_moment = min(worst_moment,
-                               float(np.min(reduced[mean_w > 0], initial=np.inf)))
+            rep = stats_report(state, sel, k_max, 2, include_pn=True)
+            worst_lam = min(worst_lam, float(np.min(rep.lam)))
+            worst_moment = min(worst_moment, float(np.min(
+                rep.reduced_moments[rep.mean_w > 0], initial=np.inf)))
     ok = worst_lam >= 1.0 - 1e-12 and worst_moment >= -1e-12
     _report(8, ok, f"single modes across presets: min lambda {worst_lam:.12f} "
                    f">= 1-1e-12, min reduced moment {worst_moment:.1e} >= -1e-12")

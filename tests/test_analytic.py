@@ -8,7 +8,7 @@ from qcoupler.analytic import (
     analytic_propagator,
     conditions_satisfied,
 )
-from qcoupler.dynamics import build_drift_matrix, propagator, symplectic_residual
+from qcoupler.dynamics import build_drift_matrix, propagator, symplectic_check
 from qcoupler.exceptions import UnsupportedConfigurationError
 
 from conftest import matched_coupling_params, quiet_params
@@ -91,7 +91,7 @@ def test_imaginary_internal_rate_branch():
                 kappaS=params.kappaS, kappaA=params.kappaA)
         assert abs(params.gA1) > abs(params.gS1)
         t = analytic_propagator(params, 1.1)
-        assert symplectic_residual(t) < 1e-12
+        assert symplectic_check(t).residual < 1e-12
         doubled = t.doubled()
         assert np.allclose(doubled[6:, 6:], t.U.conj(), atol=0)
 

@@ -23,7 +23,7 @@ from qcoupler.dynamics import (
     propagator,
 )
 from qcoupler.exceptions import NumericalError
-from qcoupler.gaussian_stats import moments_and_distribution, stats_report
+from qcoupler.gaussian_stats import stats_report
 from qcoupler.model import (
     CouplerParams,
     GaussianState,
@@ -37,7 +37,14 @@ from qcoupler.model import (
 )
 from qcoupler.presets import PRESET_NAMES, load_preset
 
-from conftest import PROPERTY_PHASES, quiet_params, run_preset, run_truncated
+from conftest import (
+    PROPERTY_PHASES,
+    quiet_params,
+    run_preset,
+    run_truncated,
+    spectrum_jet,
+    trace_series_jet,
+)
 
 TOL = 1e-12
 COLUMN_FLOOR = 1.0
@@ -206,33 +213,20 @@ def test_2d_grid_rows_equal_points():
         assert report_deviation(report, idx, point) <= TOL, idx
 
 
-def _reference_jet(lam, w, s0, order):
-    """The jet of one state by scalar loops: log-series coefficients, then
-    the exponential recurrence with one dot product per order."""
-    a = 1.0 + s0 * lam
-    h = np.zeros(order + 1)
-    h[0] = -0.5 * np.sum(np.log(a)) - 0.5 * s0 * np.sum(w / a)
-    for n in range(1, order + 1):
-        g_n = np.sum(w / a * (-lam / a) ** n)
-        g_prev = np.sum(w / a * (-lam / a) ** (n - 1))
-        h[n] = 0.5 * (-1.0) ** n * np.sum((lam / a) ** n) / n - 0.5 * (s0 * g_n + g_prev)
-    f = np.zeros(order + 1)
-    f[0] = np.exp(h[0])
-    for n in range(1, order + 1):
-        f[n] = np.dot(np.arange(1, n + 1) * h[1:n + 1], f[n - 1::-1]) / n
-    return f
-
-
 @pytest.mark.parametrize("s0, order, floor", [(0.0, 8, COLUMN_FLOOR), (1.0, 64, PN_FLOOR),
                                              (1.0, 512, PN_FLOOR)])
 def test_stacked_jet_matches_scalar_reference(s0, order, floor):
+    # s0 = 0: the moments' trace series on diag(lam); s0 = 1: the p(n) jet
     rng = np.random.default_rng(11)
     lam = rng.uniform(-0.4, 3.0, (50, 4))
     w = rng.uniform(0.0, 4.0, (50, 4))
     sel = ModeSelection((ModeId.S1, ModeId.A1))
-    jets = gaussian_stats._g_jet(_sweep_state(), sel, lam, w, s0, order)
+    if s0 == 0.0:
+        jets = trace_series_jet(lam, w, order)
+    else:
+        jets = gaussian_stats._g_jet(_sweep_state(), sel, lam, w, order)
     for i in range(len(lam)):
-        assert deviation(jets[i], _reference_jet(lam[i], w[i], s0, order), floor) <= 1e-12
+        assert deviation(jets[i], spectrum_jet(lam[i], w[i], s0, order), floor) <= 1e-12
 
 
 @pytest.mark.filterwarnings("ignore::qcoupler.exceptions.ParameterRegimeWarning")
@@ -268,31 +262,31 @@ def test_singular_pivot_in_batch_names_z_and_selection():
     message = f"singular at s=1.0 at z={states.z[5]} for selection S1"
     with pytest.raises(NumericalError, match=message):
         stats_report(bad, sel, k_max=2, n_max=8, include_pn=True)
-    with pytest.raises(NumericalError, match=message):
-        moments_and_distribution(bad, sel, 2, 8)
-    # without p(n) the s=1 jet is never built, so nothing is singular
-    report = stats_report(bad, sel, k_max=2, n_max=8)
-    assert report.p_n is None and np.isnan(report.reduced_moments[5, 0])
+    # without p(n) the s=1 jet is never built, but the same unphysical B
+    # gives lambda < 0, which the quadrature alarm names
+    with pytest.raises(NumericalError, match=f"quadrature variances lose their digits "
+                                             f"at z={states.z[5]} for selection S1"):
+        stats_report(bad, sel, k_max=2, n_max=8)
 
 
 @pytest.mark.parametrize("k_max", [1, 4])
 def test_variance_cross_check_in_sweep_names_z_and_selection(monkeypatch, k_max):
     cfg = dataclasses.replace(parse_scenario(SMALL_DOC), k_max=k_max)
-    closed_form = gaussian_stats.intensity_variance
+    closed_form = gaussian_stats._intensity_variance
 
     def off_at_third_point(state, sel):
         values = np.array(closed_form(state, sel))
         values[3] += 1.0
         return values
 
-    monkeypatch.setattr(gaussian_stats, "intensity_variance", off_at_third_point)
+    monkeypatch.setattr(gaussian_stats, "_intensity_variance", off_at_third_point)
     message = f"cross-check failed at z={cfg.z_grid()[3]} for selection S1A1"
     with pytest.raises(NumericalError, match=message):
         run_scenario(cfg)
     states = evolve_state(propagator(build_drift_matrix(cfg.params), cfg.z_grid()),
                           build_input_state(cfg.inputs))
     with pytest.raises(NumericalError, match=message):
-        moments_and_distribution(states, ModeSelection((ModeId.S1, ModeId.A1)), k_max, 8)
+        stats_report(states, ModeSelection((ModeId.S1, ModeId.A1)), k_max, 8, include_pn=True)
 
 
 def test_failed_eigh_in_pn_selection_fails_cross_check(monkeypatch):
@@ -321,9 +315,9 @@ def test_s1_jet_only_for_pn_selections(monkeypatch):
         spectra.append(gamma.shape)
         return spectrum(gamma, y)
 
-    def recording_jet(state, sel, lam, w, s0, order):
-        jets.append((sel.name, s0, order, lam.shape[0]))
-        return g_jet(state, sel, lam, w, s0, order)
+    def recording_jet(state, sel, lam, w, order):
+        jets.append((sel.name, order, lam.shape[0]))
+        return g_jet(state, sel, lam, w, order)
 
     def recording_eigh(a, *args, **kwargs):
         eighs.append(a.shape)
@@ -337,9 +331,9 @@ def test_s1_jet_only_for_pn_selections(monkeypatch):
     # the pn selection S1 gets an eigendecomposition (one, over the whole
     # grid) and the order-n_max jet at s=1
     assert spectra == [(6, 2, 2)]
-    assert jets == [("S1", 1.0, 32, 6)]
+    assert jets == [("S1", 32, 6)]
     assert eighs == [(6, 2, 2)]
     assert [sel for sel, _ in result.pn_tables] == ["S1"]
-    # the public s=0 jet takes the moments' route: no spectrum, no eigh
-    gaussian_stats.generating_function_jet(_sweep_state(), ModeSelection((ModeId.S1,)), 0.0, 8)
+    # the moments to k = 8 take the trace series: no spectrum, no eigh
+    stats_report(_sweep_state(), ModeSelection((ModeId.S1,)), k_max=8)
     assert spectra == [(6, 2, 2)] and len(jets) == 1 and len(eighs) == 1

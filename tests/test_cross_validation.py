@@ -11,14 +11,7 @@ from qcoupler.dynamics import (
 )
 from qcoupler.exceptions import TruncationWarning
 from qcoupler.fock_oracle import FockConfig, evolve_fock, fock_statistics
-from qcoupler.gaussian_stats import (
-    generating_function,
-    intensity_covariance,
-    intensity_variance,
-    moments_and_distribution,
-    principal_squeeze,
-    quadrature_variances,
-)
+from qcoupler.gaussian_stats import stats_report
 from qcoupler.model import (
     InputSpec,
     ModeId,
@@ -27,7 +20,7 @@ from qcoupler.model import (
     build_input_state,
 )
 
-from conftest import quiet_params
+from conftest import quiet_params, selection_spectrum, spectrum_g
 
 
 def _gaussian_state(params, mode_specs, z):
@@ -47,21 +40,21 @@ def _compare(params, cutoffs, mode_specs, z, selections,
     for modes in selections:
         sel = ModeSelection(modes)
         fock = fock_statistics(ensemble, sel)
-        mean_w, _, p_n = moments_and_distribution(state, sel, k_max=2, n_max=16)
-        lam = principal_squeeze(state, sel)
-        var_p, var_q, _ = quadrature_variances(state, sel)
+        rep = stats_report(state, sel, k_max=2, n_max=16, include_pn=True)
         n_top = min(8, len(fock.p_n) - 1)
-        assert np.max(np.abs(fock.p_n[:n_top + 1] - p_n[:n_top + 1])) < tol_pn, sel.name
-        assert abs(fock.mean_w - mean_w) / max(mean_w, 1e-12) < tol_n, sel.name
-        assert abs(fock.lam - lam) < tol_lam, sel.name
-        assert abs(fock.var_p - var_p) < tol_lam, sel.name
-        assert abs(fock.var_q - var_q) < tol_lam, sel.name
+        assert np.max(np.abs(fock.p_n[:n_top + 1] - rep.p_n[:n_top + 1])) < tol_pn, sel.name
+        assert abs(fock.mean_w - rep.mean_w) / max(rep.mean_w, 1e-12) < tol_n, sel.name
+        assert abs(fock.lam - rep.lam) < tol_lam, sel.name
+        assert abs(fock.var_p - rep.var_p) < tol_lam, sel.name
+        assert abs(fock.var_q - rep.var_q) < tol_lam, sel.name
         var_fock = _normal_variance(fock)
-        assert _rel_err(intensity_variance(state, sel), var_fock) < tol_var, sel.name
+        assert _rel_err(rep.variance_w, var_fock) < tol_var, sel.name
         if len(sel.modes) == 2:
+            # <:dW_j dW_k:> = (<:(dW)^2:> of j and k - that of j - that of k) / 2
             singles = [_normal_variance(fock_statistics(ensemble, (m,))) for m in sel.modes]
             cov_fock = 0.5 * (var_fock - sum(singles))
-            cov = intensity_covariance(state, *sel.modes)
+            cov = 0.5 * (rep.variance_w - sum(stats_report(state, (m,)).variance_w
+                                              for m in sel.modes))
             assert _rel_err(cov, cov_fock) < tol_var, sel.name
 
 
@@ -120,8 +113,9 @@ def test_generating_function_matches_oracle():
     ensemble = evolve_fock(cfg, [VACUUM_INPUT, VACUUM_INPUT], 0.5)
     fock = fock_statistics(ensemble, (ModeId.S1, ModeId.V1))
     state = _gaussian_state(params, {ModeId.S1: VACUUM_INPUT}, 0.5)
+    lam, w = selection_spectrum(state, ModeSelection((ModeId.S1, ModeId.V1)))
     for s in (0.25, 0.5, 1.0):
-        g = generating_function(state, ModeSelection((ModeId.S1, ModeId.V1)), [s])[0]
+        g = spectrum_g(lam, w, s)
         ref = float(np.dot(fock.p_n, (1.0 - s) ** np.arange(len(fock.p_n))))
         assert g == pytest.approx(ref, abs=1e-6)
 

@@ -1,23 +1,15 @@
 """Statistics: variances, squeeze variances, generating function, moments."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from qcoupler.dynamics import build_drift_matrix, evolve_state, propagator
-from qcoupler.exceptions import NumericalError
-from qcoupler.gaussian_stats import (
-    generating_function,
-    generating_function_jet,
-    intensity_variance,
-    mean_intensity,
-    moments_and_distribution,
-    principal_squeeze,
-    quadrature_variances,
-    stats_report,
-)
+from qcoupler.exceptions import NumericalError, ValidationError
+from qcoupler.gaussian_stats import stats_report
 from qcoupler.model import (
     GaussianState,
     InputSpec,
@@ -28,7 +20,13 @@ from qcoupler.model import (
 )
 from qcoupler.shortlen import shortlen_state
 
-from conftest import quiet_params, random_couplings, random_inputs
+from conftest import (
+    quiet_params,
+    random_couplings,
+    random_inputs,
+    selection_spectrum,
+    spectrum_g,
+)
 
 S1, A1, V1, S2, A2, V2 = range(6)
 
@@ -51,26 +49,26 @@ def evolved(params, inputs, z):
 
 def test_intensity_variance_coherent_zero():
     s = state_with(S1=InputSpec(xi=2j))
-    assert intensity_variance(s, (S1,)) == 0.0
+    assert stats_report(s, (S1,)).variance_w == 0.0
 
 
 def test_intensity_variance_chaotic():
     s = state_with(V1=InputSpec(n_ch=1.0))
-    assert intensity_variance(s, (V1,)) == pytest.approx(1.0)
+    assert stats_report(s, (V1,)).variance_w == pytest.approx(1.0)
 
 
 def test_intensity_variance_shortlen_regime():
     # stimulated Stokes: leading order is 2 |g|^2 |xi|^2 z^2 = 0.08
     s = evolved(quiet_params(gS1=1),
                 [InputSpec(xi=2)] + [VACUUM_INPUT] * 5, 0.1)
-    assert intensity_variance(s, (S1,)) == pytest.approx(0.08, abs=2e-3)
+    assert stats_report(s, (S1,)).variance_w == pytest.approx(0.08, abs=2e-3)
 
 
 def test_compound_variance_can_be_negative():
     # interference term makes the compound variance negative at short z
     s = shortlen_state(quiet_params(gS1=1, gA1=2),
                        np.array([2, 2, 0, 0, 0, 0], complex), 0.0, 0.0, 0.05)
-    total = intensity_variance(s, (S1, A1))
+    total = stats_report(s, (S1, A1)).variance_w
     # -0.02 is the leading z^2 value; amplitude drift adds O(z^3)
     assert total == pytest.approx(-0.02, abs=5e-4)
     assert total < 0
@@ -78,13 +76,13 @@ def test_compound_variance_can_be_negative():
 
 def test_compound_variance_of_coherent_modes_is_zero():
     s = state_with(S1=InputSpec(xi=1.5), A1=InputSpec(xi=-2j))
-    assert intensity_variance(s, (S1, A1)) == 0.0
+    assert stats_report(s, (S1, A1)).variance_w == 0.0
 
 
 def test_principal_squeeze_vacuum_levels():
     s = build_input_state([VACUUM_INPUT] * 6)
-    assert principal_squeeze(s, single(ModeId.S1)) == 1.0
-    assert principal_squeeze(s, ModeSelection((ModeId.S1, ModeId.V1))) == 2.0
+    assert stats_report(s, single(ModeId.S1)).lam == 1.0
+    assert stats_report(s, ModeSelection((ModeId.S1, ModeId.V1))).lam == 2.0
 
 
 def test_principal_squeeze_two_mode_benchmark():
@@ -92,25 +90,52 @@ def test_principal_squeeze_two_mode_benchmark():
     s0 = build_input_state([VACUUM_INPUT] * 6)
     for z in (0.5, 1.0, 3.0):
         s = evolve_state(propagator(em, z), s0)
-        lam = principal_squeeze(s, ModeSelection((ModeId.S1, ModeId.V1)))
+        lam = stats_report(s, ModeSelection((ModeId.S1, ModeId.V1))).lam
         assert lam == pytest.approx(2 * math.exp(-2 * z), abs=1e-9)
 
 
 def test_principal_squeeze_shortlen_value():
     s = shortlen_state(quiet_params(gS1=1, gA1=2), np.zeros(6, complex),
                        0.0, 0.0, 0.1)
-    lam = principal_squeeze(s, ModeSelection((ModeId.S1, ModeId.A1)))
+    lam = stats_report(s, ModeSelection((ModeId.S1, ModeId.A1))).lam
     assert lam == pytest.approx(1.98, abs=1e-12)
 
 
 def test_quadrature_variances_vacuum_and_squeezed():
-    s = build_input_state([VACUUM_INPUT] * 6)
-    assert quadrature_variances(s, single(ModeId.S1)) == (1.0, 1.0, 1.0)
-    s = state_with(S1=InputSpec(r=1.0))
-    var_p, var_q, u = quadrature_variances(s, single(ModeId.S1))
-    assert var_p == pytest.approx(math.e**2)
-    assert var_q == pytest.approx(math.e**-2)
-    assert u == pytest.approx(1.0)
+    rep = stats_report(build_input_state([VACUUM_INPUT] * 6), single(ModeId.S1))
+    assert (rep.var_p, rep.var_q, rep.uncertainty) == (1.0, 1.0, 1.0)
+    rep = stats_report(state_with(S1=InputSpec(r=1.0)), single(ModeId.S1))
+    assert rep.var_p == pytest.approx(math.e**2)
+    assert rep.var_q == pytest.approx(math.e**-2)
+    assert rep.uncertainty == pytest.approx(1.0)
+
+
+def test_squeeze_digit_alarm_under_gain():
+    # gS1 = 1 on vacuum makes S1V1 a two-mode squeezed vacuum: lambda =
+    # 2 e^(-2z) while the largest principal variance is 2 e^(2z), so its
+    # roundoff passes 1e-8 lambda near z = 4.4, and at z = 14 lambda came
+    # out as -2.4e-4
+    em = build_drift_matrix(quiet_params(gS1=1.0))
+    s0 = build_input_state([VACUUM_INPUT] * 6)
+    sel = ModeSelection((ModeId.S1, ModeId.V1))
+    zs = np.linspace(0.0, 3.0, 13)
+    rep = stats_report(evolve_state(propagator(em, zs), s0), sel)
+    assert np.max(np.abs(rep.lam - 2.0 * np.exp(-2.0 * zs))) < 1e-12
+    with pytest.raises(NumericalError, match="quadrature variances lose their digits "
+                                             "at z=14.0 for selection S1V1"):
+        stats_report(evolve_state(propagator(em, 14.0), s0), sel)
+    with pytest.raises(NumericalError, match="at z=5.0 for selection S1V1"):
+        stats_report(evolve_state(propagator(em, np.linspace(0.0, 14.0, 15)), s0), sel)
+
+
+@pytest.mark.parametrize("modes, entry", [((7,), "7"), (("S1",), "'S1'"), (3, "3"),
+                                          ("S1", "'S1'")])
+def test_malformed_selection_raises_validation_error(modes, entry):
+    # a bare string is rejected whole rather than split into characters
+    with pytest.raises(ValidationError, match=re.escape(entry)):
+        ModeSelection(modes)
+    with pytest.raises(ValidationError, match=re.escape(entry)):
+        stats_report(build_input_state([VACUUM_INPUT] * 6), modes)
 
 
 def test_quadratures_bounded_below_by_principal_variance():
@@ -121,42 +146,28 @@ def test_quadratures_bounded_below_by_principal_variance():
                          build_input_state(random_inputs(rng)))
         for modes in [(S1,), (V1,), (S1, A1), (A1, V2)]:
             sel = ModeSelection(tuple(ModeId(m) for m in modes))
-            var_p, var_q, _ = quadrature_variances(s, sel)
-            lam = principal_squeeze(s, sel)
-            assert min(var_p, var_q) >= lam - 1e-12
+            rep = stats_report(s, sel)
+            assert min(rep.var_p, rep.var_q) >= rep.lam - 1e-12
 
 
 def test_generating_function_poisson():
     s = state_with(S1=InputSpec(xi=2j))
-    out = generating_function(s, single(ModeId.S1), [0.25, 0.5, 1.0])
+    lam, w = selection_spectrum(s, single(ModeId.S1))
+    out = [spectrum_g(lam, w, sv) for sv in (0.25, 0.5, 1.0)]
     assert np.allclose(out, np.exp(-np.array([0.25, 0.5, 1.0]) * 4.0), atol=1e-14)
 
 
 def test_generating_function_geometric():
     s = state_with(V1=InputSpec(n_ch=2.0))
-    out = generating_function(s, single(ModeId.V1), [0.25, 1.0])
+    lam, w = selection_spectrum(s, single(ModeId.V1))
+    out = [spectrum_g(lam, w, sv) for sv in (0.25, 1.0)]
     assert np.allclose(out, [1 / 1.5, 1 / 3.0], atol=1e-14)
-
-
-def test_generating_function_takes_one_spectrum(monkeypatch):
-    em = build_drift_matrix(random_couplings(np.random.default_rng(6)))
-    s = evolve_state(propagator(em, np.linspace(0.0, 1.0, 5)),
-                     build_input_state(random_inputs(np.random.default_rng(7))))
-    sel = ModeSelection((ModeId.S1, ModeId.A1))
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    out = generating_function(s, sel, [0.0, 0.25, 0.5, 1.0])
-    assert len(calls) == 1 and out.shape == (5, 4)
-    assert np.array_equal(out[:, 0], np.ones(5))
-    for i, sv in enumerate((0.25, 0.5, 1.0), start=1):
-        assert np.array_equal(out[:, i], generating_function_jet(s, sel, sv, 0)[..., 0])
-    assert generating_function(s, sel, []).shape == (5, 0)
 
 
 def test_generating_function_calibration():
     """G(0) = 1 exactly; -G'(0) is the mean intensity; the second
-    derivative reproduces the closed-form variance."""
+    derivative reproduces the closed-form variance.  The report's moments
+    are the s=0 jet: <W> = -g_1 and <W^2> = 2 g_2 = (w_2 + 1) <W>^2."""
     rng = np.random.default_rng(40)
     for _ in range(15):
         s = evolve_state(propagator(build_drift_matrix(random_couplings(rng)),
@@ -164,31 +175,33 @@ def test_generating_function_calibration():
                          build_input_state(random_inputs(rng)))
         for modes in [(S1,), (V2,), (S1, V1), (A1, S2)]:
             sel = ModeSelection(tuple(ModeId(m) for m in modes))
-            jet = generating_function_jet(s, sel, 0.0, 2)
-            assert jet[0] == 1.0
-            mean_w = mean_intensity(s, sel)
-            assert -jet[1] == pytest.approx(mean_w, abs=1e-10 * max(1, mean_w))
-            var = 2 * jet[2] - jet[1] ** 2
-            ref = intensity_variance(s, sel)
-            assert var == pytest.approx(ref, abs=1e-8 * max(1.0, abs(ref)))
+            rep = stats_report(s, sel, k_max=2)
+            g_1, g_2 = -rep.mean_w, (rep.reduced_moments[0] + 1.0) * rep.mean_w**2 / 2
+            lam, w = selection_spectrum(s, sel)
+            assert spectrum_g(lam, w, 0.0) == 1.0
+            assert -g_1 == pytest.approx(0.5 * np.sum(lam + w),
+                                         abs=1e-10 * max(1, rep.mean_w))
+            var = 2 * g_2 - g_1 ** 2
+            assert var == pytest.approx(rep.variance_w,
+                                        abs=1e-8 * max(1.0, abs(rep.variance_w)))
 
 
 def test_moments_coherent_poisson():
     s = state_with(S1=InputSpec(xi=2j))
-    mean_w, reduced, p_n = moments_and_distribution(s, single(ModeId.S1), 5, 32)
-    assert mean_w == pytest.approx(4.0)
-    assert np.allclose(reduced, 0.0, atol=1e-12)
-    assert p_n[0] == pytest.approx(math.exp(-4.0), abs=1e-12)
+    rep = stats_report(s, single(ModeId.S1), 5, 32, include_pn=True)
+    assert rep.mean_w == pytest.approx(4.0)
+    assert np.allclose(rep.reduced_moments, 0.0, atol=1e-12)
+    assert rep.p_n[0] == pytest.approx(math.exp(-4.0), abs=1e-12)
     facts = np.array([math.factorial(n) for n in range(33)], dtype=float)
     ref = np.exp(-4.0) * 4.0 ** np.arange(33) / facts
-    assert np.allclose(p_n, ref, atol=1e-12)
+    assert np.allclose(rep.p_n, ref, atol=1e-12)
 
 
 def test_moments_chaotic_geometric():
     s = state_with(V1=InputSpec(n_ch=1.0))
-    mean_w, reduced, p_n = moments_and_distribution(s, single(ModeId.V1), 3, 24)
-    assert reduced[0] == pytest.approx(1.0)
-    assert np.allclose(p_n, 0.5 ** (np.arange(25) + 1), atol=1e-12)
+    rep = stats_report(s, single(ModeId.V1), 3, 24, include_pn=True)
+    assert rep.reduced_moments[0] == pytest.approx(1.0)
+    assert np.allclose(rep.p_n, 0.5 ** (np.arange(25) + 1), atol=1e-12)
 
 
 def poisson(xi):
@@ -219,13 +232,14 @@ def test_order_512_distribution_matches_closed_forms(inputs, modes, mean, pmf, r
     """p(n) to n = 512 and the moments to k = 8 against 40-digit closed
     forms, at 1e-12 relative with floors 1e-6 (p(n)) and 1 (moments)."""
     sel = ModeSelection(tuple(ModeId[m] for m in modes))
-    mean_w, moments, p_n = moments_and_distribution(state_with(**inputs), sel, 8, 512)
+    rep = stats_report(state_with(**inputs), sel, 8, 512, include_pn=True)
     with mp.workdps(40):
         ref = np.array([float(pmf(n)) for n in range(513)])
-    assert np.max(np.abs(p_n - ref) / np.maximum(ref, 1e-6)) <= 1e-12
-    assert abs(mean_w - mean) <= 1e-12 * mean
+    assert np.max(np.abs(rep.p_n - ref) / np.maximum(ref, 1e-6)) <= 1e-12
+    assert abs(rep.mean_w - mean) <= 1e-12 * mean
     ref_moments = np.array([reduced(k) for k in range(2, 9)])
-    assert np.max(np.abs(moments - ref_moments) / np.maximum(ref_moments, 1.0)) <= 1e-12
+    assert np.max(np.abs(rep.reduced_moments - ref_moments)
+                  / np.maximum(ref_moments, 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("mean", [780.0, 1000.0])
@@ -234,7 +248,7 @@ def test_bright_coherent_distribution_matches_poisson(mean):
     must come out to 1e-12 relative (a silent all-zero row is the bug)."""
     xi = math.sqrt(mean)
     s = state_with(S1=InputSpec(xi=xi))
-    _, _, p_n = moments_and_distribution(s, single(ModeId.S1), 2, 512)
+    p_n = stats_report(s, single(ModeId.S1), 2, 512, include_pn=True).p_n
     with mp.workdps(40):
         ref = np.array([float(poisson(xi)(n)) for n in range(513)])
     shown = ref > 1e-300
@@ -250,15 +264,15 @@ def test_distribution_beyond_double_range_raises(mean):
     # subnormal and would carry its 2e-3 relative error into every p(n).
     s = state_with(S1=InputSpec(xi=math.sqrt(mean)))
     with pytest.raises(NumericalError, match="p\\(n\\) for n <= 512 underflows"):
-        moments_and_distribution(s, single(ModeId.S1), 2, 512)
+        stats_report(s, single(ModeId.S1), 2, 512, include_pn=True)
 
 
 def test_moments_vacuum_markers():
     s = build_input_state([VACUUM_INPUT] * 6)
-    mean_w, reduced, p_n = moments_and_distribution(s, single(ModeId.S1), 4, 8)
-    assert mean_w == 0.0
-    assert np.all(np.isnan(reduced))
-    assert p_n[0] == 1.0 and np.allclose(p_n[1:], 0.0)
+    rep = stats_report(s, single(ModeId.S1), 4, 8, include_pn=True)
+    assert rep.mean_w == 0.0
+    assert np.all(np.isnan(rep.reduced_moments))
+    assert rep.p_n[0] == 1.0 and np.allclose(rep.p_n[1:], 0.0)
 
 
 def test_moments_markers_below_normal_range():
@@ -278,7 +292,7 @@ def test_distribution_sums_to_one_within_truncation():
                          build_input_state(random_inputs(rng, xi_mag=1.5)))
         for modes in [(S1,), (S1, V1)]:
             sel = ModeSelection(tuple(ModeId(m) for m in modes))
-            _, _, p_n = moments_and_distribution(s, sel, 2, 256)
+            p_n = stats_report(s, sel, 2, 256, include_pn=True).p_n
             assert np.all(p_n >= -1e-12)
             assert 1.0 - p_n.sum() < 1e-6
 
@@ -296,9 +310,8 @@ def test_sub_poissonian_compound_mode_exists():
     sel = ModeSelection((ModeId.S1, ModeId.A1))
     w2 = []
     for z in np.linspace(0.05, 2.0, 40):
-        _, reduced, _ = moments_and_distribution(
-            evolve_state(propagator(em, z), s0), sel, 2, 8)
-        w2.append(reduced[0])
+        rep = stats_report(evolve_state(propagator(em, z), s0), sel, 2, 8, include_pn=True)
+        w2.append(rep.reduced_moments[0])
     assert min(w2) < 0
 
 
@@ -312,10 +325,10 @@ def test_single_modes_stay_classical_without_squeezed_inputs():
             s = evolve_state(propagator(em, z), s0)
             assert np.max(np.abs(s.C)) < 1e-12    # C stays zero
             for m in ModeId:
-                assert principal_squeeze(s, single(m)) >= 1.0 - 1e-12
-                mean_w, reduced, _ = moments_and_distribution(s, single(m), 3, 4)
-                if mean_w > 0:
-                    assert np.min(reduced) >= -1e-12
+                rep = stats_report(s, single(m), 3, 4, include_pn=True)
+                assert rep.lam >= 1.0 - 1e-12
+                if rep.mean_w > 0:
+                    assert np.min(rep.reduced_moments) >= -1e-12
 
 
 def test_stats_report_fields_and_cross_check():
@@ -364,4 +377,4 @@ def test_singular_generating_function_raises():
         N=np.diag(np.full(6, -1.5 + 0j)), M=np.zeros((6, 6), complex),
     )
     with pytest.raises(NumericalError):
-        moments_and_distribution(bad, single(ModeId.S1), 2, 8)
+        stats_report(bad, single(ModeId.S1), 2, 8, include_pn=True)

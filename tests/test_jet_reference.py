@@ -1,12 +1,13 @@
 """Generating-function jets against 40-digit references.
 
 The closed-form tests elsewhere cover single modes and equal
-eigenvalues.  Here the stacked jet ``_g_jet`` is checked on spectra they
-miss: four distinct eigenvalues with squeezed (negative) ones, a
-repeated thermal pair, and a bright row; and the squeezed vacuum, whose
-two eigenvalues give log-series ratios P of opposite sign, at order 512.
-The moments' trace series, which the public s=0 jet runs too, is checked
-on a weakly squeezed vacuum, whose <W> lies far below its eigenvalues.
+eigenvalues.  Here the stacked p(n) jet ``_g_jet`` at s=1, and the
+moments' trace series at s=0 on the diagonal covariance of each spectrum,
+are checked on spectra they miss: four distinct eigenvalues with squeezed
+(negative) ones, a repeated thermal pair, and a bright row; and the
+squeezed vacuum, whose two eigenvalues give log-series ratios P of
+opposite sign, at order 512.  The trace series is also checked on a
+weakly squeezed vacuum, whose <W> lies far below its eigenvalues.
 """
 
 import math
@@ -16,7 +17,10 @@ import numpy as np
 import pytest
 
 import qcoupler.gaussian_stats as gaussian_stats
+from qcoupler.gaussian_stats import stats_report
 from qcoupler.model import VACUUM_INPUT, InputSpec, ModeId, ModeSelection, build_input_state
+
+from conftest import doubled_block, trace_series_jet, unreduced_jet
 
 DPS = 40
 TOL = 1e-12
@@ -70,7 +74,10 @@ def references():
                                              (1.0, 512, PN_FLOOR)])
 def test_stacked_jet_matches_mpmath(references, s0, order, floor):
     assert W[2].sum() == pytest.approx(350.0)
-    jets = gaussian_stats._g_jet(None, SEL, LAM, W, s0, order)
+    if s0 == 0.0:
+        jets = trace_series_jet(LAM, W, order)
+    else:
+        jets = gaussian_stats._g_jet(None, SEL, LAM, W, order)
     assert jets.shape == (len(LAM), order + 1)
     for i, ref in enumerate(references[s0]):
         assert deviation(jets[i], ref[:order + 1], floor) <= TOL, i
@@ -81,8 +88,8 @@ def test_squeezed_vacuum_pn_at_order_512():
     inputs = [VACUUM_INPUT] * 6
     inputs[ModeId.S1] = InputSpec(r=r, theta=0.4)
     state = build_input_state(inputs)
-    p_n = gaussian_stats.moments_and_distribution(state, ModeSelection((ModeId.S1,)),
-                                                  k_max=2, n_max=n_max)[2]
+    p_n = stats_report(state, ModeSelection((ModeId.S1,)), k_max=2, n_max=n_max,
+                       include_pn=True).p_n
     with mp.workdps(DPS):
         t2, c = mp.tanh(r) ** 2, mp.cosh(r)
         # p(2m) = (2m)! / (4^m (m!)^2) tanh^(2m) r / cosh r
@@ -114,8 +121,8 @@ def test_weakly_squeezed_vacuum_moments_keep_their_digits(r):
     """<W> ~ r^2 is far below the eigenvalues +/- r of the doubled block,
     yet <W> and every reduced moment come out to 1e-12 relative; a
     reduced moment beyond the double range (k >= 6 at r = 1e-62) is inf.
-    The public s=0 jet runs the same trace series and keeps every
-    coefficient that is a normal double to 1e-12 relative."""
+    Unreduced (scale 1, the route of a vacuum row), the same trace series
+    keeps every coefficient that is a normal double to 1e-12 relative."""
     order = 8
     inputs = [VACUUM_INPUT] * 6
     inputs[ModeId.S1] = InputSpec(r=r, theta=0.3)
@@ -126,16 +133,17 @@ def test_weakly_squeezed_vacuum_moments_keep_their_digits(r):
         # the trace series holds g_k / <W>^k, and w_k = (-1)^k k! g_k / <W>^k - 1
         reduced_jet = [g[k] / n**k for k in range(order + 1)]
         w = [(-1) ** k * mp.factorial(k) * reduced_jet[k] - 1 for k in range(2, order + 1)]
-    mean_w, moments, _ = gaussian_stats.moments_and_distribution(state, sel, order, 8)
+    report = stats_report(state, sel, order, 8, include_pn=True)
+    mean_w, moments = report.mean_w, report.reduced_moments
     assert abs(mean_w - float(n)) <= 1e-15 * float(n)
-    block = gaussian_stats._doubled_block(state, sel)
+    block = doubled_block(state, sel)
     with np.errstate(over="ignore"):
         jet = gaussian_stats._series_exp(
             gaussian_stats._reduced_log_series(*block, mean_w, mean_w, order))
     for k, ref in enumerate(reduced_jet):
         if abs(ref) < 1e300:
             assert abs(jet[k] - float(ref)) <= 1e-12 * abs(float(ref)), k
-    public = gaussian_stats.generating_function_jet(state, sel, 0.0, order)
+    public = unreduced_jet(*block, mean_w, order)
     for k, ref in enumerate(g):
         if abs(ref) >= np.finfo(float).tiny:
             assert abs(public[k] - float(ref)) <= 1e-12 * abs(float(ref)), k

@@ -14,7 +14,7 @@ from qcoupler.exceptions import (
     ScenarioParseError,
     ValidationError,
 )
-from qcoupler.gaussian_stats import mean_intensity, stats_report
+from qcoupler.gaussian_stats import stats_report
 from qcoupler.model import (
     CouplerParams,
     GaussianState,
@@ -74,7 +74,7 @@ def test_input_state_squeezed_noise_keeps_its_digits(r):
     with mp.workdps(40):
         ref = float(mp.sinh(mp.mpf(r)) ** 2)
     assert s.B[0] == pytest.approx(ref, rel=1e-15, abs=0.0)
-    assert mean_intensity(s, (ModeId.S1,)) == pytest.approx(ref, rel=1e-15, abs=0.0)
+    assert stats_report(s, (ModeId.S1,)).mean_w == pytest.approx(ref, rel=1e-15, abs=0.0)
 
 
 def test_input_state_cross_moments_zero_and_deterministic():

@@ -5,7 +5,8 @@ Over random stable couplers, inputs and selections: p(n) is a
 subprobability, it is unchanged by exchanging the guides, and where the
 tail beyond n_max is negligible its first two factorial moments are the
 moments of the s=0 jet.  The moments' trace series, which needs no
-eigendecomposition, gives the same s=0 jet as the eigen route.
+eigendecomposition, gives the same s=0 jet as the closed product form of
+the eigen spectrum.
 """
 
 import numpy as np
@@ -13,10 +14,18 @@ from hypothesis import assume, given, settings, strategies as st
 
 import qcoupler.gaussian_stats as gaussian_stats
 from qcoupler.dynamics import build_drift_matrix, evolve_state, propagator
-from qcoupler.gaussian_stats import generating_function_jet, moments_and_distribution
-from qcoupler.model import InputSpec, ModeId, ModeSelection, build_input_state, permute_state
+from qcoupler.gaussian_stats import stats_report
+from qcoupler.model import InputSpec, ModeId, ModeSelection, build_input_state
 
-from conftest import PROPERTY_PHASES, quiet_params
+from conftest import (
+    PROPERTY_PHASES,
+    doubled_block,
+    permute_state,
+    quiet_params,
+    selection_spectrum,
+    spectrum_jet,
+    unreduced_jet,
+)
 
 N_MAX = 96
 
@@ -57,13 +66,14 @@ def stable_state(mags, phase, specs, z_max):
        z_max=st.floats(0.05, 2.0), sel=selections)
 def test_pn_properties(mags, phase, specs, z_max, sel):
     state = stable_state(mags, phase, specs, z_max)
-    p_n = moments_and_distribution(state, sel, k_max=2, n_max=N_MAX)[2]
+    report = stats_report(state, sel, k_max=2, n_max=N_MAX, include_pn=True)
+    p_n = report.p_n
     total = p_n.sum(axis=-1)
     assert np.min(p_n) >= -1e-14
     assert np.all(total > 0.0) and np.all(total <= 1.0 + 1e-12)
 
-    swapped = moments_and_distribution(permute_state(state), sel.permuted(), k_max=2,
-                                       n_max=N_MAX)[2]
+    swapped = stats_report(permute_state(state), sel.permuted(), k_max=2, n_max=N_MAX,
+                           include_pn=True).p_n
     assert np.max(np.abs(swapped - p_n)) <= 1e-12
 
     # <W^k> = (-1)^k G^(k)(0) are normally ordered: <W> = sum n p(n) and
@@ -73,7 +83,7 @@ def test_pn_properties(mags, phase, specs, z_max, sel):
     # The jet's <W> = (1/2) sum_i (lam_i + w_i) carries an absolute error of
     # about eps max|lam_i|, and a weakly squeezed mode has max|lam_i| ~ |C|
     # <= sqrt(<W>); the floor keeps that error inside the tolerance.
-    jet = generating_function_jet(state, sel, 0.0, 2)
+    jet = unreduced_jet(*doubled_block(state, sel), report.mean_w, 2)
     n = np.arange(N_MAX + 1)
     full = 1.0 - total < 1e-14
     for moment, weights in [(-jet[..., 1], n), (2.0 * jet[..., 2], n * (n - 1.0))]:
@@ -89,15 +99,15 @@ def test_trace_series_jet_equals_eigen_jet(mags, phase, specs, z_max, sel, order
     # to compare jets.  A reduced coefficient exceeds the double range only
     # for a weakly squeezed near-vacuum row, where it grows like <W>^(-k/2).
     state = stable_state(mags, phase, specs, z_max)
-    mean_w = gaussian_stats.mean_intensity(state, sel)
+    mean_w = stats_report(state, sel, k_max=order).mean_w
     scale = np.where(mean_w >= np.finfo(float).tiny, mean_w, 1.0)
-    block = gaussian_stats._doubled_block(state, sel)
+    block = doubled_block(state, sel)
     with np.errstate(over="ignore", invalid="ignore"):
         reduced = gaussian_stats._series_exp(
             gaussian_stats._reduced_log_series(*block, mean_w, scale, order))
     finite = np.all(np.isfinite(reduced), axis=-1)
     assert np.all(finite | (mean_w < 1e-70))
     jet = reduced[finite] * scale[finite, None] ** np.arange(order + 1)
-    eigen = gaussian_stats._g_jet(state, sel, *gaussian_stats._selection_spectrum(*block),
-                                  0.0, order)[finite]
+    eigen = np.array([spectrum_jet(lam, w, 0.0, order)
+                      for lam, w in zip(*selection_spectrum(state, sel))])[finite]
     assert np.max(np.abs(jet - eigen) / np.maximum(np.abs(eigen), 1.0), initial=0.0) <= 1e-12

@@ -4,9 +4,10 @@ The goldens of the benchmark are copies of earlier output of this code.
 Here a sweep's rows are checked against mpmath instead: the generator
 i M of the coupled-mode equations dA/dz = i(K A + L A^+) written out
 from the couplings, its exponential T = exp(i M z) by ``mp.expm``, the
-second moments Q = T S T^T of (dA; dA^+), and the moments' trace series
-of the selection block, each at 40 digits.  Only the input state is taken
-from ``build_input_state``: its coherent amplitudes are exact doubles.
+second moments Q = T S T^T of (dA; dA^+), and from them the moments'
+trace series of the selection block and the variances c^T Q c of its
+quadratures, each at 40 digits.  Only the input state is taken from
+``build_input_state``: its coherent amplitudes are exact doubles.
 """
 
 import math
@@ -17,7 +18,7 @@ import pytest
 
 from qcoupler.cli import run_scenario
 from qcoupler.dynamics import build_drift_matrix
-from qcoupler.model import ModeId, build_input_state, validate_params
+from qcoupler.model import ModeId, ModeSelection, build_input_state, validate_params
 from qcoupler.presets import load_preset
 
 DPS = 40
@@ -44,16 +45,12 @@ def mp_generator(p):
     return 1j * m
 
 
-def mp_moments(cfg, z, sel, k_max):
-    """(<W>, [w_2..w_k_max]) of the selection at length z, at DPS digits.
+def mp_second_moments(cfg, z):
+    """(Q, means of X) at length z, at DPS digits.
 
     With X = (A; A^+), the input moments S = <dX dX^T> are
     [[M0, N0^T + I], [N0, M0*]]; at z they are Q = T S T^T, so M = Q[:6, :6]
-    and N = Q[6:, :6], and the means are the first six entries of T (xi; xi*).
-    log G(s) of W = sum over sel of A^+ A has h_1 = -<W> and
-    h_k = (1/2)[tr((-Gamma)^k)/k - y^H (-Gamma)^(k-1) y] with
-    Gamma = [[n^T, m], [m*, n]] and y = (x, x*); then <W^k> = (-1)^k k! g_k
-    for G = exp(sum h_k s^k) = sum g_k s^k, and w_k = <W^k>/<W>^k - 1.
+    and N = Q[6:, :6], and the means of X are T (xi; xi*).
     """
     s0 = build_input_state(cfg.inputs)
     n0, m0 = mp.matrix(s0.N.tolist()), mp.matrix(s0.M.tolist())
@@ -63,8 +60,19 @@ def mp_moments(cfg, z, sel, k_max):
             s[i, j], s[i, j + 6] = m0[i, j], n0[j, i] + (1 if i == j else 0)
             s[i + 6, j], s[i + 6, j + 6] = n0[i, j], mp.conj(m0[i, j])
     t = mp.expm(mp_generator(cfg.params) * mp.mpf(z))
-    q = t * s * t.T
     xi = t * mp.matrix([mp.mpc(x) for x in s0.xi] + [mp.conj(mp.mpc(x)) for x in s0.xi])
+    return t * s * t.T, xi
+
+
+def mp_moments(cfg, z, sel, k_max):
+    """(<W>, [w_2..w_k_max]) of the selection at length z, at DPS digits.
+
+    log G(s) of W = sum over sel of A^+ A has h_1 = -<W> and
+    h_k = (1/2)[tr((-Gamma)^k)/k - y^H (-Gamma)^(k-1) y] with
+    Gamma = [[n^T, m], [m*, n]] and y = (x, x*); then <W^k> = (-1)^k k! g_k
+    for G = exp(sum h_k s^k) = sum g_k s^k, and w_k = <W^k>/<W>^k - 1.
+    """
+    q, xi = mp_second_moments(cfg, z)
     ix = [int(mode) for mode in sel.modes]
     d = len(ix)
     gamma, y = mp.zeros(2 * d, 2 * d), mp.zeros(2 * d, 1)
@@ -87,6 +95,27 @@ def mp_moments(cfg, z, sel, k_max):
         g.append(mp.fsum(k * h[k] * g[n - k] for k in range(1, n + 1)) / n)
     reduced = [(-1) ** k * math.factorial(k) * g[k] / mean_w**k - 1 for k in range(2, k_max + 1)]
     return mean_w, reduced
+
+
+def mp_quadratures(cfg, z, sel):
+    """(lambda, var_p, var_q, u) of the selection at length z, at DPS digits.
+
+    A quadrature c^T dX has the variance c^T Q c: p = sum over sel of
+    A + A^+ has c = 1 on the selected entries of both halves, and
+    q = -i sum (A - A^+) has c = -i on A and i on A^+.  The quadrature
+    e^(-i theta) A + e^(i theta) A^+ is cos(theta) p + sin(theta) q, so
+    the principal variances are the eigenvalues of the symmetrised
+    covariance V of (p, q): lambda is the smaller, and u = det V.
+    """
+    q = mp_second_moments(cfg, z)[0]
+    cp, cq = mp.zeros(12, 1), mp.zeros(12, 1)
+    for mode in sel.modes:
+        cp[int(mode)] = cp[int(mode) + 6] = 1
+        cq[int(mode)], cq[int(mode) + 6] = -1j, 1j
+    var_p, var_q = mp.re((cp.T * q * cp)[0]), mp.re((cq.T * q * cq)[0])
+    cov = mp.re((cp.T * q * cq)[0] + (cq.T * q * cp)[0]) / 2
+    lam = (var_p + var_q) / 2 - mp.sqrt(((var_p - var_q) / 2) ** 2 + cov**2)
+    return lam, var_p, var_q, var_p * var_q - cov**2
 
 
 def deviation(actual, expected, floor):
@@ -121,3 +150,20 @@ def test_fig5_moments_match_40_digit_reference(row):
                 assert deviation(actual, float(value), COLUMN_FLOOR) <= TOL, (sel.name, qty)
                 checked += 1
     assert checked == len(columns) == 3 * cfg.k_max
+
+
+@pytest.mark.parametrize("name, selection", [("fig3", "A1S2"), ("fig6", "S1A1"),
+                                             ("fig8", "S1V1")])
+def test_quadrature_columns_match_40_digit_reference(name, selection):
+    # lambda, var_p, var_q and u of every preset that reports them
+    cfg = load_preset(name)
+    result = run_scenario(cfg)
+    columns = dict(result.columns)
+    sel = ModeSelection.parse(selection)
+    with mp.workdps(DPS):
+        for row in (0, 250, 499):
+            expected = dict(zip(("lambda", "var_p", "var_q", "u"),
+                                mp_quadratures(cfg, result.z[row], sel)))
+            for qty, value in expected.items():
+                actual = columns[f"{selection}.{qty}"][row]
+                assert deviation(actual, float(value), COLUMN_FLOOR) <= TOL, (row, qty)

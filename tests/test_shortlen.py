@@ -14,7 +14,7 @@ from qcoupler.shortlen import (
     shortlen_noise_polys,
     shortlen_state,
 )
-from qcoupler.gaussian_stats import intensity_variance, principal_squeeze
+from qcoupler.gaussian_stats import stats_report
 from qcoupler.model import ModeSelection
 
 from conftest import (
@@ -212,7 +212,6 @@ def test_statistics_agree_with_full_pipeline_to_third_order():
     at least as z^3 (halving z shrinks it by >= ~8; for several
     statistics odd orders cancel and the observed order is higher)."""
     from qcoupler.dynamics import evolve_state
-    from qcoupler.gaussian_stats import mean_intensity
     from qcoupler.model import InputSpec, build_input_state
 
     rng = np.random.default_rng(6)
@@ -229,12 +228,12 @@ def test_statistics_agree_with_full_pipeline_to_third_order():
     sel = ModeSelection.parse("S1,A1")
 
     def errs(z):
-        exact = evolve_state(propagator(em, z), s0)
-        approx = shortlen_state(params, xi0, n1, n2, z)
+        exact = stats_report(evolve_state(propagator(em, z), s0), sel)
+        approx = stats_report(shortlen_state(params, xi0, n1, n2, z), sel)
         return np.array([
-            abs(mean_intensity(exact, sel) - mean_intensity(approx, sel)),
-            abs(intensity_variance(exact, sel) - intensity_variance(approx, sel)),
-            abs(principal_squeeze(exact, sel) - principal_squeeze(approx, sel)),
+            abs(exact.mean_w - approx.mean_w),
+            abs(exact.variance_w - approx.variance_w),
+            abs(exact.lam - approx.lam),
         ])
 
     big, small = errs(1e-1), errs(5e-2)
