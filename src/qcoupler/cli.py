@@ -94,7 +94,9 @@ def run_scenario(cfg: ScenarioConfig) -> SweepResult:
     Deterministic for a given config.  Each stage runs once over the
     whole grid: the propagator stacked over z, the stacked state, and one
     stacked ``stats_report`` per distinct selection, which builds the
-    order-``n_max`` jet at s=1 only for selections that request ``pn``.
+    order-``n_max`` jet at s=1 only for selections that request ``pn``,
+    and the quadrature variances and their digit alarm only for those
+    that request ``squeeze`` or ``quadratures``.
     For each of those, the metadata ``pn_max_deficit.<selection>`` gives
     the largest tail mass 1 - sum p(n) beyond ``n_max`` and its z; above
     1e-6 the sweep also warns with :class:`TruncationWarning`.  The
@@ -110,6 +112,7 @@ def run_scenario(cfg: ScenarioConfig) -> SweepResult:
     s0 = build_input_state(cfg.inputs)
     observables = cfg.effective_observables()
     pn_selections = {sel for tag, sel in observables if tag == "pn"}
+    quadrature_selections = {sel for tag, sel in observables if tag in ("squeeze", "quadratures")}
     zs = cfg.z_grid()
     transforms = propagator(em, zs)
     # checked before the state is evolved, whose arrays then reuse the
@@ -121,7 +124,8 @@ def run_scenario(cfg: ScenarioConfig) -> SweepResult:
     del transforms
     reports = {
         sel: stats_report(states, sel, k_max=cfg.k_max, n_max=cfg.n_max,
-                          include_pn=sel in pn_selections)
+                          include_pn=sel in pn_selections,
+                          include_quadratures=sel in quadrature_selections)
         for sel in dict.fromkeys(sel for _, sel in observables)
     }
     columns = tuple(

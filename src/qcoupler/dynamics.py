@@ -12,6 +12,15 @@ Bogoliubov transform,
 which preserves the bosonic commutators: U U^H - V V^H = I and
 U V^T - V U^T = 0.
 
+The pumped couplings join each Stokes mode only to the conjugates of
+its phonon and of the other guide's Stokes mode, so over
+x = (S1^+, A1, V1, S2^+, A2, V2) the equations close: x(z) = T(z) x(0)
+with the 6x6 T = exp(i M_B z), M_B = M[_BLOCK][:, _BLOCK], and the
+conjugates of x obey conj(T).  T is pseudo-unitary, T eta T^H = eta with
+eta = diag(-1, 1, 1, -1, 1, 1), and [U V] is T, its two Stokes rows
+conjugated (T~), placed into known slots; the other half of [U V] is
+exact zeros.
+
 An array of lengths gives the transforms of a whole z-grid at once,
 stacked along a leading axis, and ``evolve_state`` turns them into one
 stacked :class:`~qcoupler.model.GaussianState`.  A scalar length has
@@ -20,13 +29,13 @@ no leading axes and takes the same route.
 A grid is evolved with a few large arrays, each written in place and
 taken over by the transform or the state without a copy:
 
-* ``propagator`` multiplies each head of the grid's blocks by all its
-  steps at once and moves each product to its point in the transform's
-  one (Z, 6, 12) array of annihilator rows [U V]; U and V are views of
-  it.
-* ``symplectic_check`` checks both Bogoliubov identities, and their
-  violation scaled by the gain, with one workspace of four (Z, 6, 6)
-  planes.
+* ``propagator`` multiplies each head of the grid's blocks of T by all
+  its steps at once and writes each product into its point of the
+  transform's one (Z, 6, 12) array of annihilator rows [U V]; U and V
+  are views of it.
+* ``symplectic_check`` checks T eta T^H = eta and the zeros off the
+  block, and their violation scaled by the gain, with one workspace of
+  four (Z, 6, 6) planes.
 * ``evolve_state`` writes N and M into one array of two planes that the
   state keeps, with G = F S^T in a two-plane scratch array.
 
@@ -48,23 +57,44 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import NumericalError
+from .exceptions import NumericalError, ValidationError
 from .model import GaussianState, N_MODES, ValidatedParams, _frozen
 
 _DIM = 2 * N_MODES
-_DIAG = np.arange(N_MODES)
-# on the real view of [U V]: (Re, Im) factors giving conj(F Sigma) = [U*, -V*]
-_CONJ_SIGMA = np.array([1.0, -1.0] * N_MODES + [-1.0, 1.0] * N_MODES)
+# x = (S1^+, A1, V1, S2^+, A2, V2): the positions in (A; A^+) of six
+# operators that the drift matrix couples only among themselves; the
+# other six are their conjugates.  eta holds their commutators [x, x^+].
+_BLOCK = np.array([6, 1, 2, 9, 4, 5])
+_BLOCK_IX = np.ix_(_BLOCK, _BLOCK)
+_PAIRED = np.concatenate([_BLOCK, (_BLOCK + N_MODES) % _DIM])   # x, then conj(x)
+_CLOSED = np.ix_(_PAIRED, _PAIRED)
+_ETA = np.array([-1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
+# where row j of [U V] holds T~[j, k]: in U where x_j and x_k are both
+# annihilators or both creators, in V otherwise; (6, 2, 6), [U V] = T~ o _SLOTS
+_SLOTS = np.stack([_ETA[:, None] == _ETA, _ETA[:, None] != _ETA], axis=1).astype(float)
+_OFF_BLOCK = 1.0 - _SLOTS.reshape(N_MODES, _DIM)
+# on the real view of T: (Re, Im) factors giving conj(T) eta
+_CONJ_ETA = np.stack([_ETA, -_ETA], axis=-1).ravel()
 
 
 @dataclass(frozen=True)
 class EvolutionMatrix:
-    """The 12x12 drift matrix M, read-only; ``propagator`` exponentiates it."""
+    """The 12x12 drift matrix M, read-only; ``propagator`` exponentiates its
+    closed block M[_BLOCK][:, _BLOCK].  M must couple the block's six
+    operators only among themselves and their conjugates likewise, as
+    every coupler's does, so that the block determines the propagator."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(self.matrix, complex, (_DIM, _DIM)))
+        m = _frozen(self.matrix, complex, (_DIM, _DIM))
+        # over (x; conj x): [[M_B, 0], [0, -conj(M_B)]]
+        p = m[_CLOSED]
+        if (p[:N_MODES, N_MODES:].any() or p[N_MODES:, :N_MODES].any()
+                or (p[N_MODES:, N_MODES:] != -p[:N_MODES, :N_MODES].conj()).any()):
+            raise ValidationError("a drift matrix must couple (S1^+, A1, V1, S2^+, A2, V2) "
+                                  "only among themselves, and their conjugates likewise")
+        object.__setattr__(self, "matrix", m)
 
 
 def build_drift_matrix(params: ValidatedParams) -> EvolutionMatrix:
@@ -180,14 +210,18 @@ def propagator(em: EvolutionMatrix, z) -> BogoliubovTransform:
 
     The one place where exp(i M z) is formed, always by the numpy Pade-13
     scaling-and-squaring of :func:`expm`, which stays accurate where M is
-    defective.  An evenly spaced grid of Z points is cut into blocks of
-    B = ceil(sqrt(Z)): point qB + r is exp(i M z_qB) exp(i M r dz), so one
-    :func:`expm` call over the ~sqrt(Z) heads and B steps and one 6x12 by
-    12x12B product per head, copied into the transform's rows, cover the
-    grid.  A scalar or an unevenly spaced array takes B = 1, one
-    exponential per point.
-    A non-finite transform raises :class:`NumericalError` naming the
-    first failing z.
+    defective.  Only the closed block is exponentiated: T = exp(i M_B z)
+    with M_B = M[_BLOCK][:, _BLOCK], the 6x6 generator over
+    x = (S1^+, A1, V1, S2^+, A2, V2).  An evenly spaced grid of Z points
+    is cut into blocks of B = ceil(sqrt(Z)): point qB + r is
+    exp(i M_B z_qB) exp(i M_B r dz), so one :func:`expm` call over the
+    ~sqrt(Z) heads and B steps and one 6x6 by 6x6B product per head cover
+    the grid.  A scalar or an unevenly spaced array takes B = 1, one
+    exponential per point.  Conjugating T's two Stokes rows gives T~,
+    whose row j holds A_j(z)'s coefficients, and one masked product
+    [U V] = [T~ o SAME, T~ o OTHER] puts each into its slot; the other
+    half of [U V] is exact zeros.  A non-finite transform raises
+    :class:`NumericalError` naming the first failing z.
     """
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
@@ -198,14 +232,16 @@ def propagator(em: EvolutionMatrix, z) -> BogoliubovTransform:
     heads = flat[::block]
     rows = np.empty((heads.size, block, N_MODES, _DIM), dtype=complex)
     lengths = np.concatenate([heads, (step or 0.0) * np.arange(block)])
+    gen = 1j * em.matrix[_BLOCK_IX]
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        exps = expm(1j * em.matrix * lengths[:, None, None])
-        # only the annihilator rows [U V]; the creator rows are their
-        # conjugates.  Each head times all steps side by side is one
-        # product, then each product is moved to its point.
-        steps = exps[heads.size:].transpose(1, 0, 2).reshape(_DIM, -1)
-        pairs = exps[:heads.size, :N_MODES] @ steps
-    np.copyto(rows, pairs.reshape(heads.size, N_MODES, block, _DIM).swapaxes(1, 2))
+        exps = expm(gen * lengths[:, None, None])
+        # each head times all steps side by side is one product
+        steps = exps[heads.size:].transpose(1, 0, 2).reshape(N_MODES, -1)
+        pairs = exps[:heads.size] @ steps
+        stokes = pairs[:, ::3]     # the rows of S1^+ and S2^+
+        np.conjugate(stokes, out=stokes)
+        tilde = pairs.reshape(heads.size, N_MODES, block, 1, N_MODES).swapaxes(1, 2)
+        np.multiply(tilde, _SLOTS, out=rows.reshape(heads.size, block, N_MODES, 2, N_MODES))
     rows.setflags(write=False)  # the transform takes the views over without a copy
     rows = rows.reshape(-1, N_MODES, _DIM)[:flat.size]
     if not np.isfinite(rows).all():
@@ -240,37 +276,48 @@ def rk4_propagator(em: EvolutionMatrix, z: float, h: float = 1e-4) -> Bogoliubov
 class SymplecticCheck(NamedTuple):
     """How far a transform, or a stack of them, keeps the Bogoliubov identities."""
 
-    residual: float        # max-norm violation of U U^H - V V^H = I and U V^T = V U^T
+    residual: float        # max-norm violation of T eta T^H = eta and of the zeros off the block
     scaled: float          # the largest violation of one transform over max(1, max|U|^2)
     each: np.ndarray       # that scaled violation of each transform, shaped like the stack
 
 
 def symplectic_check(t: BogoliubovTransform) -> SymplecticCheck:
-    """Both Bogoliubov identities over every transform of a stack, in one pass.
+    """The Bogoliubov identities over every transform of a stack, in one pass.
 
-    The identities cancel entries of size |U|^2, so roundoff alone leaves
+    U U^H - V V^H = I and U V^T = V U^T hold for [U V] exactly when its
+    entries off the closed block vanish and the block's T (T~ = U + V with
+    its Stokes rows conjugated, see :func:`propagator`) keeps
+    T eta T^H = eta, eta = diag(-1, 1, 1, -1, 1, 1): the entries of that
+    identity are those of the two, up to sign and conjugation.  The
+    violation is the larger of its largest entry and the largest entry
+    off the block.
+
+    The identity cancels entries of size |U|^2, so roundoff alone leaves
     a violation of a few ulps of max(1, max|U|^2): ``scaled`` divides each
     transform's violation by that scale and stays at roundoff where the
     absolute ``residual`` grows with the gain.
 
-    With F = [U V], U U^H - V V^H = F K^T for K = conj(F Sigma), Sigma =
-    diag(I, -I), and U V^T - V U^T = P - P^T for P = U V^T.  One workspace
-    of four (..., 6, 6) planes holds K, then the two violations, with P
-    and the magnitudes in K's spent planes.
+    One workspace of four (..., 6, 6) planes holds T, then K = conj(T) eta
+    and T K^T - eta, with |[U V]| in the fourth plane and |T K^T - eta|
+    in T's spent one; ``evolve_state`` reuses its memory.
     """
     f, u, v = t.rows, t.U, t.V
     work = np.empty((4,) + f.shape[:-2] + (N_MODES, N_MODES), dtype=complex)
-    k, r = work[:2].reshape(f.shape), work[2:]
-    np.multiply(f.view(float), _CONJ_SIGMA, out=k.view(float))
-    np.matmul(f, k.swapaxes(-1, -2), out=r[0])
-    r[0][..., _DIAG, _DIAG] -= 1.0
-    p = work[0]
-    np.matmul(u, v.swapaxes(-1, -2), out=p)
-    np.subtract(p, p.swapaxes(-1, -2), out=r[1])
-    mag = work[1].view(float).reshape(r.shape)
-    np.abs(r, out=mag)
-    violation = np.max(np.maximum(mag[0], mag[1], out=mag[0]), axis=(-2, -1))
-    scale = np.maximum(1.0, np.max(np.abs(u, out=mag[0]), axis=(-2, -1)) ** 2)
+    tt, k, r = work[:3]
+    np.add(u, v, out=tt)   # T~: their supports are disjoint
+    stokes = tt[..., ::3, :]   # T: the rows of S1^+ and S2^+ conjugated back
+    np.conjugate(stokes, out=stokes)
+    np.multiply(tt.view(float), _CONJ_ETA, out=k.view(float))
+    np.matmul(tt, k.swapaxes(-1, -2), out=r)
+    diagonal = r.reshape(r.shape[:-2] + (-1,))[..., ::N_MODES + 1]   # a writeable view
+    np.subtract(diagonal, _ETA, out=diagonal)
+    mag = np.abs(r, out=tt.reshape(-1).view(float)[:r.size].reshape(r.shape))
+    violation = np.max(mag, axis=(-2, -1))
+    size = np.abs(f, out=work[3].view(float).reshape(f.shape))
+    scale = np.maximum(1.0, np.max(size[..., :N_MODES], axis=(-2, -1)) ** 2)
+    size *= _OFF_BLOCK
+    if size.max(initial=0.0) != 0.0:   # entries off the block are exact zeros, or violations
+        violation = np.maximum(violation, np.max(size, axis=(-2, -1)))
     each = violation / scale
     return SymplecticCheck(residual=float(np.max(violation, initial=0.0)),
                            scaled=float(np.max(each, initial=0.0)), each=each)

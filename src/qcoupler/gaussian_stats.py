@@ -262,16 +262,16 @@ class StatsReport:
     mean_w: np.ndarray | float
     reduced_moments: np.ndarray   # k = 2..k_max; NaN markers when <W> = 0 or subnormal
     variance_w: np.ndarray | float
-    lam: np.ndarray | float       # principal squeeze variance
-    var_p: np.ndarray | float
-    var_q: np.ndarray | float
-    uncertainty: np.ndarray | float
+    lam: np.ndarray | float | None   # principal squeeze variance
+    var_p: np.ndarray | float | None
+    var_q: np.ndarray | float | None
+    uncertainty: np.ndarray | float | None
     p_n: np.ndarray | None = None
     pn_deficit: np.ndarray | float | None = None
 
 
 def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
-                 include_pn: bool = False) -> StatsReport:
+                 include_pn: bool = False, include_quadratures: bool = True) -> StatsReport:
     """The full report for one selection, the one route to its statistics.
 
     ``sel`` is a ``ModeSelection`` or a sequence of one or two ``ModeId``.
@@ -281,7 +281,10 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
     and inf or NaN where they exceed the double range (a weakly squeezed
     near-vacuum at large k).  The spectrum and the order-n_max jet at s=1
     are built only with ``include_pn``; ``p_n`` has length n_max + 1 and
-    sums to one minus the truncated tail mass ``pn_deficit``.
+    sums to one minus the truncated tail mass ``pn_deficit``.  The
+    quadrature fields ``lam``, ``var_p``, ``var_q`` and ``uncertainty``
+    are built, with their digit alarm, only with ``include_quadratures``
+    (the default), and are None otherwise.
 
     The intensity variance is computed from the closed expression and
     checked against the moment machinery: 2 h_2 of the trace series, and
@@ -289,7 +292,8 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
     sum w_i lam_i of the eigen spectrum, so a failed ``eigh`` is caught
     too.  Disagreement beyond 1e-8 (relative to the natural scale) means
     the numerics cannot be trusted and raises :class:`NumericalError`, as
-    does a quadrature roundoff beyond 1e-8 lambda (``_quadratures``).
+    does a quadrature roundoff beyond 1e-8 lambda (``_quadratures``) where
+    the quadratures are asked for.
     """
     _check_orders(k_max, n_max)
     sel = sel if isinstance(sel, ModeSelection) else ModeSelection(sel)
@@ -329,7 +333,9 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
                 f"closed form {float(np.ravel(var_formula)[i])!r} vs moments "
                 f"{float(np.ravel(var_moments)[i])!r}"
             )
-    squeeze, var_p, var_q, uncertainty = _quadratures(state, sel)
+    squeeze = var_p = var_q = uncertainty = None
+    if include_quadratures:
+        squeeze, var_p, var_q, uncertainty = _quadratures(state, sel)
     return StatsReport(
         mean_w=mean_w,
         reduced_moments=reduced,

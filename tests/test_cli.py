@@ -11,7 +11,12 @@ import pytest
 import qcoupler
 import qcoupler.cli as cli
 from qcoupler.cli import SweepResult, emit_csv, main, run_scenario
-from qcoupler.exceptions import NumericalError, PrecisionWarning, TruncationWarning
+from qcoupler.exceptions import (
+    NumericalError,
+    ParameterRegimeWarning,
+    PrecisionWarning,
+    TruncationWarning,
+)
 from qcoupler.model import CouplerParams, ModeId, ScenarioConfig, parse_scenario
 from qcoupler.presets import PRESET_NAMES, load_preset
 
@@ -203,6 +208,31 @@ def test_cli_exit_codes(tmp_path, capsys):
     malformed.write_text("[params]\ngS1 = huh\n[run]\nz_max = 1\nz_steps = 2\n")
     assert main(["run", "--scenario", str(malformed)]) == 2
     capsys.readouterr()
+
+
+# gS1 = 1 on vacuum: S1V1 is a two-mode squeezed vacuum whose squeeze
+# variance 2 e^(-2z) sinks below the roundoff of its quadratures from z = 5
+GAIN_DOC = ("[params]\ngS1 = 1\n[run]\nz_max = 14\nz_steps = 15\n"
+            "[observables]\nmoments: S1,V1\n")
+
+
+def test_cli_moments_under_gain_skip_the_quadrature_alarm(tmp_path, capsys):
+    doc = tmp_path / "gain.txt"
+    doc.write_text(GAIN_DOC)
+    out = tmp_path / "gain.csv"
+    with pytest.warns(ParameterRegimeWarning):
+        assert main(["run", "--scenario", str(doc), "--out", str(out)]) == 0
+    header = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][0]
+    assert header == "z,S1V1.meanW,S1V1.w2,S1V1.w3,S1V1.w4,S1V1.w5"
+
+
+def test_cli_squeeze_under_gain_raises_the_quadrature_alarm(tmp_path, capsys):
+    doc = tmp_path / "gain.txt"
+    doc.write_text(GAIN_DOC + "squeeze: S1,V1\n")
+    with pytest.warns(ParameterRegimeWarning):
+        assert main(["run", "--scenario", str(doc), "--out", str(tmp_path / "gain.csv")]) == 3
+    assert ("quadrature variances lose their digits at z=5.0 for selection S1V1"
+            in capsys.readouterr().err)
 
 
 def test_cli_list_presets(capsys):

@@ -475,3 +475,73 @@ def test_permute_state_round_trip():
     s = evolve_state(propagator(em, 0.7), s0)
     back = permute_state(permute_state(s))
     assert np.array_equal(back.D, s.D) and np.array_equal(back.xi, s.xi)
+
+
+# (gS, gA) of one guide: |gA| = |gS|(1 + delta) with delta from 1e-9 to
+# 1e-2 (near the exceptional point |gA| = |gS|), or |gA| < |gS| (gain)
+_guide = st.tuples(
+    st.floats(0.05, 1.0),
+    st.one_of(st.floats(-9.0, -2.0).map(lambda e: 1.0 + 10.0**e), st.floats(0.0, 0.99)),
+    st.floats(-3.1, 3.1), st.floats(-3.1, 3.1))
+_kappa = st.tuples(st.floats(0.0, 1.5), st.floats(-3.1, 3.1))
+# up to 50 points over z <= 50: evenly spaced (blocks of heads and steps)
+# or uneven (one exponential per point)
+_long_grids = st.one_of(
+    st.builds(lambda span, n: np.linspace(0.0, span, n), st.floats(0.1, 50.0), st.integers(2, 50)),
+    st.builds(lambda span, n: span * np.linspace(0.0, 1.0, n) ** 2,
+              st.floats(0.1, 50.0), st.integers(3, 50)),
+)
+
+# Positions of [U V] off the closed block over x = (S1^+, A1, V1, S2^+, A2, V2):
+# row j's U entry k is off the block where exactly one of j, k is a Stokes mode
+_STOKES_MODES = np.isin(np.arange(6), (S1, S2))
+_OFF_BLOCK = np.hstack([_STOKES_MODES[:, None] != _STOKES_MODES,
+                        _STOKES_MODES[:, None] == _STOKES_MODES])
+
+
+def _bogoliubov_violation(t):
+    """Each transform's max-norm violation of U U^H - V V^H = I and
+    U V^T = V U^T, written out over all twelve columns."""
+    u, v = t.U, t.V
+    first = u @ u.conj().swapaxes(-1, -2) - v @ v.conj().swapaxes(-1, -2) - np.eye(6)
+    second = u @ v.swapaxes(-1, -2) - v @ u.swapaxes(-1, -2)
+    return np.maximum(np.max(np.abs(first), axis=(-2, -1)), np.max(np.abs(second), axis=(-2, -1)))
+
+
+@pytest.mark.filterwarnings("ignore::qcoupler.exceptions.ParameterRegimeWarning")
+@settings(max_examples=60, deadline=None, phases=PROPERTY_PHASES)
+@given(guides=st.tuples(_guide, _guide), kappas=st.tuples(_kappa, _kappa), zs=_long_grids,
+       spot=st.tuples(st.integers(0, 49), st.integers(0, 35)))
+def test_block_route_keeps_the_bogoliubov_identities(guides, kappas, zs, spot):
+    """The propagator's rows vanish off the closed block; the check on the
+    block agrees with both twelve-wide identities to 16 ulps of its scale,
+    and a 1e-9 entry off the block is a violation of at least 1e-9."""
+    (gs1, r1, ps1, pa1), (gs2, r2, ps2, pa2) = guides
+    (ks, pks), (ka, pka) = kappas
+    em = build_drift_matrix(quiet_params(
+        gS1=gs1 * np.exp(1j * ps1), gA1=gs1 * r1 * np.exp(1j * pa1),
+        gS2=gs2 * np.exp(1j * ps2), gA2=gs2 * r2 * np.exp(1j * pa2),
+        kappaS=ks * np.exp(1j * pks), kappaA=ka * np.exp(1j * pka)))
+    t = propagator(em, zs)
+    assert np.all(t.rows[:, _OFF_BLOCK] == 0.0)
+    check = symplectic_check(t)
+    scale = np.maximum(1.0, np.max(np.abs(t.U), axis=(-2, -1)) ** 2)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(check.each * scale - _bogoliubov_violation(t)) <= 16 * eps * scale)
+    assert abs(check.residual - np.max(_bogoliubov_violation(t))) <= 16 * eps * np.max(scale)
+    point, entry = spot[0] % zs.size, spot[1]
+    rows = np.array(t.rows)
+    rows[point][_OFF_BLOCK] += np.where(np.arange(36) == entry, 1e-9, 0.0)
+    assert symplectic_check(BogoliubovTransform(rows, t.z)).residual >= 1e-9
+
+
+def test_drift_matrix_must_close_on_the_block():
+    m = np.array(build_drift_matrix(quiet_params(gS1=1, kappaS=0.5)).matrix)
+    assert np.array_equal(EvolutionMatrix(m).matrix, m)
+    coupled = m.copy()
+    coupled[ann(S1), ann(V1)] = 1e-3        # S1 to V1 leaves the block of S1^+ and V1
+    unpaired = m.copy()
+    unpaired[cre(S1), ann(V1)] = 0.0        # the conjugate block no longer mirrors the block
+    for bad in (coupled, unpaired):
+        with pytest.raises(ValidationError):
+            EvolutionMatrix(bad)

@@ -126,6 +126,10 @@ def test_squeeze_digit_alarm_under_gain():
         stats_report(evolve_state(propagator(em, 14.0), s0), sel)
     with pytest.raises(NumericalError, match="at z=5.0 for selection S1V1"):
         stats_report(evolve_state(propagator(em, np.linspace(0.0, 14.0, 15)), s0), sel)
+    # without the quadratures there is no alarm, and no quadrature field
+    rep = stats_report(evolve_state(propagator(em, 14.0), s0), sel, include_quadratures=False)
+    assert (rep.lam, rep.var_p, rep.var_q, rep.uncertainty) == (None, None, None, None)
+    assert rep.mean_w == pytest.approx(2.0 * np.sinh(14.0) ** 2)
 
 
 @pytest.mark.parametrize("modes, entry", [((7,), "7"), (("S1",), "'S1'"), (3, "3"),

@@ -19,7 +19,9 @@ import pytest
 from qcoupler.cli import run_scenario
 from qcoupler.dynamics import build_drift_matrix
 from qcoupler.model import ModeId, ModeSelection, build_input_state, validate_params
-from qcoupler.presets import load_preset
+from qcoupler.presets import PRESET_NAMES, load_preset
+
+from conftest import run_preset
 
 DPS = 40
 TOL = 1e-12
@@ -131,25 +133,49 @@ def test_generator_matches_drift_matrix():
     assert np.array_equal(gen, 1j * build_drift_matrix(validate_params(params)).matrix)
 
 
+def assert_moment_rows(cfg, result, rows):
+    """Every moment column of the sweep at these rows against the
+    reference; returns the names of the columns checked."""
+    columns = dict(result.columns)
+    selections = [sel for tag, sel in cfg.effective_observables() if tag == "moments"]
+    checked = set()
+    with mp.workdps(DPS):
+        for sel in selections:
+            for row in rows:
+                mean_w, reduced = mp_moments(cfg, result.z[row], sel, cfg.k_max)
+                expected = {"meanW": mean_w,
+                            **{f"w{k}": r for k, r in enumerate(reduced, start=2)}}
+                for qty, value in expected.items():
+                    actual = columns[f"{sel.name}.{qty}"][row]
+                    assert deviation(actual, float(value), COLUMN_FLOOR) <= TOL, (sel.name, row, qty)
+                    checked.add(f"{sel.name}.{qty}")
+    return checked
+
+
 @pytest.mark.parametrize("row", [0, 290, 499])
 def test_fig5_moments_match_40_digit_reference(row):
     # every moment column of fig5 (S1A1, V1S2, A1A2); at row 290 V1S2 has
     # <W> = 0.02, the cell where the eigen route's error showed most
     cfg = load_preset("fig5")
     result = run_scenario(cfg)
-    columns = dict(result.columns)
-    selections = [sel for tag, sel in cfg.effective_observables() if tag == "moments"]
-    assert [sel.name for sel in selections] == ["S1A1", "V1S2", "A1A2"]
-    checked = 0
-    with mp.workdps(DPS):
-        for sel in selections:
-            mean_w, reduced = mp_moments(cfg, result.z[row], sel, cfg.k_max)
-            expected = {"meanW": mean_w, **{f"w{k}": r for k, r in enumerate(reduced, start=2)}}
-            for qty, value in expected.items():
-                actual = columns[f"{sel.name}.{qty}"][row]
-                assert deviation(actual, float(value), COLUMN_FLOOR) <= TOL, (sel.name, qty)
-                checked += 1
-    assert checked == len(columns) == 3 * cfg.k_max
+    assert [sel.name for tag, sel in cfg.effective_observables()] == ["S1A1", "V1S2", "A1A2"]
+    checked = assert_moment_rows(cfg, result, [row])
+    assert checked == set(dict(result.columns)) and len(checked) == 3 * cfg.k_max
+
+
+MOMENT_PRESETS = [name for name in PRESET_NAMES
+                  if any(tag == "moments" for tag, _ in load_preset(name).effective_observables())]
+
+
+@pytest.mark.parametrize("name", MOMENT_PRESETS)
+def test_preset_moments_match_40_digit_reference(name):
+    # every moment column of every preset at the middle and last rows
+    cfg = load_preset(name)
+    result = run_preset(name)
+    assert len(result.z) == 500
+    moment_columns = {name for name, _ in result.columns
+                      if name.split(".")[1] == "meanW" or name.split(".")[1].startswith("w")}
+    assert assert_moment_rows(cfg, result, [250, 499]) == moment_columns
 
 
 @pytest.mark.parametrize("name, selection", [("fig3", "A1S2"), ("fig6", "S1A1"),
