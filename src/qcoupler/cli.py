@@ -76,6 +76,9 @@ _SYMPLECTIC_LIMIT = 1e-6
 # Above this tail mass 1 - sum p(n) beyond n_max, a p(n) table is a
 # truncated head of its distribution and the sweep warns.
 _PN_DEFICIT_ALARM = 1e-6
+# Cells formatted per write of a CSV table: enough to amortise the
+# per-call cost of ``%``, few enough that a block's text stays small.
+_BLOCK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -172,9 +175,23 @@ def _largest_over_z(values: np.ndarray, zs: np.ndarray) -> str:
 
 
 def _write_rows(fh, table: np.ndarray) -> None:
-    """One CSV line per table row, each cell as ``%.12g`` (the text of ``format(v, ".12g")``)."""
-    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
-    fh.writelines(row % tuple(r.tolist()) for r in table)
+    """Write each row of ``table`` to the binary file ``fh`` as one CSV
+    line, each cell as ``%.12g`` (the text of ``format(v, ".12g")``).
+
+    Rows go out in blocks of about ``_BLOCK_CELLS`` cells, at least one
+    row each: one bytes template, the row template repeated once per row
+    of the block, formats the whole block in one ``%`` and one write.
+    A block's floats and text are all that is held at once, so memory
+    stays flat in the table's size.
+    """
+    nrows, ncols = table.shape
+    step = max(1, _BLOCK_CELLS // ncols)
+    row = b",".join([b"%.12g"] * ncols) + b"\n"
+    template = row * step
+    for start in range(0, nrows, step):
+        block = table[start:start + step]
+        fmt = template if len(block) == step else row * len(block)
+        fh.write(fmt % tuple(block.ravel().tolist()))
 
 
 def emit_csv(result: SweepResult, destination) -> list:
@@ -182,21 +199,25 @@ def emit_csv(result: SweepResult, destination) -> list:
 
     Photon-number tables go to side files named
     ``<stem>.<selection>.pn.csv``.  Returns the list of paths written.
+    Every file is written in binary mode: its metadata and header lines
+    as one UTF-8 string (ASCII in practice), then the rows through
+    ``_write_rows``.  An ``OSError`` is raised as :class:`QcouplerError`
+    naming the file.
     """
     destination = str(destination)
     written = [destination]
     try:
-        with open(destination, "w", newline="\n") as fh:
-            for key, value in result.metadata:
-                fh.write(f"# {key}: {value}\n")
-            fh.write(",".join(["z"] + [name for name, _ in result.columns]) + "\n")
+        with open(destination, "wb") as fh:
+            head = "".join(f"# {key}: {value}\n" for key, value in result.metadata)
+            head += ",".join(["z"] + [name for name, _ in result.columns]) + "\n"
+            fh.write(head.encode())
             _write_rows(fh, np.column_stack([result.z] + [values for _, values in result.columns]))
         stem = destination[:-4] if destination.endswith(".csv") else destination
         for sel_name, table in result.pn_tables:
             path = f"{stem}.{sel_name}.pn.csv"
             written.append(path)
-            with open(path, "w", newline="\n") as fh:
-                fh.write(",".join(["z"] + [f"p{n}" for n in range(table.shape[1])]) + "\n")
+            with open(path, "wb") as fh:
+                fh.write((",".join(["z"] + [f"p{n}" for n in range(table.shape[1])]) + "\n").encode())
                 _write_rows(fh, np.column_stack([result.z, table]))
     except OSError as exc:
         raise QcouplerError(f"cannot write {exc.filename or destination}: {exc}") from exc

@@ -166,7 +166,8 @@ def _series_exp(h: np.ndarray) -> np.ndarray:
     for n in range(1, order + 1):
         fr[..., order - n] = np.vecdot(kh[..., 1:n + 1], fr[..., order - n + 1:]) / n
     with np.errstate(under="ignore"):  # entries below the double range are 0
-        return fr[..., ::-1] * np.exp(-shift)[..., None]
+        # into kh's buffer, which the recurrence no longer needs
+        return np.multiply(fr[..., ::-1], np.exp(-shift)[..., None], out=kh)
 
 
 def _g_jet(state: GaussianState, sel: ModeSelection, lam: np.ndarray, w: np.ndarray,
@@ -315,7 +316,8 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
     if include_pn:
         lam, w = _selection_spectrum(gamma, y)
         variances.append(np.sum(0.5 * lam**2 + w * lam, axis=-1))
-        p_n = _g_jet(state, sel, lam, w, n_max) * (-1.0) ** np.arange(n_max + 1)
+        p_n = _g_jet(state, sel, lam, w, n_max)
+        p_n[..., 1::2] *= -1.0   # (-1)^n, in place
         dead = np.all(p_n == 0.0, axis=-1)
         if np.any(dead):
             raise NumericalError(

@@ -1,12 +1,13 @@
 """Shared test helpers.
 
-Provides quiet parameter construction, sweeps that assert their p(n)
-truncation alarm, seeded random draws, the guide exchange of a state,
-the generating function of an eigen spectrum (closed product form, its
-jet by scalar loops, and the same jet through the moments' trace series),
-small z-polynomial arithmetic (exact convolution, truncation at degree
-4), and the generic short-length composition that the fixture-identity
-tests and the acceptance suite both consume.
+Provides quiet parameter construction, the gain filter of the property
+tests, sweeps that assert their p(n) truncation alarm, seeded random
+draws, the guide exchange of a state, the generating function of an
+eigen spectrum (closed product form, its jet by scalar loops, and the
+same jet through the moments' trace series), small z-polynomial
+arithmetic (exact convolution, truncation at degree 4), and the generic
+short-length composition that the fixture-identity tests and the
+acceptance suite both consume.
 """
 
 import warnings
@@ -17,6 +18,7 @@ from hypothesis import Phase
 
 import qcoupler.gaussian_stats as gaussian_stats
 from qcoupler.cli import run_scenario
+from qcoupler.dynamics import _BLOCK_IX
 from qcoupler.exceptions import TruncationWarning
 from qcoupler.model import (
     EXCHANGE_PERMUTATION,
@@ -48,6 +50,14 @@ def quiet_params(**kwargs) -> CouplerParams:
 # The p(n) selection of each preset whose tail beyond n_max exceeds the
 # sweep's alarm level: fig7's S1A1 misses up to 64% of its distribution.
 TRUNCATED_PN = {"fig7": "S1A1"}
+
+
+def growth_rate(em) -> float:
+    """Largest real part of the eigenvalues of i M: above 0 the coupler has
+    gain.  Read on the closed 6x6 block, whose partner block has the
+    conjugate eigenvalues; on the full 12x12 matrix LAPACK's ``geev`` does
+    not converge for some couplings near 1e-70."""
+    return float(np.max(np.linalg.eigvals(1j * em.matrix[_BLOCK_IX]).real))
 
 
 def run_truncated(cfg, selection=None):

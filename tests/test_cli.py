@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -125,10 +126,38 @@ def synthetic_result():
                        pn_tables=(("S1", table),), metadata=(("qcoupler", "test"),))
 
 
-@pytest.mark.parametrize("name", list(PRESET_NAMES) + ["synthetic"])
+def blocked_result(rows, pn_columns, columns=6):
+    """Seeded cells of every magnitude, on a grid of ``rows`` points, with
+    ``columns`` main columns and a p(n) table ``pn_columns`` wide."""
+    rng = np.random.default_rng(rows + 7 * pn_columns)
+
+    def cells(shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+
+    z = np.linspace(0.0, 1.0, rows)
+    main = cells((rows, columns))
+    return SweepResult(z=z, columns=tuple((f"S1.w{k}", col) for k, col in enumerate(main.T)),
+                       pn_tables=(("S1", np.abs(cells((rows, pn_columns)))),),
+                       metadata=(("qcoupler", "test"),))
+
+
+BLOCKED = {
+    # three full blocks of the 7-column main table (and more of the p(n)
+    # table), each plus a remainder of part of a block
+    "blocks-and-remainder": lambda: blocked_result(3 * (cli._BLOCK_CELLS // 7) + 5, 40),
+    # a p(n) row wider than one block: one row per block
+    "row-wider-than-block": lambda: blocked_result(3, cli._BLOCK_CELLS + 904),
+    # a grid of no points: the header lines only
+    "zero-rows": lambda: blocked_result(0, 5),
+}
+
+
+@pytest.mark.parametrize("name", list(PRESET_NAMES) + ["synthetic"] + list(BLOCKED))
 def test_emit_csv_bytes_match_per_cell_format(tmp_path, name):
     if name == "synthetic":
         result = synthetic_result()
+    elif name in BLOCKED:
+        result = BLOCKED[name]()
     else:
         result = run_preset(name)
     paths = emit_csv(result, tmp_path / "out.csv")
@@ -136,6 +165,23 @@ def test_emit_csv_bytes_match_per_cell_format(tmp_path, name):
     assert paths == [str(tmp_path / f"out{suffix}.csv") for suffix in expected]
     for suffix, data in expected.items():
         assert (tmp_path / f"out{suffix}.csv").read_bytes() == data, suffix
+
+
+def test_emit_csv_memory_stays_flat(tmp_path):
+    # the text of a (2000, 513) p(n) table is about 20 MB, and all its
+    # cells as Python floats would be 33 MB; emission holds the stacked
+    # table and one block's worth of them
+    rng = np.random.default_rng(23)
+    table = rng.random((2000, 513)) ** 8
+    result = SweepResult(z=np.linspace(0.0, 1.0, 2000), columns=(),
+                         pn_tables=(("S1", table),), metadata=(("qcoupler", "test"),))
+    tracemalloc.start()
+    try:
+        emit_csv(result, tmp_path / "big.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes + 1_000_000
 
 
 def test_run_deterministic(tmp_path):

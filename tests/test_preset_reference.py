@@ -5,8 +5,9 @@ Here a sweep's rows are checked against mpmath instead: the generator
 i M of the coupled-mode equations dA/dz = i(K A + L A^+) written out
 from the couplings, its exponential T = exp(i M z) by ``mp.expm``, the
 second moments Q = T S T^T of (dA; dA^+), and from them the moments'
-trace series of the selection block and the variances c^T Q c of its
-quadratures, each at 40 digits.  Only the input state is taken from
+trace series of the selection block, its p(n) from the trace series of
+log G around s = 1, and the variances c^T Q c of its quadratures, each
+at 40 digits.  Only the input state is taken from
 ``build_input_state``: its coherent amplitudes are exact doubles.
 """
 
@@ -26,6 +27,7 @@ from conftest import run_preset
 DPS = 40
 TOL = 1e-12
 COLUMN_FLOOR = 1.0
+PN_FLOOR = 1e-6
 S1, A1, V1, S2, A2, V2 = ModeId
 
 
@@ -66,14 +68,10 @@ def mp_second_moments(cfg, z):
     return t * s * t.T, xi
 
 
-def mp_moments(cfg, z, sel, k_max):
-    """(<W>, [w_2..w_k_max]) of the selection at length z, at DPS digits.
-
-    log G(s) of W = sum over sel of A^+ A has h_1 = -<W> and
-    h_k = (1/2)[tr((-Gamma)^k)/k - y^H (-Gamma)^(k-1) y] with
-    Gamma = [[n^T, m], [m*, n]] and y = (x, x*); then <W^k> = (-1)^k k! g_k
-    for G = exp(sum h_k s^k) = sum g_k s^k, and w_k = <W^k>/<W>^k - 1.
-    """
+def mp_selection_block(cfg, z, sel):
+    """(Gamma, y): the doubled covariance [[n^T, m], [m*, n]] and the
+    doubled mean (x, x*) of the selection's block at length z, at DPS
+    digits."""
     q, xi = mp_second_moments(cfg, z)
     ix = [int(mode) for mode in sel.modes]
     d = len(ix)
@@ -84,7 +82,28 @@ def mp_moments(cfg, z, sel, k_max):
             n_ab, n_ba, m_ab = q[6 + i, j], q[6 + j, i], q[i, j]
             gamma[a, b], gamma[a, b + d] = n_ba, m_ab
             gamma[a + d, b], gamma[a + d, b + d] = mp.conj(m_ab), n_ab
-    mean_w = mp.re(sum(q[6 + i, i] for i in ix)) + sum(abs(xi[i]) ** 2 for i in ix)
+    return gamma, y
+
+
+def mp_series_exp(h):
+    """exp of the power series h: n g_n = sum_k k h_k g_(n-k)."""
+    g = [mp.exp(h[0])]
+    for n in range(1, len(h)):
+        g.append(mp.fsum(k * h[k] * g[n - k] for k in range(1, n + 1)) / n)
+    return g
+
+
+def mp_moments(cfg, z, sel, k_max):
+    """(<W>, [w_2..w_k_max]) of the selection at length z, at DPS digits.
+
+    log G(s) of W = sum over sel of A^+ A has h_1 = -<W> and
+    h_k = (1/2)[tr((-Gamma)^k)/k - y^H (-Gamma)^(k-1) y] with
+    Gamma = [[n^T, m], [m*, n]] and y = (x, x*); then <W^k> = (-1)^k k! g_k
+    for G = exp(sum h_k s^k) = sum g_k s^k, and w_k = <W^k>/<W>^k - 1.
+    """
+    gamma, y = mp_selection_block(cfg, z, sel)
+    d = gamma.rows // 2
+    mean_w = sum(mp.re(gamma[a + d, a + d]) + abs(y[a]) ** 2 for a in range(d))
     h = [mp.mpf(0), -mean_w]
     power = -gamma                               # (-Gamma)^(k-1) for the y term
     for k in range(2, k_max + 1):
@@ -92,11 +111,34 @@ def mp_moments(cfg, z, sel, k_max):
         power = power * -gamma
         trace = sum(power[a, a] for a in range(2 * d))
         h.append(mp.re(trace / k - vec) / 2)
-    g = [mp.mpf(1)]
-    for n in range(1, k_max + 1):
-        g.append(mp.fsum(k * h[k] * g[n - k] for k in range(1, n + 1)) / n)
+    g = mp_series_exp(h)
     reduced = [(-1) ** k * math.factorial(k) * g[k] / mean_w**k - 1 for k in range(2, k_max + 1)]
     return mean_w, reduced
+
+
+def mp_distribution(cfg, z, sel, n_max):
+    """[p(0)..p(n_max)] of the selection at length z, at DPS digits.
+
+    Around s = 1, with A = 1 + Gamma and B = A^-1 Gamma,
+    1 + (1 + t) Gamma = A (1 + t B), so
+    log G(1 + t) = -(1/2)[log det A + sum_k (-1)^(k+1) tr(B^k) t^k / k]
+                   - (1/2)(1 + t) sum_k (-t)^k y^H B^k A^-1 y,
+    and p(n) = (-1)^n g_n for G(1 + t) = sum g_n t^n.
+    """
+    gamma, y = mp_selection_block(cfg, z, sel)
+    eye = mp.eye(gamma.rows)
+    a_inv = mp.inverse(eye + gamma)
+    b = a_inv * gamma
+    power, vec = eye, a_inv * y                  # B^k and B^k A^-1 y
+    traces, c = [None], [mp.re((y.H * vec)[0])]
+    for _ in range(n_max):
+        power, vec = power * b, b * vec
+        traces.append(mp.re(sum(power[i, i] for i in range(gamma.rows))))
+        c.append(mp.re((y.H * vec)[0]))
+    h = [(-mp.log(mp.re(mp.det(eye + gamma))) - c[0]) / 2]
+    for k in range(1, n_max + 1):
+        h.append((-(-1) ** (k + 1) * traces[k] / k - (-1) ** k * (c[k] - c[k - 1])) / 2)
+    return [(-1) ** n * g for n, g in enumerate(mp_series_exp(h))]
 
 
 def mp_quadratures(cfg, z, sel):
@@ -193,3 +235,19 @@ def test_quadrature_columns_match_40_digit_reference(name, selection):
             for qty, value in expected.items():
                 actual = columns[f"{selection}.{qty}"][row]
                 assert deviation(actual, float(value), COLUMN_FLOOR) <= TOL, (row, qty)
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4", "fig7"])
+def test_preset_distributions_match_40_digit_reference(name):
+    # every p(n) of every preset that reports them, at the first, middle
+    # and last rows; fig7's row 499 is its brightest
+    cfg = load_preset(name)
+    result = run_preset(name)
+    (sel_name, table), = result.pn_tables
+    sel = ModeSelection.parse(sel_name)
+    assert table.shape == (500, cfg.n_max + 1)
+    with mp.workdps(DPS):
+        for row in (0, 250, 499):
+            expected = mp_distribution(cfg, result.z[row], sel, cfg.n_max)
+            for n, value in enumerate(expected):
+                assert deviation(table[row, n], float(value), PN_FLOOR) <= TOL, (row, n)
