@@ -3,20 +3,22 @@
 Ground truth for the Gaussian pipeline: the interaction Hamiltonian of a
 dynamically closed subset of modes acts on a truncated occupation basis,
 and states are advanced by its exact exponential action.  Only subsystems
-that the couplings do not leak out of are supported; thermal phonons
-enter as a classical mixture over Fock inputs.
+that the couplings do not leak out of are supported.  Every input starts
+as Fock members (the levels of its chaotic mixture, or the vacuum alone),
+which its own squeeze and displacement generators then move.
 
 Everything is numpy.  A state vector is viewed with one axis per mode,
-and H is held as a few terms, each a coefficient times one ladder step
-on each of two modes; a term acts on the whole view as one sliced
-product.  exp(izH) acts on the whole ensemble at once, as a
-(members, dimension) array, through a Taylor series scaled by H's exact
-1-norm.  The statistics read <a_j>, <a_j^+ a_k> and <a_j a_k> through
-one-step terms.
+and an operator is held as a few terms, each a coefficient times ladder
+steps of one or two quanta on distinct modes; a term acts on the whole
+view as one sliced product.  exp(izH) acts on the whole ensemble at
+once, as a (members, dimension) array, through a Taylor series scaled by
+H's exact 1-norm.  The statistics read <a_j>, <a_j^+ a_k> and <a_j a_k>
+through one-step terms.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
@@ -31,7 +33,7 @@ from .exceptions import (
     TruncationWarning,
     ValidationError,
 )
-from .model import CouplerParams, InputSpec, ModeId, ModeSelection
+from .model import CouplerParams, InputSpec, ModeId, ModeSelection, _as_real
 
 MAX_DIMENSION = 200_000
 MAX_CUTOFF = 16
@@ -54,14 +56,15 @@ CLOSED_SUBSYSTEMS = (
     (ModeId.A1, ModeId.V1, ModeId.A2, ModeId.V2),
 )
 
-# Each coupling's term of H as its two ladder steps (mode, raises).
+# Each coupling's term of H as its two ladder steps (mode, shift): shift
+# +1 raises the mode's occupation by one, -1 lowers it.
 _TERMS = {
-    "gS1": ((ModeId.V1, True), (ModeId.S1, True)),
-    "gA1": ((ModeId.V1, False), (ModeId.A1, True)),
-    "gS2": ((ModeId.V2, True), (ModeId.S2, True)),
-    "gA2": ((ModeId.V2, False), (ModeId.A2, True)),
-    "kappaS": ((ModeId.S1, False), (ModeId.S2, True)),
-    "kappaA": ((ModeId.A1, False), (ModeId.A2, True)),
+    "gS1": ((ModeId.V1, 1), (ModeId.S1, 1)),
+    "gA1": ((ModeId.V1, -1), (ModeId.A1, 1)),
+    "gS2": ((ModeId.V2, 1), (ModeId.S2, 1)),
+    "gA2": ((ModeId.V2, -1), (ModeId.A2, 1)),
+    "kappaS": ((ModeId.S1, -1), (ModeId.S2, 1)),
+    "kappaA": ((ModeId.A1, -1), (ModeId.A2, 1)),
 }
 
 
@@ -133,7 +136,7 @@ def build_hamiltonian(cfg: FockConfig) -> tuple:
         g = complex(getattr(cfg.params, name))
         if g != 0:
             terms.append((g, steps))
-            terms.append((g.conjugate(), tuple((mode, not raises) for mode, raises in steps)))
+            terms.append((g.conjugate(), tuple((mode, -shift) for mode, shift in steps)))
     return tuple(terms)
 
 
@@ -141,24 +144,26 @@ def _apply(cfg: FockConfig, terms, v: np.ndarray) -> np.ndarray:
     """The sum of ``terms`` applied along the last axis of ``v``.
 
     The last axis is viewed with one axis per mode, so a step on a mode
-    moves its occupation by one, with factor sqrt(n) for the larger
-    occupation n; a step off either end of an axis is dropped.  Each term
-    is then one sliced product.
+    moves its occupation by k = |shift|, with factor sqrt((m+1)...(m+k))
+    for the smaller occupation m; a step off either end of an axis is
+    dropped.  Each term is then one sliced product.
     """
     dims = cfg.dims
-    up, down = slice(1, None), slice(None, -1)
     w = v.reshape(v.shape[:-1] + dims)
     out = np.zeros(w.shape, dtype=complex)
     for g, steps in terms:
         dst = [slice(None)] * len(dims)
         src = list(dst)
         amp = g
-        for mode, raises in steps:
+        for mode, shift in steps:
             pos = cfg.mode_index(mode)
+            k = abs(shift)
+            smaller = np.arange(dims[pos] - k, dtype=float)
             shape = [1] * len(dims)
-            shape[pos] = dims[pos] - 1
-            amp = amp * np.sqrt(np.arange(1.0, dims[pos])).reshape(shape)
-            dst[pos], src[pos] = (up, down) if raises else (down, up)
+            shape[pos] = smaller.size
+            amp = amp * np.sqrt(math.prod(smaller + i for i in range(1, k + 1))).reshape(shape)
+            up, down = slice(k, None), slice(None, -k)
+            dst[pos], src[pos] = (up, down) if shift > 0 else (down, up)
         out[(..., *dst)] += amp * w[(..., *src)]
     return out.reshape(v.shape)
 
@@ -217,16 +222,6 @@ class FockEnsemble:
         return complex(self.weights @ np.sum(left.conj() * right, axis=-1))
 
 
-def _coherent_amplitudes(xi: complex, dim: int) -> np.ndarray:
-    if xi == 0:
-        amps = np.zeros(dim, dtype=complex)
-        amps[0] = 1.0
-        return amps
-    n = np.arange(dim)
-    log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, dim))]))
-    return np.exp(-0.5 * abs(xi) ** 2) * np.power(complex(xi), n) * np.exp(-0.5 * log_fact)
-
-
 def _thermal_weights(n_mean: float, dim: int):
     """Geometric occupation weights truncated at tail mass 1e-8 and
     renormalized."""
@@ -241,13 +236,25 @@ def _thermal_weights(n_mean: float, dim: int):
     return w / w.sum()
 
 
+def _generator(mode, k: int, c: complex) -> list:
+    """The terms of H = -i c a^+k + i c* a^k on one mode, whose exp(iH)
+    displaces by c (k = 1) or squeezes by zeta = 2c (k = 2)."""
+    return [(-1j * c, ((mode, k),)), (1j * c.conjugate(), ((mode, -k),))] if c != 0 else []
+
+
 def evolve_fock(cfg: FockConfig, inputs, z: float) -> FockEnsemble:
     """Evolve the subsystem over length z.
 
     ``inputs`` maps each subsystem mode to an :class:`InputSpec` or a
-    :class:`FockLevel`; coherent amplitudes seed truncated coherent
-    vectors and phonon ``n_ch`` seeds a classical mixture over Fock
-    levels.  Squeezed inputs are not supported here.
+    :class:`FockLevel`.  Each input is a set of Fock members, the level
+    of a FockLevel or the levels of an InputSpec's ``n_ch`` chaotic
+    mixture (the vacuum alone for ``n_ch = 0``), which is then squeezed
+    and displaced by the exact action of its generators: S with
+    H = -(i/2) zeta a^+2 + (i/2) zeta* a^2, zeta = r e^(i theta), then D
+    with H = -i xi a^+ + i xi* a, each as exp(iH).  A mode with both
+    r > 0 and n_ch > 0 is rejected: the package adds chaotic noise to
+    squeezed light (B = sinh^2 r + n_ch), while a squeezed chaotic
+    mixture has B = n_ch cosh 2r + sinh^2 r.
 
     Accuracy envelope: with cutoffs <= 12 keep |xi| <= 1 and
     z * max|coupling| <= 1, otherwise probability piles up at the
@@ -256,6 +263,7 @@ def evolve_fock(cfg: FockConfig, inputs, z: float) -> FockEnsemble:
     results with boundary mass beyond 1e-6 should already be treated
     with suspicion.
     """
+    z = _as_real(z, "z")
     if isinstance(inputs, dict):
         for m in cfg.modes:
             if m not in inputs:
@@ -267,61 +275,46 @@ def evolve_fock(cfg: FockConfig, inputs, z: float) -> FockEnsemble:
             raise ValidationError(
                 f"expected one input per subsystem mode "
                 f"({', '.join(m.name for m in cfg.modes)}), got {len(specs)}")
-    for i, (m, spec) in enumerate(zip(cfg.modes, specs)):
-        if not isinstance(spec, (InputSpec, FockLevel)):
-            raise ValidationError(
-                f"{m.name} input must be an InputSpec or a FockLevel, got {spec!r}")
+    dims = cfg.dims
+    # the members' weights and basis indices, the first mode slowest
+    weights, index = np.ones(1), np.zeros(1, dtype=int)
+    squeeze, displace = [], []
+    for m, spec, d in zip(cfg.modes, specs, dims):
         if isinstance(spec, FockLevel):
             try:
-                specs[i] = FockLevel(operator.index(spec.n))
+                level = operator.index(spec.n)
             except TypeError:
                 raise ValidationError(
                     f"{m.name} Fock level must be an integer, got {spec.n!r}") from None
-            continue
-        spec = specs[i] = spec.validate(m.name)
-        if spec.r != 0.0:
-            raise ValidationError("squeezed inputs are outside the oracle's scope")
-        if spec.n_ch != 0.0 and m not in (ModeId.V1, ModeId.V2):
-            raise ValidationError("chaotic input is only supported on phonon modes")
-
-    dims = cfg.dims
-    # per-mode factor lists: [(weight, vector), ...]
-    factors = []
-    for spec, d in zip(specs, dims):
-        if isinstance(spec, FockLevel):
-            if not 0 <= spec.n < d:
-                raise ValidationError(f"Fock level {spec.n} outside cutoff {d - 1}")
-            vec = np.zeros(d, dtype=complex)
-            vec[spec.n] = 1.0
-            factors.append([(1.0, vec)])
-        elif spec.n_ch > 0.0:
-            if spec.xi != 0:
-                # would need a mixture of displaced Fock states; no
-                # cross-method check requires it
+            if not 0 <= level < d:
+                raise ValidationError(f"Fock level {level} outside cutoff {d - 1}")
+            w, levels = np.ones(1), np.array([level])
+        elif isinstance(spec, InputSpec):
+            spec = spec.validate(m.name)
+            if spec.r != 0.0 and spec.n_ch != 0.0:
                 raise ValidationError(
-                    "simultaneous coherent and chaotic phonon input is not "
-                    "supported by the oracle"
-                )
-            weights = _thermal_weights(spec.n_ch, d)
-            members = []
-            for level, w in enumerate(weights):
-                vec = np.zeros(d, dtype=complex)
-                vec[level] = 1.0
-                members.append((float(w), vec))
-            factors.append(members)
+                    f"{m.name} is both squeezed and chaotic; the oracle prepares one or the other")
+            w = _thermal_weights(spec.n_ch, d)
+            levels = np.arange(len(w))
+            squeeze += _generator(m, 2, 0.5 * spec.r * cmath.exp(1j * spec.theta))
+            displace += _generator(m, 1, spec.xi)
         else:
-            factors.append([(1.0, _coherent_amplitudes(complex(spec.xi), d))])
+            raise ValidationError(
+                f"{m.name} input must be an InputSpec or a FockLevel, got {spec!r}")
+        weights = np.outer(weights, w).ravel()
+        index = np.add.outer(index * d, levels).ravel()
 
     occupations = np.indices(dims).reshape(len(dims), -1)
     boundary = np.any(occupations == np.array(dims)[:, None] - 1, axis=0)
 
-    stack = [(1.0, np.array([1.0 + 0j]))]
-    for members in factors:
-        stack = [(w1 * w2, np.kron(v1, v2)) for w1, v1 in stack for w2, v2 in members]
-    weights = np.array([w for w, _ in stack])
-    start = np.array([v for _, v in stack])
-    vectors = _exp_action(cfg, build_hamiltonian(cfg), float(z), start)
-    drift = float(np.max(np.abs(np.linalg.norm(vectors, axis=1) - np.linalg.norm(start, axis=1))))
+    vectors = np.zeros((len(index), cfg.dimension), dtype=complex)
+    vectors[np.arange(len(index)), index] = 1.0
+    # the generators of different modes commute: all squeezes act at once,
+    # then all displacements
+    for terms in (squeeze, displace):
+        vectors = _exp_action(cfg, terms, 1.0, vectors)
+    vectors = _exp_action(cfg, build_hamiltonian(cfg), z, vectors)
+    drift = float(np.max(np.abs(np.linalg.norm(vectors, axis=1) - 1.0)))
     if drift > 1e-10:
         raise NumericalError(f"norm drift {drift:.3e} in exponential action")
     total_leak = float(weights @ np.sum(np.abs(vectors[:, boundary]) ** 2, axis=1))
@@ -376,7 +369,7 @@ def fock_statistics(ensemble: FockEnsemble, sel) -> FockStats:
     # P = sum (<a_j a_k> - m_j m_k), with vacuum level the number of modes;
     # a_j a_k chains two lowerings, as j = k is among the pairs
     def lower(mode, v):
-        return _apply(cfg, [(1.0, ((mode, False),))], v)
+        return _apply(cfg, [(1.0, ((mode, -1),))], v)
 
     v = ensemble.vectors
     av = {m: lower(m, v) for m in sel.modes}

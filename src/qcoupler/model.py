@@ -291,6 +291,13 @@ def _frozen(array, dtype, shape):
     return out
 
 
+def _checked_input(spec, name) -> InputSpec:
+    """``spec``, which must be an InputSpec; ``name`` names its mode."""
+    if not isinstance(spec, InputSpec):
+        raise ValidationError(f"{name} input must be an InputSpec, got {spec!r}")
+    return spec
+
+
 def build_input_state(inputs) -> GaussianState:
     """Assemble the six-mode Gaussian input state from per-mode specs.
 
@@ -306,7 +313,7 @@ def build_input_state(inputs) -> GaussianState:
     b = np.zeros(N_MODES)
     c = np.zeros(N_MODES, dtype=complex)
     for j, spec in enumerate(inputs):
-        spec = spec.validate(MODE_NAMES[j])
+        spec = _checked_input(spec, MODE_NAMES[j]).validate(MODE_NAMES[j])
         xi[j] = spec.xi
         b[j] = math.sinh(spec.r) ** 2 + spec.n_ch
         c[j] = 0.5 * np.exp(1j * spec.theta) * math.sinh(2.0 * spec.r)
@@ -409,8 +416,12 @@ class ScenarioConfig:
     k_max: int = 5
 
     def __post_init__(self):
+        if not isinstance(self.params, CouplerParams):
+            raise ValidationError(f"params must be a CouplerParams, got {self.params!r}")
         if len(self.inputs) != N_MODES:
             raise ValidationError(f"expected {N_MODES} inputs, got {len(self.inputs)}")
+        for name, spec in zip(MODE_NAMES, self.inputs):
+            _checked_input(spec, name)
         z_max = _as_real(self.z_max, "z_max")
         if not z_max > 0:
             raise ValidationError(f"z_max must be positive and finite, got {z_max}")

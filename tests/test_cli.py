@@ -239,6 +239,9 @@ def test_cli_overrides(tmp_path):
 
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["bogus"]) == 1
+    # the check suite's tolerances are fixed: it takes no options
+    assert main(["check", "--tol", "1e-3"]) == 1
+    assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
     assert main(["run", "--scenario", str(tmp_path / "missing.txt")]) == 1
     bad = tmp_path / "bad.txt"
     # the coupler is phase-matched: even a zero mismatch is an unknown key

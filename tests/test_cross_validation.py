@@ -1,5 +1,7 @@
 """Agreement between the independent solution routes."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,27 @@ def test_oracle_vs_gaussian_coupled_guides():
     _compare(params, (10, 10, 10, 10), specs, 0.5,
              [(ModeId.S1,), (ModeId.S2,), (ModeId.S1, ModeId.S2),
               (ModeId.S1, ModeId.V2), (ModeId.S1, ModeId.V1)])
+
+
+# Every input kind the oracle prepares: a displaced squeezed mode, a
+# squeezed vacuum, a coherent-plus-chaotic phonon and a chaotic radiation
+# mode.  The bounds stand about 30x above the agreement, and 20x or more
+# below the shift of p(n), lambda and var_p when the squeeze phase of the
+# displaced mode is 1e-3 off (a squeezed vacuum hides a phase error from
+# lambda and p(n)).
+@pytest.mark.parametrize("couplings, specs", [
+    pytest.param(dict(gS1=0.3, gA1=0.6),
+                 {ModeId.S1: InputSpec(xi=0.3j, r=0.3, theta=0.4),
+                  ModeId.A1: InputSpec(r=0.2, theta=-1.1),
+                  ModeId.V1: InputSpec(xi=0.2, n_ch=0.2)}, id="squeezed"),
+    pytest.param(dict(gS1=0.3), {ModeId.S1: InputSpec(n_ch=0.3), ModeId.V1: VACUUM_INPUT},
+                 id="chaotic-stokes"),
+])
+def test_oracle_vs_gaussian_every_input_kind(couplings, specs):
+    modes = sorted(specs)
+    selections = [(m,) for m in modes] + list(itertools.combinations(modes, 2))
+    _compare(quiet_params(**couplings), (14,) * len(modes), specs, 0.5, selections,
+             tol_pn=1e-7, tol_n=1e-5, tol_lam=1e-5, tol_var=1e-5)
 
 
 def test_generating_function_matches_oracle():

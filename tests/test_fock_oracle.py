@@ -21,14 +21,16 @@ from conftest import quiet_params
 
 
 def _dense_product(cfg, steps):
-    """The dense matrix of ladder steps on distinct modes: a Kronecker
-    product of (d, d) lowering matrices a|n> = sqrt(n)|n-1>, their
-    transposes for raising steps, and identities."""
+    """The dense matrix of one-quantum ladder steps (mode, +-1) on distinct
+    modes: a Kronecker product of (d, d) lowering matrices
+    a|n> = sqrt(n)|n-1>, their transposes for raising steps, and
+    identities."""
     factors = [np.eye(d) for d in cfg.dims]
-    for mode, raises in steps:
+    for mode, shift in steps:
+        assert shift in (1, -1)
         pos = cfg.modes.index(mode)
         lower = np.diag(np.sqrt(np.arange(1.0, cfg.dims[pos])), k=1)
-        factors[pos] = lower.T if raises else lower
+        factors[pos] = lower.T if shift > 0 else lower
     return functools.reduce(np.kron, factors)
 
 
@@ -113,11 +115,22 @@ def test_operator_action_and_norm_match_dense_view(modes, cutoffs, couplings):
         np.max(np.sum(np.abs(dense), axis=0)), rel=1e-15)
     # the one-step lowerings the statistics read, once and chained
     for mode in cfg.modes:
-        a = _dense_product(cfg, [(mode, False)])
-        lower = [(1.0, ((mode, False),))]
+        a = _dense_product(cfg, [(mode, -1)])
+        lower = [(1.0, ((mode, -1),))]
         av = fock_oracle._apply(cfg, lower, v)
         assert np.max(np.abs(av - v @ a.T)) <= 1e-14
         assert np.max(np.abs(fock_oracle._apply(cfg, lower, av) - v @ (a @ a).T)) <= 1e-13
+    # the one-mode generators that prepare the inputs, -i c a^+k + i c* a^k
+    # for k = 1 (displacement) and k = 2 (squeeze)
+    c = 0.4 - 0.3j
+    for mode in cfg.modes:
+        for k in (1, 2):
+            raise_k = np.linalg.matrix_power(_dense_product(cfg, [(mode, 1)]), k)
+            generator = -1j * c * raise_k + 1j * c.conjugate() * raise_k.T
+            terms = [(-1j * c, ((mode, k),)), (1j * c.conjugate(), ((mode, -k),))]
+            assert np.max(np.abs(fock_oracle._apply(cfg, terms, v) - v @ generator.T)) <= 1e-14
+            assert fock_oracle._norm1(cfg, terms) == pytest.approx(
+                np.max(np.sum(np.abs(generator), axis=0)), rel=1e-15)
 
 
 @pytest.mark.parametrize("modes,cutoffs,couplings", SMALL_SUBSYSTEMS)
@@ -155,7 +168,7 @@ def test_evolution_z_zero_is_identity():
                      params=quiet_params(gS1=0.4))
     ens = evolve_fock(cfg, [InputSpec(xi=0.5), VACUUM_INPUT], 0.0)
     stats = fock_statistics(ens, (ModeId.S1,))
-    # off by the truncated coherent tail only
+    # off by the truncation of the displacement only
     assert stats.mean_w == pytest.approx(0.25, abs=1e-6)
 
 
@@ -262,8 +275,9 @@ def test_truncation_warning_below_hard_limit():
     ([VACUUM_INPUT], r"per subsystem mode \(A1, V1\), got 1"),
     ([VACUUM_INPUT] * 3, r"per subsystem mode \(A1, V1\), got 3"),
     ([VACUUM_INPUT, None], "V1 input must be an InputSpec or a FockLevel, got None"),
+    ([InputSpec(r=0.3, n_ch=0.2), VACUUM_INPUT], "A1 is both squeezed and chaotic"),
 ], ids=["negative-n_ch", "nan-n_ch", "inf-xi", "fractional-level",
-        "dict-missing-mode", "too-few", "too-many", "none-entry"])
+        "dict-missing-mode", "too-few", "too-many", "none-entry", "squeezed-chaotic"])
 def test_bad_inputs_rejected(inputs, match):
     cfg = FockConfig(modes=(ModeId.A1, ModeId.V1), cutoffs=(4, 4),
                      params=quiet_params(gA1=0.2))
@@ -281,11 +295,16 @@ def test_inputs_normalized_as_for_the_gaussian_state():
     assert np.array_equal(as_text.vectors, as_number.vectors)
 
 
-def test_squeezed_input_rejected():
-    cfg = FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=(4, 4),
-                     params=quiet_params(gS1=0.2))
-    with pytest.raises(ValidationError):
-        evolve_fock(cfg, [InputSpec(r=0.5), VACUUM_INPUT], 0.1)
+@pytest.mark.parametrize("z, match", [
+    (math.inf, "z must be finite, got inf"),
+    (math.nan, "z must be finite, got nan"),
+    (1j, r"z is not a real scalar: 1j"),
+], ids=["inf", "nan", "complex"])
+def test_bad_length_rejected(z, match):
+    cfg = FockConfig(modes=(ModeId.A1, ModeId.V1), cutoffs=(4, 4),
+                     params=quiet_params(gA1=0.2))
+    with pytest.raises(ValidationError, match=match):
+        evolve_fock(cfg, [VACUUM_INPUT, VACUUM_INPUT], z)
 
 
 @pytest.mark.parametrize("cutoffs", [(2.7, 3), (3, "3"), (3, None)])

@@ -99,6 +99,7 @@ def test_input_state_positive_semidefinite():
     pytest.param(0, InputSpec(n_ch=-1.0), "S1.n_ch must be >= 0", id="n_ch-negative"),
     pytest.param(1, InputSpec(r=1j), "A1.r is not a real scalar", id="r-complex"),
     pytest.param(2, InputSpec(n_ch="a"), "V1.n_ch is not a real scalar", id="n_ch-text"),
+    pytest.param(3, None, "S2 input must be an InputSpec, got None", id="none-entry"),
 ])
 def test_input_state_rejects_bad_parameters(slot, spec, message):
     inputs = [VACUUM_INPUT] * 6
@@ -126,10 +127,13 @@ def test_input_state_builds_from_validated_fields():
     pytest.param("z_max", "a", "z_max is not a real scalar: 'a'", id="max-text"),
     pytest.param("z_max", math.inf, "z_max must be finite, got inf", id="max-inf"),
     pytest.param("z_max", -1.0, "z_max must be positive and finite, got -1.0", id="max-negative"),
+    pytest.param("params", None, "params must be a CouplerParams, got None", id="params-none"),
+    pytest.param("inputs", (None,) * 6, "S1 input must be an InputSpec, got None",
+                 id="inputs-none"),
 ])
 def test_scenario_grid_validation(field, value, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
-        ScenarioConfig(params=CouplerParams(gS1=1), **{field: value})
+        ScenarioConfig(**{"params": CouplerParams(gS1=1), field: value})
 
 
 def test_scenario_grid_fields_are_normalized():
