@@ -47,13 +47,8 @@ from .dynamics import (
     rk4_propagator,
     symplectic_check,
 )
-from .analytic import AnalyticFrame, analytic_propagator, conditions_satisfied
-from .shortlen import (
-    short_propagator,
-    shortlen_coefficients,
-    shortlen_mean_amplitudes,
-    shortlen_state,
-)
+from .analytic import analytic_propagator, conditions_satisfied
+from .shortlen import short_propagator, shortlen_state
 from .gaussian_stats import StatsReport, stats_report
 from .fock_oracle import (
     FockConfig,

@@ -6,7 +6,8 @@ satisfy one compatibility relation, the twelve operator equations
 decouple into small blocks that can be solved in closed form.  The
 result is used to validate the numerical matrix exponential.
 
-All trigonometric factors are evaluated as complex functions, so the
+Both guides' rows share seven factors of guide 1's rates.  All
+trigonometric factors are evaluated as complex functions, so the
 expressions stay valid when the internal rate ``r`` (and hence ``l``)
 turns imaginary.
 """
@@ -14,7 +15,6 @@ turns imaginary.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,47 +61,29 @@ def conditions_satisfied(params: ValidatedParams) -> bool:
     return abs(lhs - rhs) <= DEFAULT_CONDITION_TOL * max(abs(lhs), abs(rhs), scale**3)
 
 
-@dataclass(frozen=True)
-class AnalyticFrame:
-    """Derived rates and the trig factor cache at one length z.
-
-    ``r^2 = |gS1|^2 - |gA1|^2`` and ``l = sqrt(kappa^2 - 4 r^2)`` with
-    ``kappa = |kappaS|``.  ``slol`` is sin(l z / 2)/l with its removable
-    l -> 0 limit handled by a series branch.
+def _trig_factors(params: ValidatedParams, z: float):
+    """(kappa, sin kz, cos kz, sin(kz/2), cos(kz/2), cos(lz/2), sin(lz/2)/l)
+    at length z, from guide 1's rates: kappa = |kappaS|,
+    r^2 = |gS1|^2 - |gA1|^2 and l = sqrt(kappa^2 - 4 r^2).  The last
+    factor's removable l -> 0 limit is taken by a series branch.
     """
-
-    l: complex
-    kappa: float
-    shh: complex
-    chh: complex
-    sh: complex
-    ch: complex
-    cl: complex
-    slol: complex
-
-    @classmethod
-    def from_params(cls, params: ValidatedParams, z: float) -> "AnalyticFrame":
-        kappa = abs(params.kappaS)
-        r_sq = abs(params.gS1) ** 2 - abs(params.gA1) ** 2
-        l = cmath.sqrt(kappa**2 - 4.0 * r_sq)
-        x = 0.5 * l * z
-        if abs(l * z) < _SMALL_LZ:
-            slol = 0.5 * z * (1.0 - x**2 / 6.0 + x**4 / 120.0)
-        else:
-            slol = cmath.sin(x) / l
-        return cls(
-            l=l, kappa=kappa,
-            shh=cmath.sin(kappa * z), chh=cmath.cos(kappa * z),
-            sh=cmath.sin(0.5 * kappa * z), ch=cmath.cos(0.5 * kappa * z),
-            cl=cmath.cos(x), slol=slol,
-        )
+    kappa = abs(params.kappaS)
+    r_sq = abs(params.gS1) ** 2 - abs(params.gA1) ** 2
+    l = cmath.sqrt(kappa**2 - 4.0 * r_sq)
+    x = 0.5 * l * z
+    if abs(l * z) < _SMALL_LZ:
+        slol = 0.5 * z * (1.0 - x**2 / 6.0 + x**4 / 120.0)
+    else:
+        slol = cmath.sin(x) / l
+    return (kappa, cmath.sin(kappa * z), cmath.cos(kappa * z), cmath.sin(0.5 * kappa * z),
+            cmath.cos(0.5 * kappa * z), cmath.cos(x), slol)
 
 
 def _unit_phase(x: complex) -> complex:
     return x / abs(x) if x != 0 else 1.0 + 0j
 
 
-def _guide_rows(params: ValidatedParams, f: AnalyticFrame):
+def _guide_rows(params: ValidatedParams, factors):
     """U and V rows for the S, A, V modes of guide 1, as 3x6 blocks.
 
     Conjugates of l cancel identically because l is either real or
@@ -116,9 +98,7 @@ def _guide_rows(params: ValidatedParams, f: AnalyticFrame):
         raise UnsupportedConfigurationError(
             "closed form is singular at |gS1| = |gA1|; use the numerical propagator"
         )
-    k, shh, chh, sh, ch, cl, slol = (
-        f.kappa, f.shh, f.chh, f.sh, f.ch, f.cl, f.slol,
-    )
+    k, shh, chh, sh, ch, cl, slol = factors
     ga_ratio = ga2 / ga1 if ga1 != 0 else 0j
 
     u = np.zeros((3, N_MODES), dtype=complex)
@@ -170,13 +150,9 @@ def analytic_propagator(params: ValidatedParams, z: float) -> BogoliubovTransfor
         raise UnsupportedConfigurationError(
             "parameters violate the matched-coupling conditions of the closed form"
         )
-    frame = AnalyticFrame.from_params(params, z)
-    u = np.zeros((N_MODES, N_MODES), dtype=complex)
-    v = np.zeros((N_MODES, N_MODES), dtype=complex)
-    u1, v1 = _guide_rows(params, frame)
-    u[:3], v[:3] = u1, v1
+    factors = _trig_factors(params, z)
+    u1, v1 = _guide_rows(params, factors)
     # second guide: swap parameters, then relabel columns
-    u2, v2 = _guide_rows(params.swapped(), frame)
+    u2, v2 = _guide_rows(params.swapped(), factors)
     perm = np.asarray(EXCHANGE_PERMUTATION)
-    u[3:], v[3:] = u2[:, perm], v2[:, perm]
-    return BogoliubovTransform(np.concatenate([u, v], axis=-1), float(z))
+    return BogoliubovTransform(np.block([[u1, v1], [u2[:, perm], v2[:, perm]]]), float(z))

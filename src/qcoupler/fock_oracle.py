@@ -33,7 +33,7 @@ from .exceptions import (
     TruncationWarning,
     ValidationError,
 )
-from .model import CouplerParams, InputSpec, ModeId, ModeSelection, _as_real
+from .model import CouplerParams, InputSpec, ModeId, ModeSelection, _as_real, _as_tuple
 
 MAX_DIMENSION = 200_000
 MAX_CUTOFF = 16
@@ -245,11 +245,11 @@ def _generator(mode, k: int, c: complex) -> list:
 def evolve_fock(cfg: FockConfig, inputs, z: float) -> FockEnsemble:
     """Evolve the subsystem over length z.
 
-    ``inputs`` maps each subsystem mode to an :class:`InputSpec` or a
-    :class:`FockLevel`.  Each input is a set of Fock members, the level
-    of a FockLevel or the levels of an InputSpec's ``n_ch`` chaotic
-    mixture (the vacuum alone for ``n_ch = 0``), which is then squeezed
-    and displaced by the exact action of its generators: S with
+    ``inputs`` holds one :class:`InputSpec` or :class:`FockLevel` per
+    subsystem mode, in the order of ``cfg.modes``.  Each input is a set
+    of Fock members, the level of a FockLevel or the levels of an
+    InputSpec's ``n_ch`` chaotic mixture (the vacuum alone for
+    ``n_ch = 0``), which is then squeezed and displaced by the exact action of its generators: S with
     H = -(i/2) zeta a^+2 + (i/2) zeta* a^2, zeta = r e^(i theta), then D
     with H = -i xi a^+ + i xi* a, each as exp(iH).  A mode with both
     r > 0 and n_ch > 0 is rejected: the package adds chaotic noise to
@@ -264,17 +264,11 @@ def evolve_fock(cfg: FockConfig, inputs, z: float) -> FockEnsemble:
     with suspicion.
     """
     z = _as_real(z, "z")
-    if isinstance(inputs, dict):
-        for m in cfg.modes:
-            if m not in inputs:
-                raise ValidationError(f"no input given for subsystem mode {m.name}")
-        specs = [inputs[m] for m in cfg.modes]
-    else:
-        specs = list(inputs)
-        if len(specs) != len(cfg.modes):
-            raise ValidationError(
-                f"expected one input per subsystem mode "
-                f"({', '.join(m.name for m in cfg.modes)}), got {len(specs)}")
+    specs = _as_tuple(inputs, "inputs")
+    if len(specs) != len(cfg.modes):
+        raise ValidationError(
+            f"expected one input per subsystem mode "
+            f"({', '.join(m.name for m in cfg.modes)}), got {len(specs)}")
     dims = cfg.dims
     # the members' weights and basis indices, the first mode slowest
     weights, index = np.ones(1), np.zeros(1, dtype=int)

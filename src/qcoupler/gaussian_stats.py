@@ -84,10 +84,9 @@ def _selection_block(state: GaussianState, sel: ModeSelection):
     return state.xi[..., idx], state.N[..., idx[:, None], idx], state.M[..., idx[:, None], idx]
 
 
-def _intensity_variance(state: GaussianState, sel: ModeSelection):
-    """<:(dW)^2:>: the sum over the selection's block of the pair
-    correlations C_jk = <:dW_j dW_k:>."""
-    x, n, m = _selection_block(state, sel)
+def _intensity_variance(x, n, m):
+    """<:(dW)^2:>: the sum over the selection's block (x, n, m) of the
+    pair correlations C_jk = <:dW_j dW_k:>."""
     xr, xc = x[..., :, None], x.conj()[..., None, :]
     pairs = np.abs(n) ** 2 + np.abs(m) ** 2 + 2.0 * np.real(xr * n * xc + xr.conj() * m * xc)
     return np.sum(pairs, axis=(-2, -1))
@@ -98,9 +97,10 @@ def _spread(vac, s, t):
     return vac + 2.0 * (s - t), vac + 2.0 * (s + t)
 
 
-def _quadratures(state: GaussianState, sel: ModeSelection):
+def _quadratures(state: GaussianState, sel: ModeSelection, n, m):
     """(principal squeeze variance, var_p, var_q, uncertainty) from the
-    vacuum level, the symmetric noise S and the pair term P.
+    vacuum level, the symmetric noise S and the pair term P of the
+    selection's block (n, m); ``state`` and ``sel`` name a failure.
 
     Each variance is a difference of sums of N and M, whose roundoff is
     about eps (k + 2 (S + |P|)), the largest principal variance.  Where
@@ -108,7 +108,6 @@ def _quadratures(state: GaussianState, sel: ModeSelection):
     unphysical lambda <= 0) the digits are gone; as var_p, var_q >= lambda
     and u = lambda (k + 2 (S + |P|)), one bound covers all four columns.
     """
-    _, n, m = _selection_block(state, sel)
     vac, s, p = n.shape[-1], np.sum(n, axis=(-2, -1)).real, np.sum(m, axis=(-2, -1))
     lo, hi = _spread(vac, s, np.abs(p))
     lost = _EPS * hi > _SQUEEZE_DIGITS * lo
@@ -324,7 +323,7 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
                 f"p(n) for n <= {n_max} underflows{_where(state, sel, dead)}: "
                 f"<W> = {float(np.max(np.asarray(mean_w)[dead])):.6g} lies too far beyond n_max"
             )
-    var_formula = _intensity_variance(state, sel)
+    var_formula = _intensity_variance(x, n, m)
     tolerance = 1e-8 * np.maximum(np.maximum(1.0, np.abs(var_formula)), mean_w**2)
     for var_moments in variances:
         bad = np.abs(var_moments - var_formula) > tolerance  # NaN: not checked
@@ -337,7 +336,7 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
             )
     squeeze = var_p = var_q = uncertainty = None
     if include_quadratures:
-        squeeze, var_p, var_q, uncertainty = _quadratures(state, sel)
+        squeeze, var_p, var_q, uncertainty = _quadratures(state, sel, n, m)
     return StatsReport(
         mean_w=mean_w,
         reduced_moments=reduced,

@@ -291,11 +291,23 @@ def _frozen(array, dtype, shape):
     return out
 
 
-def _checked_input(spec, name) -> InputSpec:
-    """``spec``, which must be an InputSpec; ``name`` names its mode."""
-    if not isinstance(spec, InputSpec):
-        raise ValidationError(f"{name} input must be an InputSpec, got {spec!r}")
-    return spec
+def _as_tuple(items, what) -> tuple:
+    """The iterable ``items`` as a tuple; ``what`` names it in the error."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise ValidationError(f"{what} must be an iterable, got {items!r}") from None
+
+
+def _checked_inputs(inputs) -> tuple:
+    """``inputs`` as a tuple of one InputSpec per mode, else ValidationError."""
+    inputs = _as_tuple(inputs, "inputs")
+    if len(inputs) != N_MODES:
+        raise ValidationError(f"expected {N_MODES} input specs, got {len(inputs)}")
+    for name, spec in zip(MODE_NAMES, inputs):
+        if not isinstance(spec, InputSpec):
+            raise ValidationError(f"{name} input must be an InputSpec, got {spec!r}")
+    return inputs
 
 
 def build_input_state(inputs) -> GaussianState:
@@ -306,14 +318,11 @@ def build_input_state(inputs) -> GaussianState:
     chaotic mode with ``B = n_ch``.  Input modes are independent, so N
     and M are diagonal.
     """
-    inputs = tuple(inputs)
-    if len(inputs) != N_MODES:
-        raise ValidationError(f"expected {N_MODES} input specs, got {len(inputs)}")
     xi = np.zeros(N_MODES, dtype=complex)
     b = np.zeros(N_MODES)
     c = np.zeros(N_MODES, dtype=complex)
-    for j, spec in enumerate(inputs):
-        spec = _checked_input(spec, MODE_NAMES[j]).validate(MODE_NAMES[j])
+    for j, spec in enumerate(_checked_inputs(inputs)):
+        spec = spec.validate(MODE_NAMES[j])
         xi[j] = spec.xi
         b[j] = math.sinh(spec.r) ** 2 + spec.n_ch
         c[j] = 0.5 * np.exp(1j * spec.theta) * math.sinh(2.0 * spec.r)
@@ -418,10 +427,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if not isinstance(self.params, CouplerParams):
             raise ValidationError(f"params must be a CouplerParams, got {self.params!r}")
-        if len(self.inputs) != N_MODES:
-            raise ValidationError(f"expected {N_MODES} inputs, got {len(self.inputs)}")
-        for name, spec in zip(MODE_NAMES, self.inputs):
-            _checked_input(spec, name)
+        object.__setattr__(self, "inputs", _checked_inputs(self.inputs))
         z_max = _as_real(self.z_max, "z_max")
         if not z_max > 0:
             raise ValidationError(f"z_max must be positive and finite, got {z_max}")
@@ -433,13 +439,19 @@ class ScenarioConfig:
         if not ok:
             raise ValidationError(f"z_steps must be an integer >= 2, got {self.z_steps!r}")
         _check_orders(self.k_max, self.n_max)
-        for i, (tag, sel) in enumerate(self.observables):
+        observables = _as_tuple(self.observables, "observables")
+        for i, entry in enumerate(observables):
+            if not (isinstance(entry, tuple) and len(entry) == 2):
+                raise ValidationError(f"an observable is a (quantity tag, ModeSelection) "
+                                      f"pair, got {entry!r}")
+            tag, sel = entry
             if tag not in QUANTITY_TAGS:
                 raise ValidationError(f"unknown observable quantity {tag!r}")
             if not isinstance(sel, ModeSelection):
                 raise ValidationError("observable selections must be ModeSelection")
-            if (tag, sel) in self.observables[:i]:
+            if entry in observables[:i]:
                 raise ValidationError(f"observable {tag}: {sel.name} is requested twice")
+        object.__setattr__(self, "observables", observables)
 
     def z_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.z_max, int(self.z_steps))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from .exceptions import ValidationError
 from .model import (
     CouplerParams,
     InputSpec,
@@ -147,8 +148,8 @@ PRESET_NAMES = tuple(_BUILDERS)
 def load_preset(name: str) -> ScenarioConfig:
     try:
         builder = _BUILDERS[name]
-    except KeyError:
-        raise KeyError(
+    except (KeyError, TypeError):
+        raise ValidationError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
-        )
+        ) from None
     return builder()

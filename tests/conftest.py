@@ -26,10 +26,11 @@ from qcoupler.model import (
     GaussianState,
     InputSpec,
     _doubled_covariance,
+    build_input_state,
     validate_params,
 )
 from qcoupler.presets import load_preset
-from qcoupler.shortlen import mean_amplitude_poly, shortlen_noise_polys
+from qcoupler.shortlen import shortlen_polys
 
 ORDER = 4
 # Hypothesis phases of the property tests: every phase but ``explain``, whose
@@ -222,18 +223,27 @@ def pabs(a):
     return out
 
 
+def shortlen_input(xi0, n1, n2):
+    """The input state of the short-length tables: coherent amplitudes
+    ``xi0`` on every mode, plus ``n1`` and ``n2`` chaotic quanta on V1
+    and V2."""
+    inputs = [InputSpec(xi=complex(x)) for x in xi0]
+    inputs[V1] = InputSpec(xi=complex(xi0[V1]), n_ch=n1)
+    inputs[V2] = InputSpec(xi=complex(xi0[V2]), n_ch=n2)
+    return build_input_state(inputs)
+
+
 class ShortlenComposition:
     """Statistics composed from the short-length expansion, as exact
     z-polynomials (degree 4, trustworthy through degree 2)."""
 
     def __init__(self, params, xi0, n1, n2):
-        polys = shortlen_noise_polys(params, n1, n2)
-        amp = mean_amplitude_poly(params, np.asarray(xi0, complex))
+        polys = shortlen_polys(params, shortlen_input(xi0, n1, n2))
         self.B = {j: pad(polys.B[:, j]) for j in range(6)}
         self.C = {j: pad(polys.C[:, j]) for j in range(6)}
         self.D = {(j, k): pad(polys.D[:, j, k]) for j in range(6) for k in range(6)}
         self.Dbar = {(j, k): pad(polys.Dbar[:, j, k]) for j in range(6) for k in range(6)}
-        self.xi = {j: pad(amp[:, j]) for j in range(6)}
+        self.xi = {j: pad(polys.xi[:, j]) for j in range(6)}
 
     def var_w(self, j):
         b, c, x = self.B[j], self.C[j], self.xi[j]

@@ -275,8 +275,8 @@ def test_variance_cross_check_in_sweep_names_z_and_selection(monkeypatch, k_max)
     cfg = dataclasses.replace(parse_scenario(SMALL_DOC), k_max=k_max)
     closed_form = gaussian_stats._intensity_variance
 
-    def off_at_third_point(state, sel):
-        values = np.array(closed_form(state, sel))
+    def off_at_third_point(x, n, m):
+        values = np.array(closed_form(x, n, m))
         values[3] += 1.0
         return values
 

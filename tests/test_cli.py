@@ -17,6 +17,7 @@ from qcoupler.exceptions import (
     ParameterRegimeWarning,
     PrecisionWarning,
     TruncationWarning,
+    ValidationError,
 )
 from qcoupler.model import CouplerParams, ModeId, ScenarioConfig, parse_scenario
 from qcoupler.presets import PRESET_NAMES, load_preset
@@ -207,7 +208,7 @@ def test_presets_complete_and_inherit():
     fig10, fig11 = load_preset("fig10"), load_preset("fig11")
     assert fig11.params.kappaA == 6j
     assert fig11.inputs == fig10.inputs
-    with pytest.raises(KeyError):
+    with pytest.raises(ValidationError, match="unknown preset 'fig1'"):
         load_preset("fig1")
 
 

@@ -271,13 +271,14 @@ def test_truncation_warning_below_hard_limit():
     ([VACUUM_INPUT, InputSpec(n_ch=math.nan)], None),
     ([InputSpec(xi=math.inf), VACUUM_INPUT], None),
     ([FockLevel(1.5), VACUUM_INPUT], None),
-    ({ModeId.A1: VACUUM_INPUT}, "mode V1"),
+    ({ModeId.A1: VACUUM_INPUT}, r"per subsystem mode \(A1, V1\), got 1"),
     ([VACUUM_INPUT], r"per subsystem mode \(A1, V1\), got 1"),
     ([VACUUM_INPUT] * 3, r"per subsystem mode \(A1, V1\), got 3"),
     ([VACUUM_INPUT, None], "V1 input must be an InputSpec or a FockLevel, got None"),
     ([InputSpec(r=0.3, n_ch=0.2), VACUUM_INPUT], "A1 is both squeezed and chaotic"),
+    (None, "inputs must be an iterable, got None"),
 ], ids=["negative-n_ch", "nan-n_ch", "inf-xi", "fractional-level",
-        "dict-missing-mode", "too-few", "too-many", "none-entry", "squeezed-chaotic"])
+        "dict-missing-mode", "too-few", "too-many", "none-entry", "squeezed-chaotic", "none"])
 def test_bad_inputs_rejected(inputs, match):
     cfg = FockConfig(modes=(ModeId.A1, ModeId.V1), cutoffs=(4, 4),
                      params=quiet_params(gA1=0.2))

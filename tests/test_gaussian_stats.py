@@ -25,6 +25,7 @@ from conftest import (
     random_couplings,
     random_inputs,
     selection_spectrum,
+    shortlen_input,
     spectrum_g,
 )
 
@@ -67,7 +68,7 @@ def test_intensity_variance_shortlen_regime():
 def test_compound_variance_can_be_negative():
     # interference term makes the compound variance negative at short z
     s = shortlen_state(quiet_params(gS1=1, gA1=2),
-                       np.array([2, 2, 0, 0, 0, 0], complex), 0.0, 0.0, 0.05)
+                       shortlen_input(np.array([2, 2, 0, 0, 0, 0], complex), 0.0, 0.0), 0.05)
     total = stats_report(s, (S1, A1)).variance_w
     # -0.02 is the leading z^2 value; amplitude drift adds O(z^3)
     assert total == pytest.approx(-0.02, abs=5e-4)
@@ -95,8 +96,8 @@ def test_principal_squeeze_two_mode_benchmark():
 
 
 def test_principal_squeeze_shortlen_value():
-    s = shortlen_state(quiet_params(gS1=1, gA1=2), np.zeros(6, complex),
-                       0.0, 0.0, 0.1)
+    s = shortlen_state(quiet_params(gS1=1, gA1=2), shortlen_input(np.zeros(6, complex), 0.0, 0.0),
+                       0.1)
     lam = stats_report(s, ModeSelection((ModeId.S1, ModeId.A1))).lam
     assert lam == pytest.approx(1.98, abs=1e-12)
 

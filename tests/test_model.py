@@ -30,6 +30,7 @@ from qcoupler.model import (
     serialize_scenario,
     validate_params,
 )
+from qcoupler.presets import load_preset
 
 from conftest import quiet_params, random_couplings, random_inputs
 
@@ -140,6 +141,36 @@ def test_scenario_grid_fields_are_normalized():
     cfg = ScenarioConfig(params=CouplerParams(gS1=1), z_max="2.5", z_steps=np.int64(11))
     assert cfg.z_max == 2.5 and isinstance(cfg.z_max, float)
     assert np.array_equal(cfg.z_grid(), np.linspace(0.0, 2.5, 11))
+
+
+def test_scenario_sequences_are_normalized_to_tuples():
+    sel = ModeSelection((ModeId.S1,))
+    cfg = ScenarioConfig(params=CouplerParams(gS1=1), inputs=(VACUUM_INPUT for _ in range(6)),
+                         observables=[("moments", sel)])
+    assert cfg.inputs == (VACUUM_INPUT,) * 6
+    assert cfg.observables == (("moments", sel),)
+
+
+_PARAMS = CouplerParams(gS1=1)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: ScenarioConfig(params=_PARAMS, inputs=None),
+                 "inputs must be an iterable, got None", id="config-inputs-none"),
+    pytest.param(lambda: ScenarioConfig(params=_PARAMS, inputs=(VACUUM_INPUT for _ in range(5))),
+                 "expected 6 input specs, got 5", id="config-inputs-generator"),
+    pytest.param(lambda: ScenarioConfig(params=_PARAMS, observables=None),
+                 "observables must be an iterable, got None", id="config-observables-none"),
+    pytest.param(lambda: ScenarioConfig(params=_PARAMS, observables=(("moments",),)),
+                 r"an observable is a \(quantity tag, ModeSelection\) pair, got \('moments',\)",
+                 id="config-observable-unpaired"),
+    pytest.param(lambda: build_input_state(None), "inputs must be an iterable, got None",
+                 id="input-state-none"),
+    pytest.param(lambda: load_preset("fig1"), "unknown preset 'fig1'", id="preset-unknown"),
+])
+def test_library_entry_points_raise_validation_error(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 def test_state_noise_functions_read_off_n_and_m():

@@ -3,26 +3,27 @@
 import numpy as np
 import pytest
 
-from qcoupler.dynamics import build_drift_matrix, propagator
+from qcoupler.dynamics import build_drift_matrix, evolve_state, propagator
 from qcoupler.exceptions import ValidationError
-from qcoupler.shortlen import (
-    mean_amplitude_poly,
-    short_propagator,
-    short_propagator_poly,
-    shortlen_coefficients,
-    shortlen_mean_amplitudes,
-    shortlen_noise_polys,
-    shortlen_state,
-)
+from qcoupler.shortlen import _rows_poly, short_propagator, shortlen_polys, shortlen_state
 from qcoupler.gaussian_stats import stats_report
-from qcoupler.model import ModeSelection
+from qcoupler.model import (
+    VACUUM_INPUT,
+    GaussianState,
+    InputSpec,
+    ModeSelection,
+    build_input_state,
+)
 
 from conftest import (
     S1, A1, V1, S2, A2, V2,
     quiet_params,
     random_couplings,
     shortlen_identity_records,
+    shortlen_input,
 )
+
+NO_AMPLITUDES = np.zeros(6, complex)
 
 
 def test_identity_at_zero():
@@ -43,7 +44,8 @@ def test_rows_match_operator_expansion():
     vals = rng.uniform(0.3, 2, 6) * np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
     gs1, ga1, gs2, ga2, ks, ka = vals
     params = quiet_params(gS1=gs1, gA1=ga1, gS2=gs2, gA2=ga2, kappaS=ks, kappaA=ka)
-    u, v = short_propagator_poly(params)
+    rows = _rows_poly(params)
+    u, v = rows[..., :6], rows[..., 6:]
     # A_S1: + i(gS1 V1+ + kS* S2) z + (gS1 gA1 A1+ + |gS1|^2 S1 - kS* gS2 V2+ - |kS|^2 S1) z^2/2
     assert v[1, S1, V1] == pytest.approx(1j * gs1)
     assert u[1, S1, S2] == pytest.approx(1j * np.conj(ks))
@@ -81,7 +83,7 @@ def test_order_of_accuracy():
 def test_coefficients_vacuum_phonons():
     """With quiet phonons the nonzero coefficient set collapses to the
     Stokes pair terms (and their guide-2 images)."""
-    c = shortlen_coefficients(quiet_params(gS1=1), 0.0, 0.0, 0.1)
+    c = shortlen_state(quiet_params(gS1=1), shortlen_input(NO_AMPLITUDES, 0.0, 0.0), 0.1)
     assert c.B[S1] == pytest.approx(0.01)
     assert c.B[V1] == pytest.approx(0.01)
     assert c.B[A1] == 0.0
@@ -90,10 +92,11 @@ def test_coefficients_vacuum_phonons():
 
 
 def test_coefficients_thermal_examples():
-    c = shortlen_coefficients(quiet_params(gS1=1, gA1=2), 0.5, 0.0, 0.1)
+    c = shortlen_state(quiet_params(gS1=1, gA1=2), shortlen_input(NO_AMPLITUDES, 0.5, 0.0), 0.1)
     assert c.B[A1] == pytest.approx(0.02)
     assert c.D[S1, A1] == pytest.approx(-0.02)        # (n + 1/2) = 1
-    c2 = shortlen_coefficients(quiet_params(gA2=2, kappaA=1), 0.0, 0.3, 0.1)
+    c2 = shortlen_state(quiet_params(gA2=2, kappaA=1), shortlen_input(NO_AMPLITUDES, 0.0, 0.3),
+                        0.1)
     assert c2.Dbar[A1, V2] == pytest.approx(0.003)
 
 
@@ -105,7 +108,7 @@ def test_coefficient_set_matches_published_table():
     gs1, ga1, gs2, ga2, ks, ka = vals
     params = quiet_params(gS1=gs1, gA1=ga1, gS2=gs2, gA2=ga2, kappaS=ks, kappaA=ka)
     n1, n2 = 0.35, 0.15
-    polys = shortlen_noise_polys(params, n1, n2)
+    polys = shortlen_polys(params, shortlen_input(NO_AMPLITUDES, n1, n2))
 
     def poly(c0=0, c1=0, c2=0):
         return np.array([c0, c1, c2], complex)
@@ -152,7 +155,7 @@ def test_coefficient_set_matches_published_table():
 def test_brillouin_is_raman_at_zero_noise():
     rng = np.random.default_rng(15)
     params = random_couplings(rng)
-    a = shortlen_noise_polys(params, 0.0, 0.0)
+    a = shortlen_polys(params, shortlen_input(NO_AMPLITUDES, 0.0, 0.0))
     # the published all-coherent table is the thermal table at n = 0
     assert np.allclose(a.B[:, V1], [0, 0, abs(params.gS1) ** 2], atol=1e-12)
     assert np.allclose(a.D[:, S1, V1], [0, 1j * params.gS1, 0], atol=1e-12)
@@ -160,27 +163,36 @@ def test_brillouin_is_raman_at_zero_noise():
 
 
 def test_negative_phonon_number_rejected():
-    with pytest.raises(ValidationError):
-        shortlen_coefficients(quiet_params(gS1=1), -0.1, 0.0, 0.1)
+    with pytest.raises(ValidationError, match="V1.n_ch must be >= 0"):
+        shortlen_state(quiet_params(gS1=1), shortlen_input(NO_AMPLITUDES, -0.1, 0.0), 0.1)
+
+
+def test_stacked_input_state_rejected():
+    s0 = shortlen_input(NO_AMPLITUDES, 0.1, 0.0)
+    stacked = GaussianState(np.stack([s0.xi] * 2), np.stack([s0.N] * 2), np.stack([s0.M] * 2))
+    with pytest.raises(ValidationError, match=r"one input state, got a stack of shape \(2,\)"):
+        shortlen_polys(quiet_params(gS1=1), stacked)
+
+
+def mean_amplitudes(params, xi, z):
+    return shortlen_state(params, shortlen_input(xi, 0.0, 0.0), z).xi
 
 
 def test_mean_amplitude_examples():
     xi = np.zeros(6, complex)
-    assert np.allclose(shortlen_mean_amplitudes(quiet_params(), xi, 0.0), xi)
+    assert np.allclose(mean_amplitudes(quiet_params(), xi, 0.0), xi)
     xi[V1] = 1
-    out = shortlen_mean_amplitudes(quiet_params(gS1=1), xi, 0.01)
+    out = mean_amplitudes(quiet_params(gS1=1), xi, 0.01)
     assert out[S1] == pytest.approx(0.01j, abs=1e-12)
     xi2 = np.zeros(6, complex)
     xi2[S2] = 2
-    out2 = shortlen_mean_amplitudes(quiet_params(kappaS=-10), xi2, 0.01)
+    out2 = mean_amplitudes(quiet_params(kappaS=-10), xi2, 0.01)
     assert out2[S1] == pytest.approx(-0.2j, abs=1e-6)
 
 
 def test_mean_amplitudes_need_six_modes():
-    for route in (lambda xi: shortlen_mean_amplitudes(quiet_params(gS1=1), xi, 0.1),
-                  lambda xi: mean_amplitude_poly(quiet_params(gS1=1), xi)):
-        with pytest.raises(ValidationError, match="expected 6 amplitudes"):
-            route(np.ones(3, complex))
+    with pytest.raises(ValidationError, match="expected 6 input specs, got 3"):
+        shortlen_state(quiet_params(gS1=1), build_input_state([InputSpec(xi=1)] * 3), 0.1)
 
 
 def test_identity_records_consistency():
@@ -207,29 +219,34 @@ def test_identity_records_consistency():
                 assert gap > 1e-6, f"{label}: published variant unexpectedly matches"
 
 
-def test_statistics_agree_with_full_pipeline_to_third_order():
+@pytest.mark.parametrize("kind", ["coherent-chaotic", "squeezed", "displaced-squeezed"])
+def test_statistics_agree_with_full_pipeline_to_third_order(kind):
     """Short-length statistics vs the exact pipeline: the error vanishes
     at least as z^3 (halving z shrinks it by >= ~8; for several
-    statistics odd orders cancel and the observed order is higher)."""
-    from qcoupler.dynamics import evolve_state
-    from qcoupler.model import InputSpec, build_input_state
-
+    statistics odd orders cancel and the observed order is higher).
+    The inputs are coherent radiation modes with chaotic phonons, or a
+    squeezed S1 and A2, displaced or not, on vacuum."""
     rng = np.random.default_rng(6)
     params = random_couplings(rng, mag=2.0)
     xi0 = rng.uniform(0.3, 1.5, 6) * np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
     xi0[V1] = 0
     xi0[V2] = 0
-    n1, n2 = 0.4, 0.2
-    inputs = [InputSpec(xi=complex(x)) for x in xi0]
-    inputs[V1] = InputSpec(n_ch=n1)
-    inputs[V2] = InputSpec(n_ch=n2)
+    if kind == "coherent-chaotic":
+        inputs = [InputSpec(xi=complex(x)) for x in xi0]
+        inputs[V1] = InputSpec(n_ch=0.4)
+        inputs[V2] = InputSpec(n_ch=0.2)
+    else:
+        shift = xi0 if kind == "displaced-squeezed" else NO_AMPLITUDES
+        inputs = [VACUUM_INPUT] * 6
+        inputs[S1] = InputSpec(xi=complex(shift[S1]), r=0.4, theta=0.3)
+        inputs[A2] = InputSpec(xi=complex(shift[A2]), r=0.2)
     s0 = build_input_state(inputs)
     em = build_drift_matrix(params)
     sel = ModeSelection.parse("S1,A1")
 
     def errs(z):
         exact = stats_report(evolve_state(propagator(em, z), s0), sel)
-        approx = stats_report(shortlen_state(params, xi0, n1, n2, z), sel)
+        approx = stats_report(shortlen_state(params, s0, z), sel)
         return np.array([
             abs(exact.mean_w - approx.mean_w),
             abs(exact.variance_w - approx.variance_w),
