@@ -20,7 +20,7 @@ import numpy as np
 
 from .exceptions import UnsupportedConfigurationError
 from .dynamics import BogoliubovTransform
-from .model import EXCHANGE_PERMUTATION, N_MODES, ValidatedParams
+from .model import CouplerParams, EXCHANGE_PERMUTATION, N_MODES
 
 DEFAULT_CONDITION_TOL = 1e-12
 
@@ -29,7 +29,7 @@ DEFAULT_CONDITION_TOL = 1e-12
 _SMALL_LZ = 1e-6
 
 
-def conditions_satisfied(params: ValidatedParams) -> bool:
+def conditions_satisfied(params: CouplerParams) -> bool:
     """True when the closed-form solution applies to these parameters.
 
     Requires |gS1| = |gS2|, |gA1| = |gA2|, |kappaS| = |kappaA| within
@@ -61,7 +61,7 @@ def conditions_satisfied(params: ValidatedParams) -> bool:
     return abs(lhs - rhs) <= DEFAULT_CONDITION_TOL * max(abs(lhs), abs(rhs), scale**3)
 
 
-def _trig_factors(params: ValidatedParams, z: float):
+def _trig_factors(params: CouplerParams, z: float):
     """(kappa, sin kz, cos kz, sin(kz/2), cos(kz/2), cos(lz/2), sin(lz/2)/l)
     at length z, from guide 1's rates: kappa = |kappaS|,
     r^2 = |gS1|^2 - |gA1|^2 and l = sqrt(kappa^2 - 4 r^2).  The last
@@ -83,7 +83,7 @@ def _unit_phase(x: complex) -> complex:
     return x / abs(x) if x != 0 else 1.0 + 0j
 
 
-def _guide_rows(params: ValidatedParams, factors):
+def _guide_rows(params: CouplerParams, factors):
     """U and V rows for the S, A, V modes of guide 1, as 3x6 blocks.
 
     Conjugates of l cancel identically because l is either real or
@@ -134,7 +134,7 @@ def _guide_rows(params: ValidatedParams, factors):
     return u, v
 
 
-def analytic_propagator(params: ValidatedParams, z: float) -> BogoliubovTransform:
+def analytic_propagator(params: CouplerParams, z: float) -> BogoliubovTransform:
     """Closed-form Bogoliubov transform on the matched-coupling manifold.
 
     Guide-2 rows follow from the guide-exchange symmetry; creator rows

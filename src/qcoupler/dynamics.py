@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import NumericalError, ValidationError
-from .model import GaussianState, N_MODES, ValidatedParams, _frozen
+from .model import CouplerParams, GaussianState, N_MODES, _frozen
 
 _DIM = 2 * N_MODES
 # x = (S1^+, A1, V1, S2^+, A2, V2): the positions in (A; A^+) of six
@@ -97,7 +97,7 @@ class EvolutionMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-def build_drift_matrix(params: ValidatedParams) -> EvolutionMatrix:
+def build_drift_matrix(params: CouplerParams) -> EvolutionMatrix:
     """The drift matrix M = [[K, L], [-L*, -K*]] over (A; A^+).
 
     In each guide (S, A, V), K[A, V] = gA and L[S, V] = L[V, S] = gS.

@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -33,7 +32,8 @@ from .exceptions import (
     TruncationWarning,
     ValidationError,
 )
-from .model import CouplerParams, InputSpec, ModeId, ModeSelection, _as_real, _as_tuple
+from .model import (CouplerParams, InputSpec, ModeId, ModeSelection, _as_int, _as_mode,
+                    _as_scalar, _as_tuple)
 
 MAX_DIMENSION = 200_000
 MAX_CUTOFF = 16
@@ -77,21 +77,19 @@ class FockConfig:
     params: CouplerParams
 
     def __post_init__(self):
-        modes = tuple(sorted(ModeId(m) for m in self.modes))
+        if not isinstance(self.params, CouplerParams):
+            raise ValidationError(f"params must be a CouplerParams, got {self.params!r}")
+        modes = tuple(sorted(map(_as_mode, _as_tuple(self.modes, "modes"))))
         object.__setattr__(self, "modes", modes)
         if modes not in CLOSED_SUBSYSTEMS:
             raise ValidationError(
                 f"unsupported subsystem {tuple(m.name for m in modes)}; "
                 f"supported: {[tuple(m.name for m in s) for s in CLOSED_SUBSYSTEMS]}"
             )
-        try:
-            cutoffs = tuple(operator.index(c) for c in self.cutoffs)
-        except TypeError:
-            raise ValidationError(f"cutoffs must be integers, got {self.cutoffs!r}") from None
+        cutoffs = tuple(_as_int(c, "a cutoff", 1, MAX_CUTOFF)
+                        for c in _as_tuple(self.cutoffs, "cutoffs"))
         if len(cutoffs) != len(modes):
             raise ValidationError("one cutoff per mode required")
-        if any(c < 1 or c > MAX_CUTOFF for c in cutoffs):
-            raise ValidationError(f"cutoffs must be in [1, {MAX_CUTOFF}]")
         object.__setattr__(self, "cutoffs", cutoffs)
         if self.dimension > MAX_DIMENSION:
             raise ValidationError(
@@ -115,7 +113,7 @@ class FockConfig:
         return out
 
     def mode_index(self, mode) -> int:
-        mode = ModeId(mode)
+        mode = _as_mode(mode)
         if mode not in self.modes:
             raise ValidationError(f"mode {mode.name} is outside the subsystem "
                                   f"{tuple(m.name for m in self.modes)}")
@@ -202,9 +200,12 @@ def _exp_action(cfg: FockConfig, terms, z: float, vectors: np.ndarray) -> np.nda
 
 @dataclass(frozen=True)
 class FockLevel:
-    """Oracle input: exactly n quanta in one mode."""
+    """Oracle input: exactly n quanta in one mode, n checked as an int >= 0."""
 
     n: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", _as_int(self.n, "a Fock level", 0))
 
 
 @dataclass(frozen=True)
@@ -263,7 +264,7 @@ def evolve_fock(cfg: FockConfig, inputs, z: float) -> FockEnsemble:
     results with boundary mass beyond 1e-6 should already be treated
     with suspicion.
     """
-    z = _as_real(z, "z")
+    z = _as_scalar(z, "z")
     specs = _as_tuple(inputs, "inputs")
     if len(specs) != len(cfg.modes):
         raise ValidationError(
@@ -275,16 +276,10 @@ def evolve_fock(cfg: FockConfig, inputs, z: float) -> FockEnsemble:
     squeeze, displace = [], []
     for m, spec, d in zip(cfg.modes, specs, dims):
         if isinstance(spec, FockLevel):
-            try:
-                level = operator.index(spec.n)
-            except TypeError:
-                raise ValidationError(
-                    f"{m.name} Fock level must be an integer, got {spec.n!r}") from None
-            if not 0 <= level < d:
-                raise ValidationError(f"Fock level {level} outside cutoff {d - 1}")
-            w, levels = np.ones(1), np.array([level])
+            if spec.n >= d:
+                raise ValidationError(f"Fock level {spec.n} outside cutoff {d - 1}")
+            w, levels = np.ones(1), np.array([spec.n])
         elif isinstance(spec, InputSpec):
-            spec = spec.validate(m.name)
             if spec.r != 0.0 and spec.n_ch != 0.0:
                 raise ValidationError(
                     f"{m.name} is both squeezed and chaotic; the oracle prepares one or the other")

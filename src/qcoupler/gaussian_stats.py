@@ -77,6 +77,14 @@ def _where(state: GaussianState, sel: ModeSelection, bad) -> str:
     return f"{at} for selection {sel.name}"
 
 
+def _check_finite(state: GaussianState, sel: ModeSelection, fields) -> None:
+    """Raise NumericalError where a statistic of ``fields``, (name, values
+    or None) pairs stacked like ``state``, is not finite."""
+    for name, values in fields:
+        if values is not None and not np.isfinite(values).all():
+            raise NumericalError(f"{name} is not finite{_where(state, sel, ~np.isfinite(values))}")
+
+
 def _selection_block(state: GaussianState, sel: ModeSelection):
     """(x, n, m): xi, N and M restricted to the selected modes, shaped
     (..., k) and (..., k, k) with k = 1 or 2."""
@@ -293,13 +301,17 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
     too.  Disagreement beyond 1e-8 (relative to the natural scale) means
     the numerics cannot be trusted and raises :class:`NumericalError`, as
     does a quadrature roundoff beyond 1e-8 lambda (``_quadratures``) where
-    the quadratures are asked for.
+    the quadratures are asked for, and a non-finite <W>, intensity
+    variance, quadrature field or p(n) entry, naming z and the selection.
     """
     _check_orders(k_max, n_max)
     sel = sel if isinstance(sel, ModeSelection) else ModeSelection(sel)
     x, n, m = _selection_block(state, sel)
-    gamma, y = _doubled_covariance(n, m), np.concatenate([x, x.conj()], axis=-1)
     mean_w = np.trace(n, axis1=-2, axis2=-1).real + np.sum(np.abs(x) ** 2, axis=-1)
+    var_formula = _intensity_variance(x, n, m)
+    # finite, these two bound every entry of the block
+    _check_finite(state, sel, (("<W>", mean_w), ("the intensity variance", var_formula)))
+    gamma, y = _doubled_covariance(n, m), np.concatenate([x, x.conj()], axis=-1)
     # below the normal range <W> has lost its digits, and 1 / <W> overflows
     reducible = mean_w >= _TINY
     scale = np.where(reducible, mean_w, 1.0)
@@ -323,7 +335,6 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
                 f"p(n) for n <= {n_max} underflows{_where(state, sel, dead)}: "
                 f"<W> = {float(np.max(np.asarray(mean_w)[dead])):.6g} lies too far beyond n_max"
             )
-    var_formula = _intensity_variance(x, n, m)
     tolerance = 1e-8 * np.maximum(np.maximum(1.0, np.abs(var_formula)), mean_w**2)
     for var_moments in variances:
         bad = np.abs(var_moments - var_formula) > tolerance  # NaN: not checked
@@ -337,6 +348,10 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
     squeeze = var_p = var_q = uncertainty = None
     if include_quadratures:
         squeeze, var_p, var_q, uncertainty = _quadratures(state, sel, n, m)
+    # a non-finite p(n) entry leaves its row's sum, and so its deficit, non-finite
+    deficit = None if p_n is None else 1.0 - p_n.sum(axis=-1)
+    _check_finite(state, sel, (("p(n)", deficit), ("lambda", squeeze), ("var_p", var_p),
+                               ("var_q", var_q), ("u", uncertainty)))
     return StatsReport(
         mean_w=mean_w,
         reduced_moments=reduced,
@@ -346,6 +361,6 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
         var_q=var_q,
         uncertainty=uncertainty,
         p_n=p_n,
-        pn_deficit=None if p_n is None else 1.0 - p_n.sum(axis=-1),
+        pn_deficit=deficit,
     )
 

@@ -21,7 +21,9 @@ entries, read off on demand:
     Dbar_jk = -N[j,k]               (j != k)
 
 Inputs are specified in the squeezed-plus-noise form and converted to
-normal ordering at construction.
+normal ordering at construction.  Every value object checks and
+normalises its own fields when it is made and raises ValidationError
+otherwise, so a parameter set, input spec or scenario that exists is valid.
 """
 
 from __future__ import annotations
@@ -60,24 +62,31 @@ MODE_NAMES = tuple(m.name for m in ModeId)
 EXCHANGE_PERMUTATION = (3, 4, 5, 0, 1, 2)
 
 
-def _as_complex(value, name):
+def _as_int(value, name, low, high=None):
+    """``value`` as an int in [low, high], without an upper end for None."""
     try:
-        c = complex(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} is not a complex scalar: {value!r}")
-    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-        raise ValidationError(f"{name} must be finite, got {c}")
-    return c
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < low or high is not None and n > high:
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValidationError(f"{name} must be an integer {bounds}, got {value!r}")
+    return n
 
 
-def _as_real(value, name):
+def _as_scalar(value, name, kind=float):
+    """``value`` as a finite ``kind``, float or complex."""
     try:
-        x = float(value)
+        x = kind(value)
     except (TypeError, ValueError):
-        raise ValidationError(f"{name} is not a real scalar: {value!r}") from None
-    if not math.isfinite(x):
+        what = "real" if kind is float else "complex"
+        raise ValidationError(f"{name} is not a {what} scalar: {value!r}") from None
+    if not (math.isfinite(x.real) and math.isfinite(x.imag)):
         raise ValidationError(f"{name} must be finite, got {x}")
     return x
+
+
+_COUPLING_FIELDS = ("gS1", "gA1", "gS2", "gA2", "kappaS", "kappaA")
 
 
 @dataclass(frozen=True)
@@ -88,7 +97,7 @@ class CouplerParams:
     the classical pump amplitude already absorbed; ``kappaS``/``kappaA``
     are the evanescent couplings between like radiation modes of the two
     guides.  The coupler is phase-matched: these six couplings are the
-    whole parameter set.
+    whole parameter set, each checked and stored as a finite complex.
     """
 
     gS1: complex = 0j
@@ -97,6 +106,10 @@ class CouplerParams:
     gA2: complex = 0j
     kappaS: complex = 0j
     kappaA: complex = 0j
+
+    def __post_init__(self):
+        for name in _COUPLING_FIELDS:
+            object.__setattr__(self, name, _as_scalar(getattr(self, name), name, complex))
 
     def swapped(self) -> "CouplerParams":
         """Parameters of the guide-exchanged coupler (kappas conjugated)."""
@@ -107,37 +120,20 @@ class CouplerParams:
         )
 
 
-# A validated parameter set is an ordinary CouplerParams that has passed
-# validate_params; the alias documents intent in signatures.
-ValidatedParams = CouplerParams
-
-_COUPLING_FIELDS = ("gS1", "gA1", "gS2", "gA2", "kappaS", "kappaA")
-
-
-def validate_params(params: CouplerParams) -> ValidatedParams:
-    """Validate a parameter set, returning a normalized copy.
-
-    Raises
-    ------
-    ValidationError
-        If any coupling is non-finite.
-
-    Warns with :class:`ParameterRegimeWarning` when a driven guide has
-    ``|gA| <= |gS|``, since nonclassical regimes favor the opposite.
-    """
-    validated = CouplerParams(**{name: _as_complex(getattr(params, name), name)
-                                 for name in _COUPLING_FIELDS})
-    for guide, (gs, ga) in enumerate(
-        [(validated.gS1, validated.gA1), (validated.gS2, validated.gA2)], start=1
-    ):
+def validate_params(params: CouplerParams) -> CouplerParams:
+    """Return ``params``, which checked itself when it was made, warning
+    with :class:`ParameterRegimeWarning` when a driven guide has
+    ``|gA| <= |gS|``, since nonclassical regimes favor the opposite."""
+    for guide, gs, ga in ((1, params.gS1, params.gA1), (2, params.gS2, params.gA2)):
         if (gs != 0 or ga != 0) and abs(ga) <= abs(gs):
-            warnings.warn(
-                f"guide {guide} has |gA| <= |gS|; nonclassical regimes "
-                "favor |gA| > |gS|",
-                ParameterRegimeWarning,
-                stacklevel=2,
-            )
-    return validated
+            warnings.warn(f"guide {guide} has |gA| <= |gS|; nonclassical regimes favor "
+                          "|gA| > |gS|", ParameterRegimeWarning, stacklevel=2)
+    return params
+
+
+def _input_noise(r: float, theta: float, n_ch: float):
+    """B = sinh^2 r + n_ch and C = (1/2) e^(i theta) sinh 2r of an input."""
+    return math.sinh(r) ** 2 + n_ch, 0.5 * np.exp(1j * theta) * math.sinh(2.0 * r)
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,9 @@ class InputSpec:
     ``xi`` is the coherent amplitude, ``r``/``theta`` the squeeze
     parameter and phase, ``n_ch`` the mean number of chaotic quanta.
     A plain coherent state is ``r = 0, n_ch = 0``; a chaotic (thermal)
-    phonon mode is ``xi = 0, r = 0, n_ch > 0``.
+    phonon mode is ``xi = 0, r = 0, n_ch > 0``.  The fields are checked
+    and stored as a complex and floats: r, n_ch >= 0, and B = sinh^2 r
+    + n_ch, |C| = sinh(2r)/2 and |xi|^2 finite doubles.
     """
 
     xi: complex = 0j
@@ -155,17 +153,21 @@ class InputSpec:
     theta: float = 0.0
     n_ch: float = 0.0
 
-    def validate(self, name="input") -> "InputSpec":
-        """Check the fields, returning a normalized copy: complex ``xi``
-        and float ``r``, ``theta`` and ``n_ch``."""
-        xi = _as_complex(self.xi, f"{name}.xi")
-        r, theta, n_ch = (_as_real(getattr(self, attr), f"{name}.{attr}")
-                          for attr in ("r", "theta", "n_ch"))
-        if r < 0:
-            raise ValidationError(f"{name}.r must be >= 0, got {self.r}")
-        if n_ch < 0:
-            raise ValidationError(f"{name}.n_ch must be >= 0, got {self.n_ch}")
-        return InputSpec(xi=xi, r=r, theta=theta, n_ch=n_ch)
+    def __post_init__(self):
+        xi = _as_scalar(self.xi, "xi", complex)
+        r, theta, n_ch = (_as_scalar(getattr(self, name), name) for name in ("r", "theta", "n_ch"))
+        for name, value in (("r", r), ("n_ch", n_ch)):
+            if value < 0:
+                raise ValidationError(f"{name} must be >= 0, got {value}")
+        try:  # sinh and ** raise OverflowError beyond the double range, a sum gives inf
+            finite = math.isfinite(_input_noise(r, theta, n_ch)[0]) and abs(xi) ** 2 < math.inf
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValidationError(f"xi={xi}, r={r}, n_ch={n_ch} give a moment B = sinh^2 r "
+                                  "+ n_ch, |C| = sinh(2r)/2 or |xi|^2 beyond the double range")
+        for name, value in (("xi", xi), ("r", r), ("theta", theta), ("n_ch", n_ch)):
+            object.__setattr__(self, name, value)
 
 
 VACUUM_INPUT = InputSpec()
@@ -235,9 +237,13 @@ class GaussianState:
         return gamma
 
     def min_covariance_eigenvalue(self):
-        gamma = self.antinormal_covariance()
+        """The smallest eigenvalue of the antinormal covariance per state,
+        taken of the covariance over max(1, max B): near B = 1e308 its own
+        eigenvalues overflow."""
+        scale = np.maximum(1.0, np.max(self.B, axis=-1))[..., None, None]
+        gamma = self.antinormal_covariance() / scale
         gamma = 0.5 * (gamma + gamma.swapaxes(-1, -2).conj())
-        return np.linalg.eigvalsh(gamma)[..., 0]
+        return np.linalg.eigvalsh(gamma)[..., 0] * scale[..., 0, 0]
 
     def mean_photon_numbers(self) -> np.ndarray:
         """<n_j> = B_j + |xi_j|^2 per mode."""
@@ -253,8 +259,8 @@ class GaussianState:
             raise ValidationError("N is not Hermitian")
         if not np.allclose(self.M, self.M.swapaxes(-1, -2), atol=_PHYSICAL_TOL, rtol=0.0):
             raise ValidationError("M is not symmetric")
-        scale = max(1.0, float(np.max(b)) if b.size else 1.0)
-        if np.min(self.min_covariance_eigenvalue()) < -_PHYSICAL_TOL * scale:
+        scale = float(np.max(b, initial=1.0))
+        if np.min(self.min_covariance_eigenvalue(), initial=0.0) < -_PHYSICAL_TOL * scale:
             raise ValidationError("antinormal covariance is not positive semidefinite")
 
 
@@ -318,15 +324,9 @@ def build_input_state(inputs) -> GaussianState:
     chaotic mode with ``B = n_ch``.  Input modes are independent, so N
     and M are diagonal.
     """
-    xi = np.zeros(N_MODES, dtype=complex)
-    b = np.zeros(N_MODES)
-    c = np.zeros(N_MODES, dtype=complex)
-    for j, spec in enumerate(_checked_inputs(inputs)):
-        spec = spec.validate(MODE_NAMES[j])
-        xi[j] = spec.xi
-        b[j] = math.sinh(spec.r) ** 2 + spec.n_ch
-        c[j] = 0.5 * np.exp(1j * spec.theta) * math.sinh(2.0 * spec.r)
-    state = GaussianState(xi=xi, N=np.diag(b), M=np.diag(c))
+    specs = _checked_inputs(inputs)
+    b, c = zip(*(_input_noise(spec.r, spec.theta, spec.n_ch) for spec in specs))
+    state = GaussianState(xi=[spec.xi for spec in specs], N=np.diag(b), M=np.diag(c))
     state.check_physical()
     return state
 
@@ -335,7 +335,7 @@ def _as_mode(entry) -> ModeId:
     try:
         return ModeId(entry)
     except (ValueError, TypeError):
-        raise ValidationError(f"mode selection entry {entry!r} is not a ModeId") from None
+        raise ValidationError(f"mode {entry!r} is not a ModeId") from None
 
 
 @dataclass(frozen=True)
@@ -354,11 +354,7 @@ class ModeSelection:
         if isinstance(self.modes, str):
             raise ValidationError(f"a mode selection is a sequence of modes, not the string "
                                   f"{self.modes!r}; ModeSelection.parse reads names")
-        try:
-            modes = tuple(map(_as_mode, self.modes))
-        except TypeError:
-            raise ValidationError(
-                f"a mode selection is a sequence of modes, got {self.modes!r}") from None
+        modes = tuple(map(_as_mode, _as_tuple(self.modes, "a mode selection")))
         if len(modes) not in (1, 2):
             raise ValidationError("a mode selection holds one or two modes")
         if len(modes) == 2:
@@ -395,13 +391,8 @@ class ModeSelection:
 def _check_orders(k_max, n_max):
     """Raise ValidationError unless k_max is an integer in [1, 8] and n_max
     one in [1, 512], the limits documented on ScenarioConfig."""
-    for name, value, top in (("k_max", k_max, 8), ("n_max", n_max, 512)):
-        try:
-            ok = 1 <= operator.index(value) <= top
-        except TypeError:
-            ok = False
-        if not ok:
-            raise ValidationError(f"{name} must be an integer in [1, {top}], got {value!r}")
+    _as_int(k_max, "k_max", 1, 8)
+    _as_int(n_max, "n_max", 1, 512)
 
 
 QUANTITY_TAGS = ("moments", "variance", "squeeze", "quadratures", "pn")
@@ -428,16 +419,11 @@ class ScenarioConfig:
         if not isinstance(self.params, CouplerParams):
             raise ValidationError(f"params must be a CouplerParams, got {self.params!r}")
         object.__setattr__(self, "inputs", _checked_inputs(self.inputs))
-        z_max = _as_real(self.z_max, "z_max")
+        z_max = _as_scalar(self.z_max, "z_max")
         if not z_max > 0:
             raise ValidationError(f"z_max must be positive and finite, got {z_max}")
         object.__setattr__(self, "z_max", z_max)
-        try:
-            ok = operator.index(self.z_steps) >= 2
-        except TypeError:
-            ok = False
-        if not ok:
-            raise ValidationError(f"z_steps must be an integer >= 2, got {self.z_steps!r}")
+        object.__setattr__(self, "z_steps", _as_int(self.z_steps, "z_steps", 2))
         _check_orders(self.k_max, self.n_max)
         observables = _as_tuple(self.observables, "observables")
         for i, entry in enumerate(observables):
@@ -454,7 +440,7 @@ class ScenarioConfig:
         object.__setattr__(self, "observables", observables)
 
     def z_grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.z_max, int(self.z_steps))
+        return np.linspace(0.0, self.z_max, self.z_steps)
 
     def effective_observables(self) -> tuple:
         """Requested observables, or the documented default of all six
@@ -549,7 +535,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
     """Parse a scenario document into a validated :class:`ScenarioConfig`.
 
     Unknown keys, malformed values, and a missing ``[params]`` section
-    raise :class:`ScenarioParseError` with line/key context.
+    raise :class:`ScenarioParseError` with line/key context, and an input
+    spec that rejects its values with its ``[inputs.X]`` section.
     """
     sections = {}
     current = None
@@ -580,7 +567,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
         mode_name = name.split(".", 1)[1]
         if mode_name not in MODE_NAMES:
             raise ScenarioParseError(f"unknown mode {mode_name!r} in [{name}]")
-        inputs[ModeId[mode_name]] = InputSpec(**_read_keys(entries, "input"))
+        try:
+            inputs[ModeId[mode_name]] = InputSpec(**_read_keys(entries, "input"))
+        except ValidationError as exc:
+            raise ScenarioParseError(f"{exc} in [{name}]") from None
     run = _read_keys(sections.get("run", []), "run")
 
     observables = []
@@ -616,8 +606,6 @@ def serialize_scenario(cfg: ScenarioConfig) -> str:
                 continue
             if kind is complex:
                 value = format_complex(value)
-            elif kind is float:  # a numpy scalar's repr is not a literal
-                value = repr(float(value))
             lines.append(f"{key} = {value}")
     if cfg.observables:
         lines.append("[observables]")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import ValidationError
 from .dynamics import BogoliubovTransform, build_drift_matrix
-from .model import GaussianState, N_MODES, ValidatedParams
+from .model import CouplerParams, GaussianState, N_MODES
 
 _ORDER = 2  # expansion valid through z^2
 
@@ -41,18 +41,18 @@ def _poly_eval(coeffs: np.ndarray, z: float) -> np.ndarray:
     return out
 
 
-def _rows_poly(params: ValidatedParams) -> np.ndarray:
+def _rows_poly(params: CouplerParams) -> np.ndarray:
     """[U V] of I + iMz - M^2 z^2/2 as a degree-2 matrix polynomial, (3, 6, 12)."""
     gen = 1j * build_drift_matrix(params).matrix
     return np.stack([np.eye(2 * N_MODES, dtype=complex), gen, 0.5 * (gen @ gen)])[:, :N_MODES]
 
 
-def short_propagator(params: ValidatedParams, z: float) -> BogoliubovTransform:
+def short_propagator(params: CouplerParams, z: float) -> BogoliubovTransform:
     """Bogoliubov transform accurate through z^2 (error is O(z^3))."""
     return BogoliubovTransform(_poly_eval(_rows_poly(params), z), float(z))
 
 
-def shortlen_polys(params: ValidatedParams, s0: GaussianState) -> GaussianState:
+def shortlen_polys(params: CouplerParams, s0: GaussianState) -> GaussianState:
     """The input state ``s0`` moved through the degree-2 rows as exact
     z-polynomials: a GaussianState stacked over the powers of z, so
     ``polys.B[p]`` is the z^p coefficient of B and ``polys.xi[p]`` of xi."""
@@ -66,7 +66,7 @@ def shortlen_polys(params: ValidatedParams, s0: GaussianState) -> GaussianState:
     return GaussianState(xi=f @ np.concatenate([s0.xi, s0.xi.conj()]), N=n, M=m)
 
 
-def shortlen_state(params: ValidatedParams, s0: GaussianState, z: float) -> GaussianState:
+def shortlen_state(params: CouplerParams, s0: GaussianState, z: float) -> GaussianState:
     """The short-length state at length z, accurate through z^2:
     :func:`shortlen_polys` evaluated at z."""
     polys = shortlen_polys(params, s0)

@@ -197,6 +197,19 @@ def test_batch_rows_equal_points(stokes, excess, kappa, phase, specs, zs, sel):
         assert report_deviation(report, i, point) <= TOL
 
 
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_empty_grid_gives_empty_fields(shape):
+    # no point to check: every field is an empty stack, none an error
+    em = build_drift_matrix(quiet_params(gS1=0.5, gA1=1.0))
+    states = evolve_state(propagator(em, np.zeros(shape)),
+                          build_input_state([InputSpec(xi=1.0, r=0.3)] + [VACUUM_INPUT] * 5))
+    report = stats_report(states, ModeSelection((ModeId.S1, ModeId.A1)), k_max=3, n_max=4,
+                          include_pn=True)
+    assert report.mean_w.shape == report.lam.shape == shape
+    assert report.reduced_moments.shape == shape + (2,) and report.p_n.shape == shape + (5,)
+    states.check_physical()
+
+
 def test_2d_grid_rows_equal_points():
     em = build_drift_matrix(quiet_params(gS1=0.5, gA1=1.0, gS2=0.3, gA2=0.9,
                                          kappaS=0.7, kappaA=0.4j))

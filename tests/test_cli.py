@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qcoupler
 import qcoupler.cli as cli
@@ -16,13 +17,22 @@ from qcoupler.exceptions import (
     NumericalError,
     ParameterRegimeWarning,
     PrecisionWarning,
+    QcouplerError,
     TruncationWarning,
     ValidationError,
 )
-from qcoupler.model import CouplerParams, ModeId, ScenarioConfig, parse_scenario
+from qcoupler.model import (
+    MODE_NAMES,
+    QUANTITY_TAGS,
+    CouplerParams,
+    ModeId,
+    ScenarioConfig,
+    format_complex,
+    parse_scenario,
+)
 from qcoupler.presets import PRESET_NAMES, load_preset
 
-from conftest import run_preset, run_truncated
+from conftest import PROPERTY_PHASES, run_preset, run_truncated
 
 
 SMALL_DOC = """
@@ -398,8 +408,106 @@ def test_propagator_that_lost_its_digits_raises():
         run_scenario(_near_exceptional_point(1000.0))
 
 
+def test_propagator_beyond_double_range_raises():
+    # gS1 = 56 gains about e^562 by z = 10: |U|^2 overflows, and the scaled
+    # residual, NaN, vouches for no digit of the transform
+    cfg = ScenarioConfig(params=CouplerParams(gS1=56.234), z_max=10.0, z_steps=2)
+    with pytest.warns(ParameterRegimeWarning), pytest.raises(
+            NumericalError, match=r"lost its digits: scaled symplectic residual nan .* from z=10$"):
+        run_scenario(cfg)
+
+
 def test_propagator_losing_digits_warns():
     # the scaled symplectic residual reads 1.0e-9 here
     with pytest.warns(PrecisionWarning, match=r"exceeds 1e-10 from z="):
         result = run_scenario(_near_exceptional_point(300.0))
     assert 1e-10 < float(dict(result.metadata)["max_symplectic_residual_scaled"]) < 1e-6
+
+
+# Moments beyond the double range, each a scenario on S1 of the coupler
+# gS1 = 1, gA1 = 2 over z in [0, 1]: (name, [inputs.S1] lines, observables,
+# exit code, error text)
+OUT_OF_RANGE = (
+    ("r-400", "r = 400", "", 2, "beyond the double range in [inputs.S1]"),
+    ("xi-1e155", "xi = 1e155", "pn: S1", 2, "beyond the double range in [inputs.S1]"),
+    ("n_ch-1e154", "n_ch = 1e154", "variance: S1,V1",
+     3, "the intensity variance is not finite at z=0.5 for selection S1V1"),
+    ("n_ch-1e308", "n_ch = 1e308", "", 3, "<W> is not finite at z=0.0 for selection S1"),
+)
+
+
+@pytest.mark.parametrize("name, lines, observables, code, message", OUT_OF_RANGE,
+                         ids=[case[0] for case in OUT_OF_RANGE])
+def test_cli_moments_beyond_double_range_fail_cleanly(tmp_path, capsys, name, lines,
+                                                      observables, code, message):
+    doc = tmp_path / f"{name}.txt"
+    doc.write_text(f"[params]\ngS1 = 1\ngA1 = 2\n[inputs.S1]\n{lines}\n"
+                   f"[run]\nz_max = 1\nz_steps = 5\n[observables]\n{observables}\n")
+    assert main(["run", "--scenario", str(doc), "--out", str(tmp_path / "out.csv")]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+# Scenario documents across the range the format allows: couplings of
+# modulus zero, 1e-3 .. 1e3 or 1e-300 .. 1e300, coherent amplitudes and
+# chaotic numbers log-uniform up to 1e300, squeezing up to r = 1000, every
+# observable tag, and the run keys within their documented limits.
+def _log_uniform(low, high):
+    return st.floats(np.log10(low), np.log10(high)).map(lambda e: 10.0**e)
+
+
+def _polar(modulus):
+    return st.builds(lambda mag, ph: mag * np.exp(1j * ph), modulus, _phase)
+
+
+_phase = st.floats(-np.pi, np.pi)
+_coupling = st.one_of(st.just(0j), _polar(_log_uniform(1e-3, 1e3)),
+                      _polar(_log_uniform(1e-300, 1e300)))
+_amplitude = st.one_of(st.just(0j), _polar(_log_uniform(1e-300, 1e300)))
+_input_lines = st.fixed_dictionaries({}, optional={
+    "xi": _amplitude.map(format_complex),
+    "r": st.floats(0.0, 1000.0).map(repr),
+    "theta": _phase.map(repr),
+    "n_ch": st.one_of(st.just(0.0), _log_uniform(1e-300, 1e300)).map(repr),
+})
+_selection = st.lists(st.sampled_from(MODE_NAMES), min_size=1, max_size=2,
+                      unique=True).map(",".join)
+
+
+@st.composite
+def scenario_documents(draw):
+    couplings = draw(st.fixed_dictionaries({}, optional=dict.fromkeys(
+        ("gS1", "gA1", "gS2", "gA2", "kappaS", "kappaA"), _coupling.map(format_complex))))
+    lines = ["[params]"] + [f"{key} = {value}" for key, value in couplings.items()]
+    for mode in draw(st.lists(st.sampled_from(MODE_NAMES), max_size=3, unique=True)):
+        lines.append(f"[inputs.{mode}]")
+        lines += [f"{key} = {value}" for key, value in draw(_input_lines).items()]
+    lines += ["[run]", f"z_max = {draw(_log_uniform(1e-3, 1e3))!r}",
+              f"z_steps = {draw(st.integers(2, 12))}", f"n_max = {draw(st.integers(1, 32))}",
+              f"k_max = {draw(st.integers(1, 8))}", "[observables]"]
+    lines += [f"{tag}: {sel}" for tag, sel in draw(st.lists(
+        st.tuples(st.sampled_from(QUANTITY_TAGS), _selection), max_size=4,
+        unique_by=lambda entry: (entry[0], frozenset(entry[1].split(",")))))]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore::qcoupler.exceptions.ParameterRegimeWarning")
+@pytest.mark.filterwarnings("ignore::qcoupler.exceptions.PrecisionWarning")
+@pytest.mark.filterwarnings("ignore::qcoupler.exceptions.TruncationWarning")
+@settings(max_examples=200, deadline=None, phases=PROPERTY_PHASES)
+@given(text=scenario_documents())
+def test_scenario_documents_run_finite_or_fail_loudly(text):
+    # a document is rejected by the parser, fails its run with a package
+    # error, or gives finite columns; only the reduced moments w2.. carry
+    # NaN or inf markers (vacuum, or beyond the double range)
+    try:
+        cfg = parse_scenario(text)
+        result = run_scenario(cfg)
+    except QcouplerError:
+        return
+    for name, values in result.columns:
+        if not name.rsplit(".", 1)[1].startswith("w"):
+            assert np.all(np.isfinite(values)), name
+    for name, table in result.pn_tables:
+        assert np.all(np.isfinite(table)), name

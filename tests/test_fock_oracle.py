@@ -267,28 +267,29 @@ def test_truncation_warning_below_hard_limit():
 
 
 @pytest.mark.parametrize("inputs, match", [
-    ([VACUUM_INPUT, InputSpec(n_ch=-0.3)], None),
-    ([VACUUM_INPUT, InputSpec(n_ch=math.nan)], None),
-    ([InputSpec(xi=math.inf), VACUUM_INPUT], None),
-    ([FockLevel(1.5), VACUUM_INPUT], None),
-    ({ModeId.A1: VACUUM_INPUT}, r"per subsystem mode \(A1, V1\), got 1"),
-    ([VACUUM_INPUT], r"per subsystem mode \(A1, V1\), got 1"),
-    ([VACUUM_INPUT] * 3, r"per subsystem mode \(A1, V1\), got 3"),
-    ([VACUUM_INPUT, None], "V1 input must be an InputSpec or a FockLevel, got None"),
-    ([InputSpec(r=0.3, n_ch=0.2), VACUUM_INPUT], "A1 is both squeezed and chaotic"),
-    (None, "inputs must be an iterable, got None"),
+    # the first four inputs cannot be made: their specs reject themselves
+    (lambda: [VACUUM_INPUT, InputSpec(n_ch=-0.3)], "n_ch must be >= 0, got -0.3"),
+    (lambda: [VACUUM_INPUT, InputSpec(n_ch=math.nan)], "n_ch must be finite, got nan"),
+    (lambda: [InputSpec(xi=math.inf), VACUUM_INPUT], r"xi must be finite, got \(inf\+0j\)"),
+    (lambda: [FockLevel(1.5), VACUUM_INPUT], "a Fock level must be an integer >= 0, got 1.5"),
+    (lambda: {ModeId.A1: VACUUM_INPUT}, r"per subsystem mode \(A1, V1\), got 1"),
+    (lambda: [VACUUM_INPUT], r"per subsystem mode \(A1, V1\), got 1"),
+    (lambda: [VACUUM_INPUT] * 3, r"per subsystem mode \(A1, V1\), got 3"),
+    (lambda: [VACUUM_INPUT, None], "V1 input must be an InputSpec or a FockLevel, got None"),
+    (lambda: [InputSpec(r=0.3, n_ch=0.2), VACUUM_INPUT], "A1 is both squeezed and chaotic"),
+    (lambda: None, "inputs must be an iterable, got None"),
 ], ids=["negative-n_ch", "nan-n_ch", "inf-xi", "fractional-level",
         "dict-missing-mode", "too-few", "too-many", "none-entry", "squeezed-chaotic", "none"])
 def test_bad_inputs_rejected(inputs, match):
     cfg = FockConfig(modes=(ModeId.A1, ModeId.V1), cutoffs=(4, 4),
                      params=quiet_params(gA1=0.2))
     with pytest.raises(ValidationError, match=match):
-        evolve_fock(cfg, inputs, 0.1)
+        evolve_fock(cfg, inputs(), 0.1)
 
 
 def test_inputs_normalized_as_for_the_gaussian_state():
-    # InputSpec.validate reads a numeric string as its number, as
-    # build_input_state does
+    # an InputSpec stores a numeric string as its number, which the oracle
+    # prepares as build_input_state builds it
     cfg = FockConfig(modes=(ModeId.A1, ModeId.V1), cutoffs=(4, 12),
                      params=quiet_params(gA1=0.2))
     as_text = evolve_fock(cfg, [VACUUM_INPUT, InputSpec(n_ch="0.3")], 0.1)
@@ -310,7 +311,7 @@ def test_bad_length_rejected(z, match):
 
 @pytest.mark.parametrize("cutoffs", [(2.7, 3), (3, "3"), (3, None)])
 def test_config_rejects_non_integral_cutoffs(cutoffs):
-    with pytest.raises(ValidationError, match="cutoffs must be integers"):
+    with pytest.raises(ValidationError, match="a cutoff must be an integer in \\[1, 16\\]"):
         FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=cutoffs, params=quiet_params(gS1=1))
 
 
@@ -327,6 +328,8 @@ def test_fock_level_holds_only_a_level():
         FockLevel(1, xi=0.7)
     with pytest.raises(TypeError):
         FockLevel(0, n_ch=0.5)
+    level = FockLevel(np.int64(2))
+    assert level.n == 2 and type(level.n) is int
 
 
 def test_statistics_outside_subsystem_rejected():

@@ -383,3 +383,20 @@ def test_singular_generating_function_raises():
     )
     with pytest.raises(NumericalError):
         stats_report(bad, single(ModeId.S1), 2, 8, include_pn=True)
+
+
+@pytest.mark.parametrize("spec, include_pn, message", [
+    # B^2 = 2.25e308 in <:(dW)^2:>
+    (InputSpec(n_ch=1.5e154), False, "the intensity variance is not finite"),
+    # the spectrum's weight 2 |xi|^2 = 3.4e308 in p(n)
+    (InputSpec(xi=1.3e154), True, "p\\(n\\) is not finite"),
+    # the uncertainty product lambda (1 + 2 (S + |P|)) of a squeezed bright field
+    (InputSpec(r=1.0, n_ch=1.3e154), False, "u is not finite"),
+], ids=["variance", "pn", "uncertainty"])
+def test_statistics_beyond_double_range_raise(spec, include_pn, message):
+    # every input moment is a double; a statistic built from them is not
+    states = evolve_state(propagator(build_drift_matrix(quiet_params(gA1=0.5)), [0.0, 0.1]),
+                          build_input_state([spec] + [VACUUM_INPUT] * 5))
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy's overflow warnings come first
+        with pytest.raises(NumericalError, match=f"^{message} at z=0.0 for selection S1$"):
+            stats_report(states, single(ModeId.S1), 2, 8, include_pn=include_pn)

@@ -14,6 +14,7 @@ from qcoupler.exceptions import (
     ScenarioParseError,
     ValidationError,
 )
+from qcoupler.fock_oracle import FockConfig, FockLevel
 from qcoupler.gaussian_stats import stats_report
 from qcoupler.model import (
     CouplerParams,
@@ -95,17 +96,18 @@ def test_input_state_positive_semidefinite():
         assert s.min_covariance_eigenvalue() >= -1e-9
 
 
-@pytest.mark.parametrize("slot, spec, message", [
-    pytest.param(5, InputSpec(r=-0.1), "V2.r must be >= 0", id="r-negative"),
-    pytest.param(0, InputSpec(n_ch=-1.0), "S1.n_ch must be >= 0", id="n_ch-negative"),
-    pytest.param(1, InputSpec(r=1j), "A1.r is not a real scalar", id="r-complex"),
-    pytest.param(2, InputSpec(n_ch="a"), "V1.n_ch is not a real scalar", id="n_ch-text"),
+@pytest.mark.parametrize("slot, fields, message", [
+    pytest.param(5, dict(r=-0.1), "^r must be >= 0, got -0.1$", id="r-negative"),
+    pytest.param(0, dict(n_ch=-1.0), "^n_ch must be >= 0, got -1.0$", id="n_ch-negative"),
+    pytest.param(1, dict(r=1j), "^r is not a real scalar: 1j$", id="r-complex"),
+    pytest.param(2, dict(n_ch="a"), "^n_ch is not a real scalar: 'a'$", id="n_ch-text"),
     pytest.param(3, None, "S2 input must be an InputSpec, got None", id="none-entry"),
 ])
-def test_input_state_rejects_bad_parameters(slot, spec, message):
+def test_input_state_rejects_bad_parameters(slot, fields, message):
+    # a bad spec cannot be made; a slot that holds no spec fails in build_input_state
     inputs = [VACUUM_INPUT] * 6
-    inputs[slot] = spec
     with pytest.raises(ValidationError, match=message):
+        inputs[slot] = None if fields is None else InputSpec(**fields)
         build_input_state(inputs)
 
 
@@ -117,7 +119,65 @@ def test_input_state_builds_from_validated_fields():
                               + [VACUUM_INPUT] * 5)
     for name in ("xi", "N", "M"):
         assert np.array_equal(getattr(text, name), getattr(plain, name)), name
-    assert InputSpec(r="0.5").validate() == InputSpec(r=0.5)
+    spec = InputSpec(xi=np.complex128(2), r="0.5", theta=np.float64(1), n_ch=1)
+    assert spec == InputSpec(xi=2 + 0j, r=0.5, theta=1.0, n_ch=1.0)
+    assert [type(getattr(spec, f)) for f in ("xi", "r", "theta", "n_ch")] == [
+        complex, float, float, float]
+    params = CouplerParams(gS1=np.float64(1), kappaS="2-1j")
+    assert params == CouplerParams(gS1=1 + 0j, kappaS=2 - 1j) and type(params.gS1) is complex
+
+
+_MOMENTS_BEYOND = "beyond the double range"
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: CouplerParams(gS1="a"), "^gS1 is not a complex scalar: 'a'$",
+                 id="coupling-text"),
+    pytest.param(lambda: CouplerParams(gS1=math.nan),
+                 r"^gS1 must be finite, got \(nan\+0j\)$", id="coupling-nan"),
+    pytest.param(lambda: build_drift_matrix(CouplerParams(gS1="a")), "gS1 is not a complex scalar",
+                 id="drift-matrix-of-text"),
+    pytest.param(lambda: CouplerParams(gA2=complex(0, math.inf)), "^gA2 must be finite",
+                 id="coupling-inf"),
+    pytest.param(lambda: InputSpec(theta=math.inf), "^theta must be finite, got inf$",
+                 id="theta-inf"),
+    # B = sinh^2 r + n_ch, |C| = sinh(2r)/2 and |xi|^2 must be doubles
+    pytest.param(lambda: InputSpec(r=400), _MOMENTS_BEYOND, id="r-400"),
+    pytest.param(lambda: InputSpec(r=355.3), _MOMENTS_BEYOND, id="C-overflows"),
+    pytest.param(lambda: InputSpec(r=354, n_ch=1.79e308), _MOMENTS_BEYOND, id="B-sum-overflows"),
+    pytest.param(lambda: InputSpec(xi=1e155), _MOMENTS_BEYOND, id="xi-1e155"),
+    pytest.param(lambda: InputSpec(xi=1e308 + 1e308j), _MOMENTS_BEYOND, id="xi-modulus-overflows"),
+    pytest.param(lambda: ModeSelection(5), "^a mode selection must be an iterable, got 5$",
+                 id="selection-not-iterable"),
+    pytest.param(lambda: FockConfig(modes=(7, 2), cutoffs=(3, 3), params=CouplerParams()),
+                 "^mode 7 is not a ModeId$", id="fock-mode-unknown"),
+    pytest.param(lambda: FockConfig(modes=(0, 2), cutoffs=(3, 3), params=None),
+                 "^params must be a CouplerParams, got None$", id="fock-params-none"),
+    pytest.param(lambda: FockLevel(1.5), "^a Fock level must be an integer >= 0, got 1.5$",
+                 id="fock-fraction"),
+    pytest.param(lambda: FockLevel(-1), "^a Fock level must be an integer >= 0, got -1$",
+                 id="fock-negative"),
+])
+def test_values_check_themselves_when_made(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
+def test_largest_moments_are_accepted():
+    # moments near the top of the double range: B = 1e308, |C| = sinh(2r)/2
+    # = 5.6e307 at r = 355 and |xi|^2 = 1e308; check_physical takes the
+    # eigenvalues of the covariance over its scale, which are doubles
+    for spec in (InputSpec(n_ch=1e308), InputSpec(r=355.0), InputSpec(xi=1e154)):
+        state = build_input_state([spec] + [VACUUM_INPUT] * 5)
+        assert np.all(np.isfinite(state.min_covariance_eigenvalue()))
+
+
+def test_bad_input_fails_at_parse_naming_its_section():
+    doc = "[params]\ngS1 = 1\n[inputs.A2]\nxi = 1\nr = -1\n"
+    with pytest.raises(ScenarioParseError, match=r"^r must be >= 0, got -1.0 in \[inputs.A2\]$"):
+        parse_scenario(doc)
+    with pytest.raises(ScenarioParseError, match=rf"{_MOMENTS_BEYOND} in \[inputs.A2\]$"):
+        parse_scenario(doc.replace("r = -1", "r = 400"))
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -163,7 +163,7 @@ def test_brillouin_is_raman_at_zero_noise():
 
 
 def test_negative_phonon_number_rejected():
-    with pytest.raises(ValidationError, match="V1.n_ch must be >= 0"):
+    with pytest.raises(ValidationError, match="^n_ch must be >= 0, got -0.1$"):
         shortlen_state(quiet_params(gS1=1), shortlen_input(NO_AMPLITUDES, -0.1, 0.0), 0.1)
 
 
