@@ -276,8 +276,15 @@ _ORACLE_CASES = (
 )
 
 
+# Bounds on the oracle's differences in p(n), relative <n> and lambda,
+# about 10x its worst agreement (4.0e-9, 2.3e-7, 2.7e-7): a relative 1e-5
+# error in gS1 or gA1 on the Gaussian side moves p(n) by 2.9e-7 or more.
+_ORACLE_TOLS = (4e-8, 3e-6, 3e-6)
+
+
 def _check_oracle():
     z = 0.5
+    tol_pn, tol_n, tol_lam = _ORACLE_TOLS
     lines = []
     ok = True
     for label, couplings, specs, cutoffs, selections in _ORACLE_CASES:
@@ -294,11 +301,12 @@ def _check_oracle():
             d_pn = float(np.max(np.abs(fock.p_n[:9] - report.p_n[:9])))
             d_n = abs(fock.mean_w - report.mean_w) / max(report.mean_w, 1e-12)
             d_lam = abs(fock.lam - report.lam)
-            good = d_pn < 1e-4 and d_n < 1e-3 and d_lam < 1e-3
+            good = d_pn < tol_pn and d_n < tol_n and d_lam < tol_lam
             ok = ok and good
             lines.append(f"{label}{sel.name}: p(n) {d_pn:.1e}, <n> rel {d_n:.1e}, "
                          f"lambda {d_lam:.1e}")
-    return ok, "Fock oracle vs Gaussian pipeline: " + "; ".join(lines)
+    return ok, (f"Fock oracle vs Gaussian pipeline (tol p(n) {tol_pn:g}, <n> rel {tol_n:g}, "
+                f"lambda {tol_lam:g}): " + "; ".join(lines))
 
 
 def run_checks(out=sys.stdout) -> bool:

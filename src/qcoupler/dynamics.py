@@ -372,6 +372,15 @@ def photon_number_balance(state: GaussianState):
 
 def conservation_residual(trajectory: GaussianState) -> float:
     """Max drift of the photon-number balance along a trajectory, a state
-    stacked over z as ``evolve_state`` returns it for a z-grid."""
+    stacked over z as ``evolve_state`` returns it for a z-grid.  Raises
+    :class:`NumericalError` naming the first z where the drift is not
+    finite (a mode's photon number beyond the double range)."""
     balance = np.ravel(photon_number_balance(trajectory))
-    return float(np.max(np.abs(balance - balance[0]))) if balance.size else 0.0
+    if not balance.size:
+        return 0.0
+    drift = np.abs(balance - balance[0])
+    bad = ~np.isfinite(drift)
+    if np.any(bad):
+        at = "" if trajectory.z is None else f" at z={float(np.ravel(trajectory.z)[np.argmax(bad)])}"
+        raise NumericalError(f"photon-number balance drift is not finite{at}")
+    return float(np.max(drift))

@@ -2,10 +2,10 @@
 
 Ground truth for the Gaussian pipeline: the interaction Hamiltonian of a
 dynamically closed subset of modes acts on a truncated occupation basis,
-and states are advanced by its exact exponential action.  Only subsystems
-that the couplings do not leak out of are supported.  Every input starts
-as Fock members (the levels of its chaotic mixture, or the vacuum alone),
-which its own squeeze and displacement generators then move.
+and states are advanced by its exact exponential action.  Any distinct
+modes that no nonzero coupling leaks out of form a subsystem.  Every
+input starts as Fock members of its own mode, which its squeeze and
+displacement generators move there; a Kronecker product joins the modes.
 
 Everything is numpy.  A state vector is viewed with one axis per mode,
 and an operator is held as a few terms, each a coefficient times ladder
@@ -19,6 +19,7 @@ through one-step terms.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import warnings
@@ -46,16 +47,6 @@ _STEP_NORM = 4.0
 _TAYLOR_TERMS = 30
 _EPS = 2.0**-53
 
-# Subsystems that are closed under some subset of the couplings; every
-# cross-method check in this package uses one of these.
-CLOSED_SUBSYSTEMS = (
-    (ModeId.S1, ModeId.V1),
-    (ModeId.A1, ModeId.V1),
-    (ModeId.S1, ModeId.A1, ModeId.V1),
-    (ModeId.S1, ModeId.V1, ModeId.S2, ModeId.V2),
-    (ModeId.A1, ModeId.V1, ModeId.A2, ModeId.V2),
-)
-
 # Each coupling's term of H as its two ladder steps (mode, shift): shift
 # +1 raises the mode's occupation by one, -1 lowers it.
 _TERMS = {
@@ -70,7 +61,8 @@ _TERMS = {
 
 @dataclass(frozen=True)
 class FockConfig:
-    """A closed mode subset, per-mode cutoffs, and the active couplings."""
+    """Distinct modes (stored sorted) that every nonzero coupling stays
+    inside, per-mode cutoffs, and the active couplings."""
 
     modes: tuple
     cutoffs: tuple
@@ -81,11 +73,9 @@ class FockConfig:
             raise ValidationError(f"params must be a CouplerParams, got {self.params!r}")
         modes = tuple(sorted(map(_as_mode, _as_tuple(self.modes, "modes"))))
         object.__setattr__(self, "modes", modes)
-        if modes not in CLOSED_SUBSYSTEMS:
-            raise ValidationError(
-                f"unsupported subsystem {tuple(m.name for m in modes)}; "
-                f"supported: {[tuple(m.name for m in s) for s in CLOSED_SUBSYSTEMS]}"
-            )
+        if not modes or len(set(modes)) != len(modes):
+            raise ValidationError(f"modes must be distinct and at least one, got "
+                                  f"{tuple(m.name for m in modes)}")
         cutoffs = tuple(_as_int(c, "a cutoff", 1, MAX_CUTOFF)
                         for c in _as_tuple(self.cutoffs, "cutoffs"))
         if len(cutoffs) != len(modes):
@@ -107,10 +97,7 @@ class FockConfig:
 
     @property
     def dimension(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
+        return math.prod(self.dims)
 
     def mode_index(self, mode) -> int:
         mode = _as_mode(mode)
@@ -138,13 +125,23 @@ def build_hamiltonian(cfg: FockConfig) -> tuple:
     return tuple(terms)
 
 
+@functools.cache
+def _ladder(d: int, k: int) -> np.ndarray:
+    """sqrt((m+1)...(m+k)) for m = 0..d-k-1: the factor of a k-quantum
+    step between levels m and m + k of a d-level axis (read-only)."""
+    smaller = np.arange(d - k, dtype=float)
+    out = np.sqrt(math.prod(smaller + i for i in range(1, k + 1)))
+    out.setflags(write=False)
+    return out
+
+
 def _apply(cfg: FockConfig, terms, v: np.ndarray) -> np.ndarray:
     """The sum of ``terms`` applied along the last axis of ``v``.
 
     The last axis is viewed with one axis per mode, so a step on a mode
-    moves its occupation by k = |shift|, with factor sqrt((m+1)...(m+k))
-    for the smaller occupation m; a step off either end of an axis is
-    dropped.  Each term is then one sliced product.
+    moves its occupation by k = |shift|, with factor ``_ladder`` for the
+    smaller occupation; a step off either end of an axis is dropped.
+    Each term is then one sliced product.
     """
     dims = cfg.dims
     w = v.reshape(v.shape[:-1] + dims)
@@ -156,10 +153,9 @@ def _apply(cfg: FockConfig, terms, v: np.ndarray) -> np.ndarray:
         for mode, shift in steps:
             pos = cfg.mode_index(mode)
             k = abs(shift)
-            smaller = np.arange(dims[pos] - k, dtype=float)
             shape = [1] * len(dims)
-            shape[pos] = smaller.size
-            amp = amp * np.sqrt(math.prod(smaller + i for i in range(1, k + 1))).reshape(shape)
+            shape[pos] = dims[pos] - k
+            amp = amp * _ladder(dims[pos], k).reshape(shape)
             up, down = slice(k, None), slice(None, -k)
             dst[pos], src[pos] = (up, down) if shift > 0 else (down, up)
         out[(..., *dst)] += amp * w[(..., *src)]
@@ -248,11 +244,13 @@ def evolve_fock(cfg: FockConfig, inputs, z: float) -> FockEnsemble:
 
     ``inputs`` holds one :class:`InputSpec` or :class:`FockLevel` per
     subsystem mode, in the order of ``cfg.modes``.  Each input is a set
-    of Fock members, the level of a FockLevel or the levels of an
-    InputSpec's ``n_ch`` chaotic mixture (the vacuum alone for
-    ``n_ch = 0``), which is then squeezed and displaced by the exact action of its generators: S with
+    of Fock members on its own mode, the level of a FockLevel or the
+    levels of an InputSpec's ``n_ch`` chaotic mixture (the vacuum alone
+    for ``n_ch = 0``), which the exact action of its generators then
+    squeezes and displaces on that mode alone: S with
     H = -(i/2) zeta a^+2 + (i/2) zeta* a^2, zeta = r e^(i theta), then D
-    with H = -i xi a^+ + i xi* a, each as exp(iH).  A mode with both
+    with H = -i xi a^+ + i xi* a, each as exp(iH).  The modes' members
+    join by Kronecker product, the first mode slowest.  A mode with both
     r > 0 and n_ch > 0 is rejected: the package adds chaotic noise to
     squeezed light (B = sinh^2 r + n_ch), while a squeezed chaotic
     mixture has B = n_ch cosh 2r + sinh^2 r.
@@ -271,37 +269,33 @@ def evolve_fock(cfg: FockConfig, inputs, z: float) -> FockEnsemble:
             f"expected one input per subsystem mode "
             f"({', '.join(m.name for m in cfg.modes)}), got {len(specs)}")
     dims = cfg.dims
-    # the members' weights and basis indices, the first mode slowest
-    weights, index = np.ones(1), np.zeros(1, dtype=int)
-    squeeze, displace = [], []
+    weights, vectors = np.ones(1), np.ones((1, 1), dtype=complex)
     for m, spec, d in zip(cfg.modes, specs, dims):
         if isinstance(spec, FockLevel):
             if spec.n >= d:
                 raise ValidationError(f"Fock level {spec.n} outside cutoff {d - 1}")
-            w, levels = np.ones(1), np.array([spec.n])
+            w, levels, generators = np.ones(1), [spec.n], ()
         elif isinstance(spec, InputSpec):
             if spec.r != 0.0 and spec.n_ch != 0.0:
                 raise ValidationError(
                     f"{m.name} is both squeezed and chaotic; the oracle prepares one or the other")
             w = _thermal_weights(spec.n_ch, d)
             levels = np.arange(len(w))
-            squeeze += _generator(m, 2, 0.5 * spec.r * cmath.exp(1j * spec.theta))
-            displace += _generator(m, 1, spec.xi)
+            generators = (_generator(m, 2, 0.5 * spec.r * cmath.exp(1j * spec.theta)),
+                          _generator(m, 1, spec.xi))
         else:
             raise ValidationError(
                 f"{m.name} input must be an InputSpec or a FockLevel, got {spec!r}")
+        members = np.eye(d, dtype=complex)[levels]
+        one_mode = FockConfig((m,), (d - 1,), CouplerParams())
+        for terms in generators:
+            members = _exp_action(one_mode, terms, 1.0, members)
         weights = np.outer(weights, w).ravel()
-        index = np.add.outer(index * d, levels).ravel()
+        vectors = (vectors[:, None, :, None] * members[None, :, None, :]).reshape(len(weights), -1)
 
     occupations = np.indices(dims).reshape(len(dims), -1)
     boundary = np.any(occupations == np.array(dims)[:, None] - 1, axis=0)
 
-    vectors = np.zeros((len(index), cfg.dimension), dtype=complex)
-    vectors[np.arange(len(index)), index] = 1.0
-    # the generators of different modes commute: all squeezes act at once,
-    # then all displacements
-    for terms in (squeeze, displace):
-        vectors = _exp_action(cfg, terms, 1.0, vectors)
     vectors = _exp_action(cfg, build_hamiltonian(cfg), z, vectors)
     drift = float(np.max(np.abs(np.linalg.norm(vectors, axis=1) - 1.0)))
     if drift > 1e-10:
@@ -341,9 +335,8 @@ def fock_statistics(ensemble: FockEnsemble, sel) -> FockStats:
     occupations = np.indices(cfg.dims).reshape(len(cfg.dims), -1)
     total = occupations[positions].sum(axis=0)
     n_max = int(total.max())
-    p_n = np.zeros(n_max + 1)
-    for w, vec in zip(ensemble.weights, ensemble.vectors):
-        p_n += w * np.bincount(total, weights=np.abs(vec) ** 2, minlength=n_max + 1)
+    p_n = np.bincount(total, weights=ensemble.weights @ np.abs(ensemble.vectors) ** 2,
+                      minlength=n_max + 1)
 
     levels = np.arange(n_max + 1, dtype=float)
     mean_w = float(np.dot(p_n, levels))

@@ -335,9 +335,13 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
                 f"p(n) for n <= {n_max} underflows{_where(state, sel, dead)}: "
                 f"<W> = {float(np.max(np.asarray(mean_w)[dead])):.6g} lies too far beyond n_max"
             )
-    tolerance = 1e-8 * np.maximum(np.maximum(1.0, np.abs(var_formula)), mean_w**2)
+    # |d| > 1e-8 max(1, |var|, <W>^2), with the <W>^2 term as (|d|/<W>)/<W>,
+    # which stays finite where <W>^2 overflows; it only matters for <W> > 1
+    tolerance = 1e-8 * np.maximum(1.0, np.abs(var_formula))
+    bright = np.maximum(mean_w, 1.0)
     for var_moments in variances:
-        bad = np.abs(var_moments - var_formula) > tolerance  # NaN: not checked
+        gap = np.abs(var_moments - var_formula)
+        bad = (gap > tolerance) & (gap / bright / bright > 1e-8)  # NaN: not checked
         if np.any(bad):
             i = int(np.argmax(np.ravel(bad)))
             raise NumericalError(

@@ -395,6 +395,19 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert [line.split()[0] for line in proc.stdout.splitlines()] == ["PASS"] * 3
 
 
+def test_oracle_check_catches_a_wrong_coupling(monkeypatch):
+    # a relative 1e-5 error in one coupling on the Gaussian side moves p(n)
+    # by 2.9e-7 (gA1) or 4.1e-7 (gS1), above the check's 4e-8 bound
+    assert cli._check_oracle()[0]
+    exact = cli.build_drift_matrix
+    for name in ("gS1", "gA1"):
+        def perturbed(params, name=name):
+            return exact(replace(params, **{name: getattr(params, name) * (1 + 1e-5)}))
+
+        monkeypatch.setattr(cli, "build_drift_matrix", perturbed)
+        assert not cli._check_oracle()[0], name
+
+
 def _near_exceptional_point(z_max):
     # |gA1| just above |gS1|: no regime warning, but the propagator's
     # transient growth eats its digits at long z
@@ -433,6 +446,9 @@ OUT_OF_RANGE = (
     ("n_ch-1e154", "n_ch = 1e154", "variance: S1,V1",
      3, "the intensity variance is not finite at z=0.5 for selection S1V1"),
     ("n_ch-1e308", "n_ch = 1e308", "", 3, "<W> is not finite at z=0.0 for selection S1"),
+    # S1 overflows unselected: the selected V2 columns are finite zeros
+    ("n_ch-1e308-unselected", "n_ch = 1e308", "moments: V2",
+     3, "photon-number balance drift is not finite at z=0.0"),
 )
 
 
@@ -511,3 +527,4 @@ def test_scenario_documents_run_finite_or_fail_loudly(text):
             assert np.all(np.isfinite(values)), name
     for name, table in result.pn_tables:
         assert np.all(np.isfinite(table)), name
+    assert np.isfinite(float(dict(result.metadata)["conservation_residual"]))

@@ -119,6 +119,11 @@ def test_oracle_vs_gaussian_coupled_guides():
                   ModeId.V1: InputSpec(xi=0.2, n_ch=0.2)}, id="squeezed"),
     pytest.param(dict(gS1=0.3), {ModeId.S1: InputSpec(n_ch=0.3), ModeId.V1: VACUUM_INPUT},
                  id="chaotic-stokes"),
+    # a closed pair of the two guides' Stokes modes, and a mode on its own
+    pytest.param(dict(kappaS=0.7j), {ModeId.S1: InputSpec(xi=0.5), ModeId.S2: InputSpec(n_ch=0.3)},
+                 id="evanescent-stokes-pair"),
+    pytest.param({}, {ModeId.A1: InputSpec(xi=0.3 - 0.2j, r=0.3, theta=0.4)},
+                 id="uncoupled-squeezed"),
 ])
 def test_oracle_vs_gaussian_every_input_kind(couplings, specs):
     modes = sorted(specs)

@@ -67,6 +67,60 @@ def test_config_validation():
     assert big.dimension == 17**4 <= 200_000
 
 
+@pytest.mark.parametrize("modes, couplings", [
+    ((ModeId.S1, ModeId.S2), dict(kappaS=0.7j)),
+    ((ModeId.A1,), {}),
+    ((ModeId.V2, ModeId.A2), dict(gA2=0.3)),
+], ids=["evanescent-stokes-pair", "uncoupled-mode", "anti-stokes-pair"])
+def test_config_takes_any_closed_subsystem(modes, couplings):
+    cfg = FockConfig(modes=modes, cutoffs=(3,) * len(modes), params=quiet_params(**couplings))
+    assert cfg.modes == tuple(sorted(modes)) and cfg.dimension == 4 ** len(modes)
+
+
+@pytest.mark.parametrize("modes, cutoffs, couplings, match", [
+    ((ModeId.S1,), (3,), dict(kappaS=0.7j), "coupling kappaS references modes outside"),
+    ((ModeId.S1, ModeId.S1), (3, 3), {}, r"distinct and at least one, got \('S1', 'S1'\)"),
+    ((), (), {}, r"distinct and at least one, got \(\)"),
+    (tuple(ModeId)[:5], (16,) * 5, {}, "Hilbert dimension 1419857 exceeds 200000"),
+], ids=["coupling-leaves", "duplicate-modes", "empty", "too-large"])
+def test_config_rejects_what_is_not_a_closed_subsystem(modes, cutoffs, couplings, match):
+    with pytest.raises(ValidationError, match=match):
+        FockConfig(modes=modes, cutoffs=cutoffs, params=quiet_params(**couplings))
+
+
+def test_ladder_table_matches_its_formula_and_is_read_only():
+    for d, k in [(1, 1), (5, 1), (5, 2), (17, 2)]:
+        table = fock_oracle._ladder(d, k)
+        ref = [math.sqrt(math.prod(range(m + 1, m + k + 1))) for m in range(d - k)]
+        assert np.array_equal(table, ref) and table.shape == (max(d - k, 0),)
+        assert fock_oracle._ladder(d, k) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0.0
+
+
+def test_per_mode_preparation_matches_the_joint_stack():
+    """Each mode prepared on its own axis, against every squeeze and then
+    every displacement acting on the whole (members, dimension) stack."""
+    cfg = FockConfig(modes=(ModeId.S1, ModeId.A1, ModeId.V1), cutoffs=(12, 11, 12),
+                     params=quiet_params(gS1=0.3, gA1=0.6))
+    specs = [InputSpec(xi=0.3j, r=0.3, theta=0.4), InputSpec(xi=-0.2, n_ch=0.3),
+             InputSpec(r=0.2, theta=-1.1)]
+    weights, index = np.ones(1), np.zeros(1, dtype=int)
+    squeeze, displace = [], []
+    for m, spec, d in zip(cfg.modes, specs, cfg.dims):
+        w = fock_oracle._thermal_weights(spec.n_ch, d)
+        weights = np.outer(weights, w).ravel()
+        index = np.add.outer(index * d, np.arange(len(w))).ravel()
+        squeeze += fock_oracle._generator(m, 2, 0.5 * spec.r * np.exp(1j * spec.theta))
+        displace += fock_oracle._generator(m, 1, spec.xi)
+    stack = np.eye(cfg.dimension, dtype=complex)[index]
+    for terms in (squeeze, displace):
+        stack = fock_oracle._exp_action(cfg, terms, 1.0, stack)
+    ens = evolve_fock(cfg, specs, 0.0)
+    assert len(weights) > 3 and np.array_equal(ens.weights, weights)
+    assert np.max(np.abs(ens.vectors - stack)) <= 1e-13
+
+
 def test_hamiltonian_zero_without_couplings():
     cfg = FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=(3, 3),
                      params=quiet_params())

@@ -400,3 +400,20 @@ def test_statistics_beyond_double_range_raise(spec, include_pn, message):
     with np.errstate(over="ignore", invalid="ignore"):  # numpy's overflow warnings come first
         with pytest.raises(NumericalError, match=f"^{message} at z=0.0 for selection S1$"):
             stats_report(states, single(ModeId.S1), 2, 8, include_pn=include_pn)
+
+
+def test_variance_cross_check_holds_where_mean_squared_overflows(monkeypatch):
+    # <W> = 1e156: its square overflows, yet a 1% error in the closed-form
+    # variance (about 2e306) stands far above 1e-8 of every scale
+    from qcoupler import gaussian_stats
+
+    states = evolve_state(
+        propagator(build_drift_matrix(quiet_params(gS1=0.1, gA1=0.2)), [0.0, 0.1]),
+        build_input_state([InputSpec(xi=1e78, n_ch=1e150)] + [VACUUM_INPUT] * 5))
+    exact = gaussian_stats._intensity_variance
+    assert np.all(stats_report(states, single(ModeId.S1)).variance_w > 2e306)
+    monkeypatch.setattr(gaussian_stats, "_intensity_variance",
+                        lambda *block: 1.01 * exact(*block))
+    with pytest.raises(NumericalError, match="^intensity variance cross-check failed at z=0.0 "
+                                             "for selection S1: "):
+        stats_report(states, single(ModeId.S1))
