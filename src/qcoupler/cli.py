@@ -375,11 +375,13 @@ def main(argv=None) -> int:
             default_out = f"{args.preset}.csv"
         else:
             try:
-                with open(args.scenario) as fh:
+                with open(args.scenario, encoding="utf-8") as fh:
                     text = fh.read()
             except OSError as exc:
                 print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
                 return 1
+            except UnicodeDecodeError as exc:
+                raise ScenarioParseError(f"{args.scenario} is not UTF-8 text: {exc}") from None
             cfg = parse_scenario(text)
             base = os.path.basename(args.scenario)
             default_out = (base.rsplit(".", 1)[0] if "." in base else base) + ".csv"

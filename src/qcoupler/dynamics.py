@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import NumericalError, ValidationError
-from .model import CouplerParams, GaussianState, N_MODES, _frozen
+from .model import CouplerParams, GaussianState, N_MODES, _first_flagged, _frozen
 
 _DIM = 2 * N_MODES
 # x = (S1^+, A1, V1, S2^+, A2, V2): the positions in (A; A^+) of six
@@ -245,11 +245,9 @@ def propagator(em: EvolutionMatrix, z) -> BogoliubovTransform:
     rows.setflags(write=False)  # the transform takes the views over without a copy
     rows = rows.reshape(-1, N_MODES, _DIM)[:flat.size]
     if not np.isfinite(rows).all():
-        finite = np.all(np.isfinite(rows), axis=(-2, -1))
-        raise NumericalError(
-            f"matrix exponential produced non-finite entries at z={flat[np.argmin(finite)]}; "
-            f"|M|={np.max(np.abs(em.matrix)):.3g}"
-        )
+        _, at = _first_flagged(flat, ~np.all(np.isfinite(rows), axis=(-2, -1)))
+        raise NumericalError(f"matrix exponential produced non-finite entries{at}; "
+                             f"|M|={np.max(np.abs(em.matrix)):.3g}")
     return BogoliubovTransform(rows.reshape(z.shape + (N_MODES, _DIM)), z)
 
 
@@ -352,12 +350,13 @@ def evolve_state(t: BogoliubovTransform, s0: GaussianState) -> GaussianState:
     np.conjugate(g[..., N_MODES:], out=g[..., :N_MODES])
     np.conjugate(n1, out=g[..., N_MODES:])
     np.matmul(g, f.swapaxes(-1, -2), out=n1)
-    # exact symmetries hold up to roundoff; restore them, with G's memory as scratch
+    # exact symmetries hold up to roundoff; restore them from halves, whose sum stays finite
     h = g.reshape(-1)[:n1.size].reshape(n1.shape)
-    np.add(n1, np.conjugate(n1.swapaxes(-1, -2), out=h), out=h)
-    np.multiply(h, 0.5, out=n1)
-    np.add(m1, m1.swapaxes(-1, -2), out=h)
-    np.multiply(h, 0.5, out=m1)
+    np.multiply(n1, 0.5, out=h)
+    np.conjugate(h.swapaxes(-1, -2), out=n1)
+    n1 += h
+    np.multiply(m1, 0.5, out=h)
+    np.add(h, h.swapaxes(-1, -2), out=m1)
     xi = f @ np.concatenate([s0.xi, s0.xi.conj()])
     xi.setflags(write=False)
     nm.setflags(write=False)
@@ -381,6 +380,6 @@ def conservation_residual(trajectory: GaussianState) -> float:
     drift = np.abs(balance - balance[0])
     bad = ~np.isfinite(drift)
     if np.any(bad):
-        at = "" if trajectory.z is None else f" at z={float(np.ravel(trajectory.z)[np.argmax(bad)])}"
-        raise NumericalError(f"photon-number balance drift is not finite{at}")
+        raise NumericalError(f"photon-number balance drift is not finite"
+                             f"{_first_flagged(trajectory.z, bad)[1]}")
     return float(np.max(drift))

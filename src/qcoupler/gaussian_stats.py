@@ -37,7 +37,8 @@ so the moments up to k_max <= 8 need a few small matrix products and no
 eigendecomposition; 2 h_2 = <:(dW)^2:>.  Only p(n), a jet at s = 1 of
 order up to 512, uses the eigenvalues lam_i of Gamma (``np.linalg.eigh``),
 and only for the selections that request it.  Every statistic is
-assembled and cross-checked by ``stats_report``, the one public route.
+assembled and cross-checked by ``stats_report``, the one public route,
+which raises every numerical alarm of a report; its helpers raise none.
 
 Quadrature conventions: p = A + A^+ and q = -i(A - A^+), and a compound
 field uses the plain operator sum A_j + A_k.  The vacuum variance is k
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .model import GaussianState, ModeSelection, _check_orders, _doubled_covariance
+from .model import GaussianState, ModeSelection, _check_orders, _doubled_covariance, _first_flagged
 
 __all__ = ["StatsReport", "stats_report"]
 
@@ -71,18 +72,14 @@ _EPS = np.finfo(float).eps
 _SQUEEZE_DIGITS = 1e-8  # largest roundoff of a quadrature variance, relative to lambda
 
 
-def _where(state: GaussianState, sel: ModeSelection, bad) -> str:
-    """' at z=... for selection ...', naming the first flagged state."""
-    at = "" if state.z is None else f" at z={float(np.ravel(state.z)[np.argmax(np.ravel(bad))])}"
-    return f"{at} for selection {sel.name}"
-
-
-def _check_finite(state: GaussianState, sel: ModeSelection, fields) -> None:
-    """Raise NumericalError where a statistic of ``fields``, (name, values
-    or None) pairs stacked like ``state``, is not finite."""
-    for name, values in fields:
-        if values is not None and not np.isfinite(values).all():
-            raise NumericalError(f"{name} is not finite{_where(state, sel, ~np.isfinite(values))}")
+def _fail(state: GaussianState, sel: ModeSelection, bad, what: str, detail=None) -> None:
+    """Raise NumericalError where the stack ``bad``, shaped like ``state``,
+    flags a point: '<what> at z=... for selection ...', naming the first
+    flagged one, then ': ' and ``detail(i)`` of its flat index i."""
+    if np.any(bad):
+        i, at = _first_flagged(state.z, bad)
+        tail = "" if detail is None else f": {detail(i)}"
+        raise NumericalError(f"{what}{at} for selection {sel.name}{tail}")
 
 
 def _selection_block(state: GaussianState, sel: ModeSelection):
@@ -105,10 +102,10 @@ def _spread(vac, s, t):
     return vac + 2.0 * (s - t), vac + 2.0 * (s + t)
 
 
-def _quadratures(state: GaussianState, sel: ModeSelection, n, m):
-    """(principal squeeze variance, var_p, var_q, uncertainty) from the
-    vacuum level, the symmetric noise S and the pair term P of the
-    selection's block (n, m); ``state`` and ``sel`` name a failure.
+def _quadratures(n, m):
+    """(principal squeeze variance, var_p, var_q, uncertainty, roundoff)
+    from the vacuum level, the symmetric noise S and the pair term P of
+    the selection's block (n, m).
 
     Each variance is a difference of sums of N and M, whose roundoff is
     about eps (k + 2 (S + |P|)), the largest principal variance.  Where
@@ -118,17 +115,8 @@ def _quadratures(state: GaussianState, sel: ModeSelection, n, m):
     """
     vac, s, p = n.shape[-1], np.sum(n, axis=(-2, -1)).real, np.sum(m, axis=(-2, -1))
     lo, hi = _spread(vac, s, np.abs(p))
-    lost = _EPS * hi > _SQUEEZE_DIGITS * lo
-    if np.any(lost):
-        i = int(np.argmax(np.ravel(lost)))
-        raise NumericalError(
-            f"quadrature variances lose their digits{_where(state, sel, lost)}: principal "
-            f"squeeze variance {float(np.ravel(lo)[i]):.6g} against a roundoff of "
-            f"{_EPS * float(np.ravel(hi)[i]):.3g} (state is unphysical or squeezed "
-            "beyond double precision)"
-        )
     var_q, var_p = _spread(vac, s, np.real(p))
-    return lo, var_p, var_q, lo * hi
+    return lo, var_p, var_q, lo * hi, _EPS * hi
 
 
 # --------------------------------------------------------------------------
@@ -177,10 +165,10 @@ def _series_exp(h: np.ndarray) -> np.ndarray:
         return np.multiply(fr[..., ::-1], np.exp(-shift)[..., None], out=kh)
 
 
-def _g_jet(state: GaussianState, sel: ModeSelection, lam: np.ndarray, w: np.ndarray,
-           order: int) -> np.ndarray:
-    """Taylor coefficients of G(1 + t) through t^order, from the spectrum
-    of the selection ``sel`` of ``state``: (-1)^n p(n) at t^n.
+def _g_jet(lam: np.ndarray, w: np.ndarray, order: int) -> np.ndarray:
+    """Taylor coefficients of G(1 + t) through t^order, from a selection's
+    spectrum (lam, w): (-1)^n p(n) at t^n.  Every pivot a_i = 1 + lam_i
+    must be positive; ``stats_report`` checks that first.
 
     log G(1 + t) = -(1/2) sum_i [log(a_i + lam_i t) + (1 + t) w_i / (a_i + lam_i t)]
     with a_i = 1 + lam_i.  Expanding both terms in powers of
@@ -194,13 +182,6 @@ def _g_jet(state: GaussianState, sel: ModeSelection, lam: np.ndarray, w: np.ndar
     into a buffer that is reused for every eigenvalue.
     """
     a = 1.0 + lam
-    bad = np.any(a <= _MIN_PIVOT, axis=-1)
-    if np.any(bad):
-        raise NumericalError(
-            f"generating function singular at s=1.0{_where(state, sel, bad)}: "
-            f"covariance eigenvalue {np.min(lam[bad]):.6g} (state is unphysical "
-            "or too close to singular)"
-        )
     p = -lam / a
     q = w / a**2
     inv_n = 1.0 / np.arange(1, order + 1)
@@ -299,10 +280,12 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
     with ``include_pn`` also the order-2 sum (1/2) sum lam_i^2 +
     sum w_i lam_i of the eigen spectrum, so a failed ``eigh`` is caught
     too.  Disagreement beyond 1e-8 (relative to the natural scale) means
-    the numerics cannot be trusted and raises :class:`NumericalError`, as
-    does a quadrature roundoff beyond 1e-8 lambda (``_quadratures``) where
-    the quadratures are asked for, and a non-finite <W>, intensity
-    variance, quadrature field or p(n) entry, naming z and the selection.
+    the numerics cannot be trusted.  Every alarm of the report is raised
+    here as :class:`NumericalError`, in this order: a non-finite <W> or
+    intensity variance; where p(n) is asked for, a pivot 1 + lam_i <= 1e-12
+    or an all-zero p(n); the variance cross-check; where the quadratures
+    are, a roundoff beyond 1e-8 lambda; a non-finite quadrature field or
+    p(n) entry.  Each names the first failing z (row-major) and the selection.
     """
     _check_orders(k_max, n_max)
     sel = sel if isinstance(sel, ModeSelection) else ModeSelection(sel)
@@ -310,7 +293,8 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
     mean_w = np.trace(n, axis1=-2, axis2=-1).real + np.sum(np.abs(x) ** 2, axis=-1)
     var_formula = _intensity_variance(x, n, m)
     # finite, these two bound every entry of the block
-    _check_finite(state, sel, (("<W>", mean_w), ("the intensity variance", var_formula)))
+    for name, values in (("<W>", mean_w), ("the intensity variance", var_formula)):
+        _fail(state, sel, ~np.isfinite(values), f"{name} is not finite")
     gamma, y = _doubled_covariance(n, m), np.concatenate([x, x.conj()], axis=-1)
     # below the normal range <W> has lost its digits, and 1 / <W> overflows
     reducible = mean_w >= _TINY
@@ -327,14 +311,16 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
     if include_pn:
         lam, w = _selection_spectrum(gamma, y)
         variances.append(np.sum(0.5 * lam**2 + w * lam, axis=-1))
-        p_n = _g_jet(state, sel, lam, w, n_max)
+        singular = np.any(1.0 + lam <= _MIN_PIVOT, axis=-1)
+        _fail(state, sel, singular, "generating function singular at s=1.0",
+              lambda i: f"covariance eigenvalue {np.min(lam[singular]):.6g} (state is "
+                        "unphysical or too close to singular)")
+        p_n = _g_jet(lam, w, n_max)
         p_n[..., 1::2] *= -1.0   # (-1)^n, in place
         dead = np.all(p_n == 0.0, axis=-1)
-        if np.any(dead):
-            raise NumericalError(
-                f"p(n) for n <= {n_max} underflows{_where(state, sel, dead)}: "
-                f"<W> = {float(np.max(np.asarray(mean_w)[dead])):.6g} lies too far beyond n_max"
-            )
+        _fail(state, sel, dead, f"p(n) for n <= {n_max} underflows",
+              lambda i: f"<W> = {float(np.max(np.asarray(mean_w)[dead])):.6g} lies too far "
+                        "beyond n_max")
     # |d| > 1e-8 max(1, |var|, <W>^2), with the <W>^2 term as (|d|/<W>)/<W>,
     # which stays finite where <W>^2 overflows; it only matters for <W> > 1
     tolerance = 1e-8 * np.maximum(1.0, np.abs(var_formula))
@@ -342,20 +328,23 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
     for var_moments in variances:
         gap = np.abs(var_moments - var_formula)
         bad = (gap > tolerance) & (gap / bright / bright > 1e-8)  # NaN: not checked
-        if np.any(bad):
-            i = int(np.argmax(np.ravel(bad)))
-            raise NumericalError(
-                f"intensity variance cross-check failed{_where(state, sel, bad)}: "
-                f"closed form {float(np.ravel(var_formula)[i])!r} vs moments "
-                f"{float(np.ravel(var_moments)[i])!r}"
-            )
+        _fail(state, sel, bad, "intensity variance cross-check failed",
+              lambda i: f"closed form {float(np.ravel(var_formula)[i])!r} vs moments "
+                        f"{float(np.ravel(var_moments)[i])!r}")
     squeeze = var_p = var_q = uncertainty = None
     if include_quadratures:
-        squeeze, var_p, var_q, uncertainty = _quadratures(state, sel, n, m)
+        squeeze, var_p, var_q, uncertainty, roundoff = _quadratures(n, m)
+        _fail(state, sel, roundoff > _SQUEEZE_DIGITS * squeeze,
+              "quadrature variances lose their digits",
+              lambda i: f"principal squeeze variance {float(np.ravel(squeeze)[i]):.6g} against "
+                        f"a roundoff of {float(np.ravel(roundoff)[i]):.3g} (state is unphysical "
+                        "or squeezed beyond double precision)")
     # a non-finite p(n) entry leaves its row's sum, and so its deficit, non-finite
     deficit = None if p_n is None else 1.0 - p_n.sum(axis=-1)
-    _check_finite(state, sel, (("p(n)", deficit), ("lambda", squeeze), ("var_p", var_p),
-                               ("var_q", var_q), ("u", uncertainty)))
+    for name, values in (("p(n)", deficit), ("lambda", squeeze), ("var_p", var_p),
+                         ("var_q", var_q), ("u", uncertainty)):
+        if values is not None:
+            _fail(state, sel, ~np.isfinite(values), f"{name} is not finite")
     return StatsReport(
         mean_w=mean_w,
         reduced_moments=reduced,

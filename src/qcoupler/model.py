@@ -297,6 +297,13 @@ def _frozen(array, dtype, shape):
     return out
 
 
+def _first_flagged(z, bad) -> tuple:
+    """(i, text): the flat index i of the first flagged entry of the stack
+    ``bad``, and ' at z=...' for it from ``z``, stacked alike, or '' for None."""
+    i = int(np.argmax(np.ravel(bad)))
+    return i, "" if z is None else f" at z={float(np.ravel(z)[i])}"
+
+
 def _as_tuple(items, what) -> tuple:
     """The iterable ``items`` as a tuple; ``what`` names it in the error."""
     try:

@@ -234,11 +234,10 @@ def test_stacked_jet_matches_scalar_reference(s0, order, floor):
     rng = np.random.default_rng(11)
     lam = rng.uniform(-0.4, 3.0, (50, 4))
     w = rng.uniform(0.0, 4.0, (50, 4))
-    sel = ModeSelection((ModeId.S1, ModeId.A1))
     if s0 == 0.0:
         jets = trace_series_jet(lam, w, order)
     else:
-        jets = gaussian_stats._g_jet(_sweep_state(), sel, lam, w, order)
+        jets = gaussian_stats._g_jet(lam, w, order)
     for i in range(len(lam)):
         assert deviation(jets[i], spectrum_jet(lam[i], w[i], s0, order), floor) <= 1e-12
 
@@ -329,9 +328,9 @@ def test_s1_jet_only_for_pn_selections(monkeypatch):
         spectra.append(gamma.shape)
         return spectrum(gamma, y)
 
-    def recording_jet(state, sel, lam, w, order):
-        jets.append((sel.name, order, lam.shape[0]))
-        return g_jet(state, sel, lam, w, order)
+    def recording_jet(lam, w, order):
+        jets.append((order, lam.shape[0]))
+        return g_jet(lam, w, order)
 
     def recording_eigh(a, *args, **kwargs):
         eighs.append(a.shape)
@@ -345,9 +344,97 @@ def test_s1_jet_only_for_pn_selections(monkeypatch):
     # the pn selection S1 gets an eigendecomposition (one, over the whole
     # grid) and the order-n_max jet at s=1
     assert spectra == [(6, 2, 2)]
-    assert jets == [("S1", 32, 6)]
+    assert jets == [(32, 6)]
     assert eighs == [(6, 2, 2)]
     assert [sel for sel, _ in result.pn_tables] == ["S1"]
     # the moments to k = 8 take the trace series: no spectrum, no eigh
     stats_report(_sweep_state(), ModeSelection((ModeId.S1,)), k_max=8)
     assert spectra == [(6, 2, 2)] and len(jets) == 1 and len(eighs) == 1
+
+
+# Every alarm of a report, of the propagator and of the conservation
+# check, on a 2x3 stack over z.  FLAGGED marks (0, 2) and (1, 0): the
+# first flagged point in row-major and in column-major order.
+FLAGGED = np.array([[False, False, True], [True, False, False]])
+Z_STACK = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+
+
+def _spoiled(entry, value):
+    """An edit of (xi, N, M) that sets S1's ``entry``, "xi" or "N", at FLAGGED."""
+    def spoil(xi, n, m):
+        if entry == "xi":
+            xi[FLAGGED, ModeId.S1] = value
+        else:
+            n[FLAGGED, ModeId.S1, ModeId.S1] = value
+    return spoil
+
+
+def _flagged_stack(spoil, stacked):
+    """The sweep state as a 2x3 stack edited by ``spoil``, over Z_STACK or
+    unpropagated (z None)."""
+    states = _sweep_state(6)
+    xi, n, m = (np.array(a).reshape((2, 3) + a.shape[1:])
+                for a in (states.xi, states.N, states.M))
+    spoil(xi, n, m)
+    return GaussianState(xi, n, m, z=Z_STACK if stacked else None)
+
+
+def _report(spoil=None, patch=None, **options):
+    """A stats_report of S1 on the flagged stack; ``patch`` is (name,
+    wrapper): gaussian_stats.<name> is replaced by wrapper(original)."""
+    def run(monkeypatch, stacked):
+        if patch is not None:
+            name, wrapper = patch
+            monkeypatch.setattr(gaussian_stats, name, wrapper(getattr(gaussian_stats, name)))
+        state = _flagged_stack(spoil or (lambda *arrays: None), stacked)
+        stats_report(state, ModeSelection((ModeId.S1,)), k_max=2, n_max=8, **options)
+    return run
+
+
+def _nan_pn(g_jet):
+    return lambda lam, w, order: np.where(FLAGGED[..., None], np.nan, g_jet(lam, w, order))
+
+
+def _nan_lambda(quadratures):
+    def patched(n, m):
+        lam, *rest = quadratures(n, m)
+        return (np.where(FLAGGED, np.nan, lam), *rest)
+    return patched
+
+
+def _propagate(monkeypatch, stacked):
+    # e^(2000 z) leaves the double range from z = 0.4 on
+    propagator(build_drift_matrix(CouplerParams(gS1=2000.0)), Z_STACK)
+
+
+def _balance(monkeypatch, stacked):
+    conservation_residual(_flagged_stack(_spoiled("N", np.inf), stacked))
+
+
+ALARMS = [
+    ("<W> is not finite", _report(_spoiled("N", np.inf))),
+    ("the intensity variance is not finite", _report(_spoiled("N", 1e200))),
+    # an unphysical B: 1 + lam < 0 at s = 1, and lambda < 0
+    ("generating function singular at s=1.0", _report(_spoiled("N", -1.5), include_pn=True)),
+    ("p(n) for n <= 8 underflows", _report(_spoiled("xi", 1e3), include_pn=True)),
+    ("intensity variance cross-check failed",
+     _report(patch=("_intensity_variance", lambda f: lambda x, n, m: f(x, n, m) + FLAGGED))),
+    ("quadrature variances lose their digits", _report(_spoiled("N", -1.5))),
+    ("p(n) is not finite", _report(patch=("_g_jet", _nan_pn), include_pn=True)),
+    ("lambda is not finite", _report(patch=("_quadratures", _nan_lambda))),
+    ("photon-number balance drift is not finite", _balance),
+    ("matrix exponential produced non-finite entries", _propagate),
+]
+
+
+@pytest.mark.parametrize("what, run, stacked", [
+    pytest.param(what, run, stacked, id=f"{what}-{'z-stack' if stacked else 'no-z'}")
+    for what, run in ALARMS for stacked in (True, False)
+    if stacked or run is not _propagate   # a propagator always has its z
+])
+def test_every_alarm_names_the_first_flagged_point(monkeypatch, what, run, stacked):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError) as info:
+        run(monkeypatch, stacked)
+    message = str(info.value)
+    assert message.startswith(what + (f" at z={Z_STACK[0, 2]}" if stacked else ""))
+    assert (" at z" in message) == stacked

@@ -270,6 +270,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_scenario_not_utf8_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    doc = tmp_path / "utf16.txt"
+    doc.write_bytes(b"\xff\xfe[params]\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--scenario", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {doc} is not UTF-8 text: ") and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 # gS1 = 1 on vacuum: S1V1 is a two-mode squeezed vacuum whose squeeze
 # variance 2 e^(-2z) sinks below the roundoff of its quadratures from z = 5
 GAIN_DOC = ("[params]\ngS1 = 1\n[run]\nz_max = 14\nz_steps = 15\n"
@@ -445,10 +455,11 @@ OUT_OF_RANGE = (
     ("xi-1e155", "xi = 1e155", "pn: S1", 2, "beyond the double range in [inputs.S1]"),
     ("n_ch-1e154", "n_ch = 1e154", "variance: S1,V1",
      3, "the intensity variance is not finite at z=0.5 for selection S1V1"),
-    ("n_ch-1e308", "n_ch = 1e308", "", 3, "<W> is not finite at z=0.0 for selection S1"),
+    # S1's photon number, 1.55e308 at z = 0.75, first leaves the double range at z = 1
+    ("n_ch-1e308", "n_ch = 1e308", "", 3, "<W> is not finite at z=1.0 for selection S1"),
     # S1 overflows unselected: the selected V2 columns are finite zeros
     ("n_ch-1e308-unselected", "n_ch = 1e308", "moments: V2",
-     3, "photon-number balance drift is not finite at z=0.0"),
+     3, "photon-number balance drift is not finite at z=1.0"),
 )
 
 

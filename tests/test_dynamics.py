@@ -243,6 +243,19 @@ def test_evolve_identity_keeps_state():
     assert np.allclose(s1.C, s0.C)
 
 
+def test_evolve_keeps_entries_beyond_half_the_double_range():
+    # restoring N's and M's exact symmetries sums each entry with its
+    # transpose's: 2 * 9e307 is beyond the double range, half of each is not
+    inputs = [InputSpec(n_ch=9e307)] + [VACUUM_INPUT] * 5
+    s = evolve_state(propagator(build_drift_matrix(quiet_params()), 0.0),
+                     build_input_state(inputs))
+    assert s.N[S1, S1] == 9e307 and np.isfinite(s.N).all()
+    big = np.diag([1.6e308, 0.0, 0.0, 0.0, 0.0, 0.0])
+    s = evolve_state(BogoliubovTransform.identity(),
+                     GaussianState(xi=np.zeros(6), N=big, M=0.9 * big))
+    assert s.N[S1, S1] == 1.6e308 and s.M[S1, S1] == 0.9 * 1.6e308
+
+
 def test_evolve_stokes_vacuum_closed_form():
     g, z = 0.8, 0.6
     t = propagator(build_drift_matrix(quiet_params(gS1=g)), z)

@@ -34,7 +34,6 @@ LAM = np.array([[-0.35, -0.12, 0.8, 2.6],
 W = np.array([[0.3, 1.1, 0.0, 2.4],
               [0.9, 0.4, 0.0, 0.0],
               [140.0, 110.0, 70.0, 30.0]])
-SEL = ModeSelection((ModeId.S1, ModeId.A1))
 
 
 def mp_jet(lam, w, s0, order):
@@ -77,7 +76,7 @@ def test_stacked_jet_matches_mpmath(references, s0, order, floor):
     if s0 == 0.0:
         jets = trace_series_jet(LAM, W, order)
     else:
-        jets = gaussian_stats._g_jet(None, SEL, LAM, W, order)
+        jets = gaussian_stats._g_jet(LAM, W, order)
     assert jets.shape == (len(LAM), order + 1)
     for i, ref in enumerate(references[s0]):
         assert deviation(jets[i], ref[:order + 1], floor) <= TOL, i
