@@ -155,4 +155,4 @@ def analytic_propagator(params: CouplerParams, z: float) -> BogoliubovTransform:
     # second guide: swap parameters, then relabel columns
     u2, v2 = _guide_rows(params.swapped(), factors)
     perm = np.asarray(EXCHANGE_PERMUTATION)
-    return BogoliubovTransform(np.block([[u1, v1], [u2[:, perm], v2[:, perm]]]), float(z))
+    return BogoliubovTransform.from_rows(np.block([[u1, v1], [u2[:, perm], v2[:, perm]]]), float(z))

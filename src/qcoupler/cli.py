@@ -235,7 +235,7 @@ def _check_analytic():
     em = build_drift_matrix(params)
     worst = 0.0
     for z in (0.1, 1.0, 5.0):
-        diff = propagator(em, z).rows - analytic_propagator(params, z).rows
+        diff = propagator(em, z).block - analytic_propagator(params, z).block
         worst = max(worst, float(np.max(np.abs(diff))))
     return worst < tol, f"closed-form vs numerical propagator: max diff {worst:.3e} (tol {tol:g})"
 
@@ -254,7 +254,7 @@ def _check_shortlen():
         em = build_drift_matrix(params)
 
         def err(z):
-            return float(np.max(np.abs(propagator(em, z).rows - short_propagator(params, z).rows)))
+            return float(np.max(np.abs(propagator(em, z).block - short_propagator(params, z).block)))
 
         ratios.append(err(1e-2) / err(5e-3))
     ok = all(7.0 <= r <= 9.0 for r in ratios)

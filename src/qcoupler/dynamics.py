@@ -17,31 +17,21 @@ its phonon and of the other guide's Stokes mode, so over
 x = (S1^+, A1, V1, S2^+, A2, V2) the equations close: x(z) = T(z) x(0)
 with the 6x6 T = exp(i M_B z), M_B = M[_BLOCK][:, _BLOCK], and the
 conjugates of x obey conj(T).  T is pseudo-unitary, T eta T^H = eta with
-eta = diag(-1, 1, 1, -1, 1, 1), and [U V] is T, its two Stokes rows
-conjugated (T~), placed into known slots; the other half of [U V] is
-exact zeros.
+eta = diag(-1, 1, 1, -1, 1, 1), and is the whole solution, which a
+:class:`BogoliubovTransform` holds: [U V] is T~, T with its two Stokes
+rows conjugated, placed into known slots, and exact zeros elsewhere.
 
 An array of lengths gives the transforms of a whole z-grid at once,
 stacked along a leading axis, and ``evolve_state`` turns them into one
 stacked :class:`~qcoupler.model.GaussianState`.  A scalar length has
 no leading axes and takes the same route.
 
-A grid is evolved with a few large arrays, each written in place and
-taken over by the transform or the state without a copy:
-
-* ``propagator`` multiplies each head of the grid's blocks of T by all
-  its steps at once and writes each product into its point of the
-  transform's one (Z, 6, 12) array of annihilator rows [U V]; U and V
-  are views of it.
-* ``symplectic_check`` checks T eta T^H = eta and the zeros off the
-  block, and their violation scaled by the gain, with one workspace of
-  four (Z, 6, 6) planes.
-* ``evolve_state`` writes N and M into one array of two planes that the
-  state keeps, with G = F S^T in a two-plane scratch array.
-
-A sweep checks its transforms before it evolves the state, so the
-state's arrays reuse the memory the check frees: at its largest a sweep
-holds the transforms and four planes.
+A grid is evolved with a few large arrays of (Z, 6, 6) planes, each
+written in place: ``propagator`` writes T, which the transform takes
+over, ``symplectic_check`` checks it in a workspace of six planes, and
+``evolve_state`` reuses that memory for F = [U V] and G = F S^T and for
+the N and M that the state takes over.  With a workspace of two or four
+planes, a loop of 2000-point sweeps faulted about 5000 pages per pass.
 
 Every product is a stack of small ones, one per head or per point.  A
 single (Z*6, 12) @ (12, 12) GEMM is faster alone, but it is big enough
@@ -72,9 +62,15 @@ _ETA = np.array([-1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
 # where row j of [U V] holds T~[j, k]: in U where x_j and x_k are both
 # annihilators or both creators, in V otherwise; (6, 2, 6), [U V] = T~ o _SLOTS
 _SLOTS = np.stack([_ETA[:, None] == _ETA, _ETA[:, None] != _ETA], axis=1).astype(float)
-_OFF_BLOCK = 1.0 - _SLOTS.reshape(N_MODES, _DIM)
-# on the real view of T: (Re, Im) factors giving conj(T) eta
-_CONJ_ETA = np.stack([_ETA, -_ETA], axis=-1).ravel()
+
+
+def _rows(block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """[U V] = T~ o _SLOTS of the transforms T in ``block`` (..., 6, 6),
+    written into ``out`` (..., 6, 12); T~ is T with its Stokes rows conjugated."""
+    tilde = block.copy()
+    np.conjugate(tilde[..., ::3, :], out=tilde[..., ::3, :])
+    np.multiply(tilde[..., None, :], _SLOTS, out=out.reshape(block.shape[:-1] + (2, N_MODES)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -116,20 +112,27 @@ def build_drift_matrix(params: CouplerParams) -> EvolutionMatrix:
 
 @dataclass(frozen=True)
 class BogoliubovTransform:
-    """The operator solution at length z: ``rows`` = [U V], the (..., 6, 12)
-    annihilator rows of the doubled propagator; U and V are views of it.
+    """The operator solution at length z: ``block`` is T, the (..., 6, 6)
+    propagator of x = (S1^+, A1, V1, S2^+, A2, V2).  The annihilator rows
+    ``rows`` = [U V] (..., 6, 12), U and V are derived from it, read-only.
 
-    Leading axes stack transforms: over a z-grid, ``rows`` is (Z, 6, 12)
+    Leading axes stack transforms: over a z-grid, ``block`` is (Z, 6, 6)
     and z is the grid.  Both are frozen as a GaussianState's arrays are.
     """
 
-    rows: np.ndarray
+    block: np.ndarray
     z: np.ndarray | float
 
     def __post_init__(self):
-        rows = _frozen(self.rows, complex, np.shape(self.rows)[:-2] + (N_MODES, _DIM))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "z", _frozen(self.z, float, rows.shape[:-2]))
+        block = _frozen(self.block, complex, np.shape(self.block)[:-2] + (N_MODES, N_MODES))
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "z", _frozen(self.z, float, block.shape[:-2]))
+
+    @property
+    def rows(self) -> np.ndarray:
+        rows = _rows(self.block, np.empty(self.block.shape[:-1] + (_DIM,), dtype=complex))
+        rows.setflags(write=False)
+        return rows
 
     @property
     def U(self) -> np.ndarray:
@@ -140,21 +143,31 @@ class BogoliubovTransform:
         return self.rows[..., N_MODES:]
 
     @classmethod
-    def identity(cls) -> "BogoliubovTransform":
-        return cls(np.eye(N_MODES, _DIM, dtype=complex), 0.0)
+    def from_rows(cls, rows: np.ndarray, z) -> "BogoliubovTransform":
+        """The transform with annihilator rows [U V] = ``rows`` (..., 6, 12); an
+        entry off the closed block raises :class:`ValidationError` naming its z."""
+        rows = _frozen(rows, complex, np.shape(rows)[:-2] + (N_MODES, _DIM))
+        halves = rows.reshape(rows.shape[:-1] + (2, N_MODES))
+        block = np.where(_SLOTS[:, 0] != 0.0, halves[..., 0, :], halves[..., 1, :])
+        np.conjugate(block[..., ::3, :], out=block[..., ::3, :])
+        t = cls(block, z)
+        stray = np.any(np.where(_SLOTS, 0.0, halves) != 0.0, axis=(-3, -2, -1))
+        if np.any(stray):
+            raise ValidationError(f"transform rows have entries off the closed block"
+                                  f"{_first_flagged(t.z, stray)[1]}")
+        return t
 
     @classmethod
-    def from_doubled(cls, mat: np.ndarray, z: float) -> "BogoliubovTransform":
+    def from_doubled(cls, mat: np.ndarray, z) -> "BogoliubovTransform":
         """The transform of a 12x12 propagator over (A; A^+): its annihilator rows."""
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape[-2:] != (_DIM, _DIM):
-            raise NumericalError(f"a doubled propagator must be {_DIM}x{_DIM} (or a stack of them)")
-        return cls(mat[..., :N_MODES, :], z)
+        mat = _frozen(mat, complex, np.shape(mat)[:-2] + (_DIM, _DIM))
+        return cls.from_rows(mat[..., :N_MODES, :], z)
 
     def doubled(self) -> np.ndarray:
         """Rebuild the full 12x12 propagator; the creator rows [V* U*] are
         the conjugates of [U V] with their halves exchanged."""
-        return np.concatenate([self.rows, np.roll(self.rows.conj(), N_MODES, axis=-1)], axis=-2)
+        rows = self.rows
+        return np.concatenate([rows, np.roll(rows.conj(), N_MODES, axis=-1)], axis=-2)
 
 
 def _even_step(flat: np.ndarray) -> float | None:
@@ -217,11 +230,10 @@ def propagator(em: EvolutionMatrix, z) -> BogoliubovTransform:
     exp(i M_B z_qB) exp(i M_B r dz), so one :func:`expm` call over the
     ~sqrt(Z) heads and B steps and one 6x6 by 6x6B product per head cover
     the grid.  A scalar or an unevenly spaced array takes B = 1, one
-    exponential per point.  Conjugating T's two Stokes rows gives T~,
-    whose row j holds A_j(z)'s coefficients, and one masked product
-    [U V] = [T~ o SAME, T~ o OTHER] puts each into its slot; the other
-    half of [U V] is exact zeros.  A non-finite transform raises
-    :class:`NumericalError` naming the first failing z.
+    exponential per point.  The products are written into one read-only
+    (Z, 6, 6) array of T, which the transform takes over without a copy.
+    A non-finite transform raises :class:`NumericalError` naming the
+    first failing z.
     """
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
@@ -230,7 +242,6 @@ def propagator(em: EvolutionMatrix, z) -> BogoliubovTransform:
     step = _even_step(flat)
     block = 1 if step is None else math.ceil(math.sqrt(flat.size))
     heads = flat[::block]
-    rows = np.empty((heads.size, block, N_MODES, _DIM), dtype=complex)
     lengths = np.concatenate([heads, (step or 0.0) * np.arange(block)])
     gen = 1j * em.matrix[_BLOCK_IX]
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
@@ -238,17 +249,15 @@ def propagator(em: EvolutionMatrix, z) -> BogoliubovTransform:
         # each head times all steps side by side is one product
         steps = exps[heads.size:].transpose(1, 0, 2).reshape(N_MODES, -1)
         pairs = exps[:heads.size] @ steps
-        stokes = pairs[:, ::3]     # the rows of S1^+ and S2^+
-        np.conjugate(stokes, out=stokes)
-        tilde = pairs.reshape(heads.size, N_MODES, block, 1, N_MODES).swapaxes(1, 2)
-        np.multiply(tilde, _SLOTS, out=rows.reshape(heads.size, block, N_MODES, 2, N_MODES))
-    rows.setflags(write=False)  # the transform takes the views over without a copy
-    rows = rows.reshape(-1, N_MODES, _DIM)[:flat.size]
-    if not np.isfinite(rows).all():
-        _, at = _first_flagged(flat, ~np.all(np.isfinite(rows), axis=(-2, -1)))
+    # point qB + r, head q times step r, at [q, r]
+    tt = pairs.reshape(heads.size, N_MODES, block, N_MODES).swapaxes(1, 2).copy()
+    tt.setflags(write=False)  # the transform takes the views over without a copy
+    tt = tt.reshape(-1, N_MODES, N_MODES)[:flat.size]
+    if not np.isfinite(tt).all():
+        _, at = _first_flagged(flat, ~np.all(np.isfinite(tt), axis=(-2, -1)))
         raise NumericalError(f"matrix exponential produced non-finite entries{at}; "
                              f"|M|={np.max(np.abs(em.matrix)):.3g}")
-    return BogoliubovTransform(rows.reshape(z.shape + (N_MODES, _DIM)), z)
+    return BogoliubovTransform(tt.reshape(z.shape + (N_MODES, N_MODES)), z)
 
 
 def rk4_propagator(em: EvolutionMatrix, z: float, h: float = 1e-4) -> BogoliubovTransform:
@@ -274,7 +283,7 @@ def rk4_propagator(em: EvolutionMatrix, z: float, h: float = 1e-4) -> Bogoliubov
 class SymplecticCheck(NamedTuple):
     """How far a transform, or a stack of them, keeps the Bogoliubov identities."""
 
-    residual: float        # max-norm violation of T eta T^H = eta and of the zeros off the block
+    residual: float        # max-norm violation of T eta T^H = eta
     scaled: float          # the largest violation of one transform over max(1, max|U|^2)
     each: np.ndarray       # that scaled violation of each transform, shaped like the stack
 
@@ -282,40 +291,29 @@ class SymplecticCheck(NamedTuple):
 def symplectic_check(t: BogoliubovTransform) -> SymplecticCheck:
     """The Bogoliubov identities over every transform of a stack, in one pass.
 
-    U U^H - V V^H = I and U V^T = V U^T hold for [U V] exactly when its
-    entries off the closed block vanish and the block's T (T~ = U + V with
-    its Stokes rows conjugated, see :func:`propagator`) keeps
-    T eta T^H = eta, eta = diag(-1, 1, 1, -1, 1, 1): the entries of that
-    identity are those of the two, up to sign and conjugation.  The
-    violation is the larger of its largest entry and the largest entry
-    off the block.
+    [U V] vanishes off the closed block by construction, so U U^H - V V^H
+    = I and U V^T = V U^T hold exactly when T eta T^H = eta, whose entries
+    are theirs up to sign and conjugation; the violation is its largest.
+    The identity cancels entries of size |U|^2 (|U| is |T| in U's slots),
+    so roundoff alone leaves a violation of a few ulps of max(1, max|U|^2):
+    ``scaled`` divides each transform's violation by that scale and stays
+    at roundoff where the absolute ``residual`` grows with the gain.
 
-    The identity cancels entries of size |U|^2, so roundoff alone leaves
-    a violation of a few ulps of max(1, max|U|^2): ``scaled`` divides each
-    transform's violation by that scale and stays at roundoff where the
-    absolute ``residual`` grows with the gain.
-
-    One workspace of four (..., 6, 6) planes holds T, then K = conj(T) eta
-    and T K^T - eta, with |[U V]| in the fourth plane and |T K^T - eta|
-    in T's spent one; ``evolve_state`` reuses its memory.
+    Of its workspace of six (..., 6, 6) planes, as many as ``evolve_state``
+    makes next, the check uses two: K = conj(T) eta and T K^T - eta, then
+    |T K^T - eta| and |T| in K's spent plane.
     """
-    f, u, v = t.rows, t.U, t.V
-    work = np.empty((4,) + f.shape[:-2] + (N_MODES, N_MODES), dtype=complex)
-    tt, k, r = work[:3]
-    np.add(u, v, out=tt)   # T~: their supports are disjoint
-    stokes = tt[..., ::3, :]   # T: the rows of S1^+ and S2^+ conjugated back
-    np.conjugate(stokes, out=stokes)
-    np.multiply(tt.view(float), _CONJ_ETA, out=k.view(float))
+    tt = t.block
+    k, r = np.empty((6,) + tt.shape, dtype=complex)[:2]
+    np.multiply(tt.real, _ETA, out=k.real)
+    np.multiply(tt.imag, -_ETA, out=k.imag)
     np.matmul(tt, k.swapaxes(-1, -2), out=r)
     diagonal = r.reshape(r.shape[:-2] + (-1,))[..., ::N_MODES + 1]   # a writeable view
     np.subtract(diagonal, _ETA, out=diagonal)
-    mag = np.abs(r, out=tt.reshape(-1).view(float)[:r.size].reshape(r.shape))
-    violation = np.max(mag, axis=(-2, -1))
-    size = np.abs(f, out=work[3].view(float).reshape(f.shape))
-    scale = np.maximum(1.0, np.max(size[..., :N_MODES], axis=(-2, -1)) ** 2)
-    size *= _OFF_BLOCK
-    if size.max(initial=0.0) != 0.0:   # entries off the block are exact zeros, or violations
-        violation = np.maximum(violation, np.max(size, axis=(-2, -1)))
+    mag, size = k.reshape(-1).view(float).reshape((2,) + r.shape)
+    violation = np.max(np.abs(r, out=mag), axis=(-2, -1))
+    np.multiply(np.abs(tt, out=size), _SLOTS[:, 0], out=size)
+    scale = np.maximum(1.0, np.max(size, axis=(-2, -1)) ** 2)
     each = violation / scale
     return SymplecticCheck(residual=float(np.max(violation, initial=0.0)),
                            scaled=float(np.max(each, initial=0.0)), each=each)
@@ -332,18 +330,21 @@ def evolve_state(t: BogoliubovTransform, s0: GaussianState) -> GaussianState:
     stack of transforms takes the one input state to a state stacked
     likewise.
 
-    Each product is a stack of one small product per transform: G = F S^T
-    and M = F G^T.  Since N is Hermitian, N = conj(G J) F^T, and G J is G
-    with its halves exchanged, done in place through N's memory before N
-    is written.  N and M are written into one array of two (..., 6, 6)
-    planes that the state keeps; G's array is freed on return, after
-    serving as the scratch for restoring the exact symmetries.
+    Each product is a stack of one small product per transform.  F, built
+    from T, and G = F S^T share one scratch array; the moments stay on
+    the twelve-wide rows, since on the 6x6 block a Stokes mode's N comes
+    out as C - 1 and cancels.  M = F G^T, and as N is Hermitian,
+    N = conj(G J) F^T, with G J (G's halves exchanged) made in place
+    through N's memory.  N and M go into one array of two (..., 6, 6)
+    planes that the state keeps; G's spent plane serves for restoring the
+    exact symmetries.
     """
-    f = t.rows
+    tt = t.block
     s_t = np.roll(s0.antinormal_covariance(), N_MODES, axis=-1).T
-    nm = np.empty((2,) + f.shape[:-2] + (N_MODES, N_MODES), dtype=complex)
+    nm = np.empty((2,) + tt.shape, dtype=complex)
     n1, m1 = nm
-    g = np.matmul(f, s_t, out=np.empty_like(f))
+    f, g = np.empty((2,) + tt.shape[:-1] + (_DIM,), dtype=complex)
+    np.matmul(_rows(tt, f), s_t, out=g)
     np.matmul(f, g.swapaxes(-1, -2), out=m1)
     # conj(G J): exchange G's halves through N's plane, conjugating
     np.copyto(n1, g[..., :N_MODES])

@@ -313,14 +313,13 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
         variances.append(np.sum(0.5 * lam**2 + w * lam, axis=-1))
         singular = np.any(1.0 + lam <= _MIN_PIVOT, axis=-1)
         _fail(state, sel, singular, "generating function singular at s=1.0",
-              lambda i: f"covariance eigenvalue {np.min(lam[singular]):.6g} (state is "
-                        "unphysical or too close to singular)")
+              lambda i: f"covariance eigenvalue {np.min(lam.reshape(-1, lam.shape[-1])[i]):.6g} "
+                        "(state is unphysical or too close to singular)")
         p_n = _g_jet(lam, w, n_max)
         p_n[..., 1::2] *= -1.0   # (-1)^n, in place
         dead = np.all(p_n == 0.0, axis=-1)
         _fail(state, sel, dead, f"p(n) for n <= {n_max} underflows",
-              lambda i: f"<W> = {float(np.max(np.asarray(mean_w)[dead])):.6g} lies too far "
-                        "beyond n_max")
+              lambda i: f"<W> = {float(np.ravel(mean_w)[i]):.6g} lies too far beyond n_max")
     # |d| > 1e-8 max(1, |var|, <W>^2), with the <W>^2 term as (|d|/<W>)/<W>,
     # which stays finite where <W>^2 overflows; it only matters for <W> > 1
     tolerance = 1e-8 * np.maximum(1.0, np.abs(var_formula))

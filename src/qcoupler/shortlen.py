@@ -49,7 +49,7 @@ def _rows_poly(params: CouplerParams) -> np.ndarray:
 
 def short_propagator(params: CouplerParams, z: float) -> BogoliubovTransform:
     """Bogoliubov transform accurate through z^2 (error is O(z^3))."""
-    return BogoliubovTransform(_poly_eval(_rows_poly(params), z), float(z))
+    return BogoliubovTransform.from_rows(_poly_eval(_rows_poly(params), z), float(z))
 
 
 def shortlen_polys(params: CouplerParams, s0: GaussianState) -> GaussianState:

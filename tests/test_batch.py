@@ -438,3 +438,24 @@ def test_every_alarm_names_the_first_flagged_point(monkeypatch, what, run, stack
     message = str(info.value)
     assert message.startswith(what + (f" at z={Z_STACK[0, 2]}" if stacked else ""))
     assert (" at z" in message) == stacked
+
+
+@pytest.mark.parametrize("entry, first, later, quoted", [
+    ("N", -1.5, -30.0, "covariance eigenvalue -1.5 "),
+    ("xi", 100.0, 1e4, "<W> = 10000 "),
+])
+def test_alarm_quotes_the_value_of_the_point_it_names(entry, first, later, quoted):
+    """The singular-pivot and dead-p(n) alarms of a 6-point sweep that
+    fails at z = 0.4 and z = 0.8 name z = 0.4 and quote S1's value there,
+    not the worst over both points."""
+    states = _sweep_state(6)
+    xi, n = np.array(states.xi), np.array(states.N)
+    for i, value in ((2, first), (4, later)):
+        if entry == "xi":
+            xi[i, ModeId.S1] = value
+        else:
+            n[i, ModeId.S1, ModeId.S1] = value
+    spoiled = GaussianState(xi, n, states.M, z=states.z)
+    with pytest.raises(NumericalError) as info:
+        stats_report(spoiled, ModeSelection((ModeId.S1,)), k_max=2, n_max=8, include_pn=True)
+    assert f"at z=0.4 for selection S1: {quoted}" in str(info.value)

@@ -41,6 +41,11 @@ from conftest import (
 )
 
 S1, A1, V1, S2, A2, V2 = range(6)
+# Positions of [U V] off the closed block over x = (S1^+, A1, V1, S2^+, A2, V2):
+# row j's U entry k is off the block where exactly one of j, k is a Stokes mode
+_STOKES_MODES = np.isin(np.arange(6), (S1, S2))
+_OFF_BLOCK = np.hstack([_STOKES_MODES[:, None] != _STOKES_MODES,
+                        _STOKES_MODES[:, None] == _STOKES_MODES])
 
 
 def ann(j):      # doubled-basis row of the annihilator of mode j
@@ -113,33 +118,64 @@ def test_drift_matrix_block_form_over_annihilators_then_creators():
         assert l[S2, V2] == params.gS2
 
 
-def test_transform_is_its_rows():
-    assert [f.name for f in dataclasses.fields(BogoliubovTransform)] == ["rows", "z"]
-    rows = np.arange(72, dtype=complex).reshape(6, 12).copy()    # owns its memory
-    t = BogoliubovTransform(rows, 0.5)
-    assert np.array_equal(t.U, rows[:, :6]) and np.array_equal(t.V, rows[:, 6:])
-    assert not t.U.flags.writeable and np.shares_memory(t.U, t.rows)
+def test_transform_holds_its_block():
+    assert [f.name for f in dataclasses.fields(BogoliubovTransform)] == ["block", "z"]
+    block = np.arange(36, dtype=complex).reshape(6, 6) * (1 + 0.5j)    # owns its memory
+    t = BogoliubovTransform(block, 0.5)
+    # [U V] is T with its Stokes rows conjugated, each entry in U where its row
+    # and column modes are both Stokes or both not, in V otherwise
+    same = _STOKES_MODES[:, None] == _STOKES_MODES
+    tilde = np.where(_STOKES_MODES[:, None], block.conj(), block)
+    assert np.array_equal(t.U, np.where(same, tilde, 0))
+    assert np.array_equal(t.V, np.where(same, 0, tilde))
+    assert np.array_equal(t.rows, np.hstack([t.U, t.V]))
+    assert not (t.rows.flags.writeable or t.U.flags.writeable or t.V.flags.writeable)
     # a writeable array is copied and stays the caller's
-    assert rows.flags.writeable and not np.shares_memory(t.rows, rows)
-    rows[0, 0] = -1.0
-    assert t.rows[0, 0] == 0.0
+    assert block.flags.writeable and not np.shares_memory(t.block, block)
+    block[0, 0] = -1.0
+    assert t.block[0, 0] == 0.0
     # a read-only array whose memory no writeable array holds is taken over
-    rows.setflags(write=False)
-    assert BogoliubovTransform(rows, 0.5).rows is rows
-    view = rows[None]
-    assert BogoliubovTransform(view, [0.5]).rows is view
+    block.setflags(write=False)
+    assert BogoliubovTransform(block, 0.5).block is block
+    view = block[None]
+    assert BogoliubovTransform(view, [0.5]).block is view
     # a read-only view of writeable memory is copied
-    owner = np.zeros((6, 12), dtype=complex)
+    owner = np.zeros((6, 6), dtype=complex)
     ro = owner[:]
     ro.setflags(write=False)
-    assert BogoliubovTransform(ro, 0.0).rows is not ro
-    for bad in (np.zeros((6, 6)), np.zeros(12), np.zeros((12, 12))):
+    assert BogoliubovTransform(ro, 0.0).block is not ro
+    for bad in (np.zeros((6, 12)), np.zeros(6), np.zeros((12, 12))):
         with pytest.raises(ValidationError):
             BogoliubovTransform(bad, 0.0)
     with pytest.raises(ValidationError):
-        BogoliubovTransform(np.zeros((3, 6, 12)), 0.0)     # one z per transform
+        BogoliubovTransform(np.zeros((3, 6, 6)), 0.0)     # one z per transform
     with pytest.raises(ValidationError):
         EvolutionMatrix(np.zeros((6, 6)))
+
+
+def test_malformed_transform_input_is_a_validation_error():
+    t = propagator(build_drift_matrix(random_couplings(np.random.default_rng(9))),
+                   np.linspace(0.0, 1.0, 5))
+    for bad in (np.zeros((6, 12)), np.zeros((12, 6)), np.zeros((5, 12, 13))):
+        with pytest.raises(ValidationError, match="expected array of shape"):
+            BogoliubovTransform.from_doubled(bad, 0.0)
+    for bad in (np.zeros((6, 6)), np.zeros(12)):
+        with pytest.raises(ValidationError, match="expected array of shape"):
+            BogoliubovTransform.from_rows(bad, 0.0)
+    with pytest.raises(ValidationError):
+        BogoliubovTransform.from_rows(t.rows, 0.0)            # one z per transform
+    # S1 couples to A1^+ only: U[S1, A1] lies off the block, as does V[V1, V1]
+    rows = np.array(t.rows)
+    rows[3, S1, A1] = 1e-9
+    with pytest.raises(ValidationError, match=f"off the closed block at z={t.z[3]}$"):
+        BogoliubovTransform.from_rows(rows, t.z)
+    rows[1, V1, 6 + V1] = 1e-300
+    with pytest.raises(ValidationError, match=f"off the closed block at z={t.z[1]}$"):
+        BogoliubovTransform.from_rows(rows, t.z)
+    doubled = t.doubled()
+    doubled[4, A2, S2] = np.nan
+    with pytest.raises(ValidationError, match=f"off the closed block at z={t.z[4]}$"):
+        BogoliubovTransform.from_doubled(doubled, t.z)
 
 
 def test_doubled_round_trip():
@@ -149,6 +185,7 @@ def test_doubled_round_trip():
     assert np.array_equal(doubled[..., 6:, :6], t.V.conj())
     assert np.array_equal(doubled[..., 6:, 6:], t.U.conj())
     assert np.array_equal(BogoliubovTransform.from_doubled(doubled, t.z).rows, t.rows)
+    assert np.array_equal(BogoliubovTransform.from_doubled(doubled, t.z).block, t.block)
 
 
 def test_propagator_zero_matrix_is_identity():
@@ -191,7 +228,7 @@ def test_symplectic_residual_random():
 
 
 def test_symplectic_residual_identity_and_hyperbolic():
-    assert symplectic_check(BogoliubovTransform.identity()).residual == 0.0
+    assert symplectic_check(BogoliubovTransform(np.eye(6), 0.0)).residual == 0.0
     t = propagator(build_drift_matrix(quiet_params(gS1=1.0)), 2.0)
     assert symplectic_check(t).residual < 1e-12     # cosh^2 - sinh^2 = 1
 
@@ -207,6 +244,9 @@ def test_semigroup_composition():
         chained = propagator(em, z2).rows @ propagator(em, z1).doubled()
         assert np.max(np.abs(direct.U - chained[:, :6])) < 1e-9
         assert np.max(np.abs(direct.V - chained[:, 6:])) < 1e-9
+        # and on the closed block, T(z1 + z2) = T(z2) T(z1)
+        chained = propagator(em, z2).block @ propagator(em, z1).block
+        assert np.max(np.abs(direct.block - chained)) < 1e-9
 
 
 def test_evolve_state_semigroup_over_a_grid():
@@ -238,7 +278,7 @@ def test_waveguide_exchange_symmetry():
 def test_evolve_identity_keeps_state():
     rng = np.random.default_rng(1)
     s0 = build_input_state(random_inputs(rng))
-    s1 = evolve_state(BogoliubovTransform.identity(), s0)
+    s1 = evolve_state(BogoliubovTransform(np.eye(6), 0.0), s0)
     assert np.allclose(s1.xi, s0.xi) and np.allclose(s1.B, s0.B)
     assert np.allclose(s1.C, s0.C)
 
@@ -251,7 +291,7 @@ def test_evolve_keeps_entries_beyond_half_the_double_range():
                      build_input_state(inputs))
     assert s.N[S1, S1] == 9e307 and np.isfinite(s.N).all()
     big = np.diag([1.6e308, 0.0, 0.0, 0.0, 0.0, 0.0])
-    s = evolve_state(BogoliubovTransform.identity(),
+    s = evolve_state(BogoliubovTransform(np.eye(6), 0.0),
                      GaussianState(xi=np.zeros(6), N=big, M=0.9 * big))
     assert s.N[S1, S1] == 1.6e308 and s.M[S1, S1] == 0.9 * 1.6e308
 
@@ -424,8 +464,19 @@ def test_scaled_symplectic_residual_stays_at_roundoff_as_the_gain_grows():
 def test_grid_arrays_are_views_of_one_allocation():
     em = build_drift_matrix(quiet_params(gS1=0.5, gA1=1.0, kappaS=0.3))
     t = propagator(em, np.linspace(0.0, 1.0, 50))
-    assert t.rows.shape == (50, 6, 12) and not t.rows.flags.writeable
-    assert np.shares_memory(t.U, t.rows) and np.shares_memory(t.V, t.rows)
+    # T is a read-only view of the one array the propagator wrote (56
+    # points: 7 heads of 8 steps), taken over without a copy
+    owner = t.block
+    while owner.base is not None:
+        owner = owner.base
+    assert t.block.shape == (50, 6, 6) and not t.block.flags.writeable
+    assert owner is not t.block and not owner.flags.writeable
+    assert t.block.nbytes <= owner.nbytes < 2 * t.block.nbytes
+    assert BogoliubovTransform(t.block, t.z).block is t.block
+    # the derived rows vanish off the block and give T back exactly; only
+    # the sign of a zero can differ, which the masked product does not keep
+    assert np.all(t.rows[:, _OFF_BLOCK] == 0.0)
+    assert np.array_equal(BogoliubovTransform.from_rows(t.rows, t.z).block, t.block)
     s = evolve_state(t, build_input_state(random_inputs(np.random.default_rng(4))))
     assert s.N.base is not None and s.N.base is s.M.base    # one array of two planes
     assert np.array_equal(s.z, t.z)
@@ -506,13 +557,6 @@ _long_grids = st.one_of(
               st.floats(0.1, 50.0), st.integers(3, 50)),
 )
 
-# Positions of [U V] off the closed block over x = (S1^+, A1, V1, S2^+, A2, V2):
-# row j's U entry k is off the block where exactly one of j, k is a Stokes mode
-_STOKES_MODES = np.isin(np.arange(6), (S1, S2))
-_OFF_BLOCK = np.hstack([_STOKES_MODES[:, None] != _STOKES_MODES,
-                        _STOKES_MODES[:, None] == _STOKES_MODES])
-
-
 def _bogoliubov_violation(t):
     """Each transform's max-norm violation of U U^H - V V^H = I and
     U V^T = V U^T, written out over all twelve columns."""
@@ -529,7 +573,7 @@ def _bogoliubov_violation(t):
 def test_block_route_keeps_the_bogoliubov_identities(guides, kappas, zs, spot):
     """The propagator's rows vanish off the closed block; the check on the
     block agrees with both twelve-wide identities to 16 ulps of its scale,
-    and a 1e-9 entry off the block is a violation of at least 1e-9."""
+    and rows with a 1e-9 entry off the block make no transform."""
     (gs1, r1, ps1, pa1), (gs2, r2, ps2, pa2) = guides
     (ks, pks), (ka, pka) = kappas
     em = build_drift_matrix(quiet_params(
@@ -546,7 +590,8 @@ def test_block_route_keeps_the_bogoliubov_identities(guides, kappas, zs, spot):
     point, entry = spot[0] % zs.size, spot[1]
     rows = np.array(t.rows)
     rows[point][_OFF_BLOCK] += np.where(np.arange(36) == entry, 1e-9, 0.0)
-    assert symplectic_check(BogoliubovTransform(rows, t.z)).residual >= 1e-9
+    with pytest.raises(ValidationError, match=f"off the closed block at z={zs[point]}$"):
+        BogoliubovTransform.from_rows(rows, t.z)
 
 
 def test_drift_matrix_must_close_on_the_block():
