@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Runs qcoupler as it runs with numpy alone: scipy serves only the tests
-# and the benchmark, so the workflow uninstalls it before this script,
+# Runs qcoupler as it runs with numpy alone: scipy serves only the
+# benchmark, so the workflow uninstalls it before this script,
 # which runs the same with scipy installed.  The check suite runs with
 # warnings as errors, every preset runs twice, in two processes with
 # different string hashing, and both runs must write the same files byte

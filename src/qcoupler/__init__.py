@@ -37,7 +37,6 @@ from .model import (
 )
 from .dynamics import (
     BogoliubovTransform,
-    EvolutionMatrix,
     SymplecticCheck,
     build_drift_matrix,
     conservation_residual,

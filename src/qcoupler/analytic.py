@@ -20,7 +20,7 @@ import numpy as np
 
 from .exceptions import UnsupportedConfigurationError
 from .dynamics import BogoliubovTransform
-from .model import CouplerParams, EXCHANGE_PERMUTATION, N_MODES
+from .model import CouplerParams, EXCHANGE_PERMUTATION, N_MODES, _as_scalar
 
 DEFAULT_CONDITION_TOL = 1e-12
 
@@ -146,6 +146,7 @@ def analytic_propagator(params: CouplerParams, z: float) -> BogoliubovTransform:
         If the matched-coupling conditions fail, or
         if |gS1| = |gA1| makes the closed form singular.
     """
+    z = _as_scalar(z, "z")
     if not conditions_satisfied(params):
         raise UnsupportedConfigurationError(
             "parameters violate the matched-coupling conditions of the closed form"
@@ -155,4 +156,4 @@ def analytic_propagator(params: CouplerParams, z: float) -> BogoliubovTransform:
     # second guide: swap parameters, then relabel columns
     u2, v2 = _guide_rows(params.swapped(), factors)
     perm = np.asarray(EXCHANGE_PERMUTATION)
-    return BogoliubovTransform.from_rows(np.block([[u1, v1], [u2[:, perm], v2[:, perm]]]), float(z))
+    return BogoliubovTransform.from_rows(np.block([[u1, v1], [u2[:, perm], v2[:, perm]]]), z)

@@ -35,7 +35,6 @@ from .exceptions import (
 )
 from .analytic import analytic_propagator
 from .dynamics import (
-    build_drift_matrix,
     conservation_residual,
     evolve_state,
     propagator,
@@ -110,13 +109,13 @@ def run_scenario(cfg: ScenarioConfig) -> SweepResult:
     the sweep raises :class:`NumericalError`; above 1e-10 it warns with
     :class:`PrecisionWarning`.  Both name the first z past the bound.
     """
-    em = build_drift_matrix(validate_params(cfg.params))
+    params = validate_params(cfg.params)
     s0 = build_input_state(cfg.inputs)
     observables = cfg.effective_observables()
     pn_selections = {sel for tag, sel in observables if tag == "pn"}
     quadrature_selections = {sel for tag, sel in observables if tag in ("squeeze", "quadratures")}
     zs = cfg.z_grid()
-    transforms = propagator(em, zs)
+    transforms = propagator(params, zs)
     # an overflow leaves a non-finite residual or statistic, which is raised
     with np.errstate(over="ignore", invalid="ignore"):
         # checked before the state is evolved, whose arrays then reuse the
@@ -232,10 +231,9 @@ def emit_csv(result: SweepResult, destination) -> list:
 def _check_analytic():
     tol = 1e-8  # the two agree to about 3e-15
     params = CouplerParams(gS1=1, gA1=2, gS2=1, gA2=2, kappaS=1, kappaA=-1)
-    em = build_drift_matrix(params)
     worst = 0.0
     for z in (0.1, 1.0, 5.0):
-        diff = propagator(em, z).block - analytic_propagator(params, z).block
+        diff = propagator(params, z).block - analytic_propagator(params, z).block
         worst = max(worst, float(np.max(np.abs(diff))))
     return worst < tol, f"closed-form vs numerical propagator: max diff {worst:.3e} (tol {tol:g})"
 
@@ -251,10 +249,9 @@ def _check_shortlen():
         vals = [cmath.rect(mag, phase) for mag, phase in zip(mags, phases)]
         params = CouplerParams(gS1=vals[0], gA1=vals[1], gS2=vals[2],
                                gA2=vals[3], kappaS=vals[4], kappaA=vals[5])
-        em = build_drift_matrix(params)
 
         def err(z):
-            return float(np.max(np.abs(propagator(em, z).block - short_propagator(params, z).block)))
+            return float(np.max(np.abs(propagator(params, z).block - short_propagator(params, z).block)))
 
         ratios.append(err(1e-2) / err(5e-3))
     ok = all(7.0 <= r <= 9.0 for r in ratios)
@@ -292,8 +289,7 @@ def _check_oracle():
         cfg = FockConfig(modes=tuple(specs), cutoffs=cutoffs, params=params)
         ensemble = evolve_fock(cfg, [specs[m] for m in cfg.modes], z)
         inputs = [specs.get(mode, VACUUM_INPUT) for mode in ModeId]
-        state = evolve_state(propagator(build_drift_matrix(params), z),
-                             build_input_state(inputs))
+        state = evolve_state(propagator(params, z), build_input_state(inputs))
         for modes in selections:
             sel = ModeSelection(modes)
             fock = fock_statistics(ensemble, sel)
@@ -375,7 +371,8 @@ def main(argv=None) -> int:
             default_out = f"{args.preset}.csv"
         else:
             try:
-                with open(args.scenario, encoding="utf-8") as fh:
+                # "-sig" drops the byte order mark some editors write first
+                with open(args.scenario, encoding="utf-8-sig") as fh:
                     text = fh.read()
             except OSError as exc:
                 print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)

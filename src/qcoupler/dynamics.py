@@ -10,7 +10,10 @@ Bogoliubov transform,
     A_j(z) = sum_k U[j,k] A_k(0) + V[j,k] A_k^+(0),
 
 which preserves the bosonic commutators: U U^H - V V^H = I and
-U V^T - V U^T = 0.
+U V^T - V U^T = 0.  ``build_drift_matrix`` is the one source of M, and
+every solution route takes the couplings and a length, (params, z):
+``propagator`` here, ``rk4_propagator`` as its 12x12 reference, and the
+closed form and the short-length expansion in their own modules.
 
 The pumped couplings join each Stokes mode only to the conjugates of
 its phonon and of the other guide's Stokes mode, so over
@@ -48,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import NumericalError, ValidationError
-from .model import CouplerParams, GaussianState, N_MODES, _first_flagged, _frozen
+from .model import CouplerParams, GaussianState, N_MODES, _as_scalar, _first_flagged, _frozen
 
 _DIM = 2 * N_MODES
 # x = (S1^+, A1, V1, S2^+, A2, V2): the positions in (A; A^+) of six
@@ -56,8 +59,6 @@ _DIM = 2 * N_MODES
 # other six are their conjugates.  eta holds their commutators [x, x^+].
 _BLOCK = np.array([6, 1, 2, 9, 4, 5])
 _BLOCK_IX = np.ix_(_BLOCK, _BLOCK)
-_PAIRED = np.concatenate([_BLOCK, (_BLOCK + N_MODES) % _DIM])   # x, then conj(x)
-_CLOSED = np.ix_(_PAIRED, _PAIRED)
 _ETA = np.array([-1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
 # where row j of [U V] holds T~[j, k]: in U where x_j and x_k are both
 # annihilators or both creators, in V otherwise; (6, 2, 6), [U V] = T~ o _SLOTS
@@ -73,32 +74,15 @@ def _rows(block: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class EvolutionMatrix:
-    """The 12x12 drift matrix M, read-only; ``propagator`` exponentiates its
-    closed block M[_BLOCK][:, _BLOCK].  M must couple the block's six
-    operators only among themselves and their conjugates likewise, as
-    every coupler's does, so that the block determines the propagator."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _frozen(self.matrix, complex, (_DIM, _DIM))
-        # over (x; conj x): [[M_B, 0], [0, -conj(M_B)]]
-        p = m[_CLOSED]
-        if (p[:N_MODES, N_MODES:].any() or p[N_MODES:, :N_MODES].any()
-                or (p[N_MODES:, N_MODES:] != -p[:N_MODES, :N_MODES].conj()).any()):
-            raise ValidationError("a drift matrix must couple (S1^+, A1, V1, S2^+, A2, V2) "
-                                  "only among themselves, and their conjugates likewise")
-        object.__setattr__(self, "matrix", m)
-
-
-def build_drift_matrix(params: CouplerParams) -> EvolutionMatrix:
-    """The drift matrix M = [[K, L], [-L*, -K*]] over (A; A^+).
+def build_drift_matrix(params: CouplerParams) -> np.ndarray:
+    """The drift matrix M = [[K, L], [-L*, -K*]] over (A; A^+), a read-only
+    12x12 array.
 
     In each guide (S, A, V), K[A, V] = gA and L[S, V] = L[V, S] = gS.
     Across the guides K[S1, S2] = kappaS* and K[A1, A2] = kappaA*; K is
-    Hermitian, which realizes the guide-exchange symmetry.
+    Hermitian, which realizes the guide-exchange symmetry.  Over
+    (x; conj x) M is [[M_B, 0], [0, -conj(M_B)]]: the pumped couplings
+    join the block's six operators only among themselves.
     """
     k = np.zeros((N_MODES, N_MODES), dtype=complex)
     l = np.zeros_like(k)
@@ -107,7 +91,9 @@ def build_drift_matrix(params: CouplerParams) -> EvolutionMatrix:
         l[s, s + 2] = l[s + 2, s] = gs
     k[0, 3], k[1, 4] = np.conj(params.kappaS), np.conj(params.kappaA)
     k += k.conj().T
-    return EvolutionMatrix(np.block([[k, l], [-l.conj(), -k.conj()]]))
+    m = np.block([[k, l], [-l.conj(), -k.conj()]])
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)
@@ -217,19 +203,20 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def propagator(em: EvolutionMatrix, z) -> BogoliubovTransform:
-    """Bogoliubov transform after propagation over length z; an array of
-    lengths (a z-grid) gives the transforms stacked over it.
+def propagator(params: CouplerParams, z) -> BogoliubovTransform:
+    """Bogoliubov transform of the coupler ``params`` after propagation
+    over length z; an array of lengths (a z-grid) gives the transforms
+    stacked over it.
 
     The one place where exp(i M z) is formed, always by the numpy Pade-13
     scaling-and-squaring of :func:`expm`, which stays accurate where M is
-    defective.  Only the closed block is exponentiated: T = exp(i M_B z)
-    with M_B = M[_BLOCK][:, _BLOCK], the 6x6 generator over
-    x = (S1^+, A1, V1, S2^+, A2, V2).  An evenly spaced grid of Z points
-    is cut into blocks of B = ceil(sqrt(Z)): point qB + r is
-    exp(i M_B z_qB) exp(i M_B r dz), so one :func:`expm` call over the
-    ~sqrt(Z) heads and B steps and one 6x6 by 6x6B product per head cover
-    the grid.  A scalar or an unevenly spaced array takes B = 1, one
+    defective.  Only the closed block of M = ``build_drift_matrix(params)``
+    is exponentiated: T = exp(i M_B z) with M_B = M[_BLOCK][:, _BLOCK],
+    the 6x6 generator over x = (S1^+, A1, V1, S2^+, A2, V2).  An evenly
+    spaced grid of Z points is cut into blocks of B = ceil(sqrt(Z)): point
+    qB + r is exp(i M_B z_qB) exp(i M_B r dz), so one :func:`expm` call
+    over the ~sqrt(Z) heads and B steps and one 6x6 by 6x6B product per
+    head cover the grid.  A scalar or an unevenly spaced array takes B = 1, one
     exponential per point.  The products are written into one read-only
     (Z, 6, 6) array of T, which the transform takes over without a copy.
     A non-finite transform raises :class:`NumericalError` naming the
@@ -243,7 +230,8 @@ def propagator(em: EvolutionMatrix, z) -> BogoliubovTransform:
     block = 1 if step is None else math.ceil(math.sqrt(flat.size))
     heads = flat[::block]
     lengths = np.concatenate([heads, (step or 0.0) * np.arange(block)])
-    gen = 1j * em.matrix[_BLOCK_IX]
+    m_b = build_drift_matrix(params)[_BLOCK_IX]
+    gen = 1j * m_b
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         exps = expm(gen * lengths[:, None, None])
         # each head times all steps side by side is one product
@@ -256,18 +244,22 @@ def propagator(em: EvolutionMatrix, z) -> BogoliubovTransform:
     if not np.isfinite(tt).all():
         _, at = _first_flagged(flat, ~np.all(np.isfinite(tt), axis=(-2, -1)))
         raise NumericalError(f"matrix exponential produced non-finite entries{at}; "
-                             f"|M|={np.max(np.abs(em.matrix)):.3g}")
+                             f"|M|={np.max(np.abs(m_b)):.3g}")
     return BogoliubovTransform(tt.reshape(z.shape + (N_MODES, N_MODES)), z)
 
 
-def rk4_propagator(em: EvolutionMatrix, z: float, h: float = 1e-4) -> BogoliubovTransform:
-    """Fixed-step fourth-order integration of dE/dz = i M E from E(0) = I.
+def rk4_propagator(params: CouplerParams, z: float, h: float = 1e-4) -> BogoliubovTransform:
+    """Fixed-step fourth-order integration of dE/dz = i M E from E(0) = I,
+    with M = ``build_drift_matrix(params)``, on the full 12x12 system.
 
     Deliberately independent of the matrix-exponential route; used as a
-    cross-check oracle.  The step is shrunk slightly if needed so the
-    integration lands exactly on z.
+    cross-check oracle.  Its 12x12 result goes through
+    :meth:`BogoliubovTransform.from_doubled`, so a drift matrix that
+    couples the closed block to anything else fails there.  The step is
+    shrunk slightly if needed so the integration lands exactly on z.
     """
-    gen = 1j * em.matrix
+    z = _as_scalar(z, "z")
+    gen = 1j * build_drift_matrix(params)
     steps = max(1, int(np.ceil(abs(z) / h - 1e-12)))
     step = z / steps
     e = np.eye(_DIM, dtype=complex)
@@ -277,7 +269,7 @@ def rk4_propagator(em: EvolutionMatrix, z: float, h: float = 1e-4) -> Bogoliubov
         k3 = gen @ (e + 0.5 * step * k2)
         k4 = gen @ (e + step * k3)
         e = e + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return BogoliubovTransform.from_doubled(e, float(z))
+    return BogoliubovTransform.from_doubled(e, z)
 
 
 class SymplecticCheck(NamedTuple):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import ValidationError
 from .dynamics import BogoliubovTransform, build_drift_matrix
-from .model import CouplerParams, GaussianState, N_MODES
+from .model import CouplerParams, GaussianState, N_MODES, _as_scalar
 
 _ORDER = 2  # expansion valid through z^2
 
@@ -43,13 +43,14 @@ def _poly_eval(coeffs: np.ndarray, z: float) -> np.ndarray:
 
 def _rows_poly(params: CouplerParams) -> np.ndarray:
     """[U V] of I + iMz - M^2 z^2/2 as a degree-2 matrix polynomial, (3, 6, 12)."""
-    gen = 1j * build_drift_matrix(params).matrix
+    gen = 1j * build_drift_matrix(params)
     return np.stack([np.eye(2 * N_MODES, dtype=complex), gen, 0.5 * (gen @ gen)])[:, :N_MODES]
 
 
 def short_propagator(params: CouplerParams, z: float) -> BogoliubovTransform:
     """Bogoliubov transform accurate through z^2 (error is O(z^3))."""
-    return BogoliubovTransform.from_rows(_poly_eval(_rows_poly(params), z), float(z))
+    z = _as_scalar(z, "z")
+    return BogoliubovTransform.from_rows(_poly_eval(_rows_poly(params), z), z)
 
 
 def shortlen_polys(params: CouplerParams, s0: GaussianState) -> GaussianState:
@@ -69,5 +70,6 @@ def shortlen_polys(params: CouplerParams, s0: GaussianState) -> GaussianState:
 def shortlen_state(params: CouplerParams, s0: GaussianState, z: float) -> GaussianState:
     """The short-length state at length z, accurate through z^2:
     :func:`shortlen_polys` evaluated at z."""
+    z = _as_scalar(z, "z")
     polys = shortlen_polys(params, s0)
     return GaussianState(*(_poly_eval(a, z) for a in (polys.xi, polys.N, polys.M)), z=z)

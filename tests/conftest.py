@@ -18,7 +18,7 @@ from hypothesis import Phase
 
 import qcoupler.gaussian_stats as gaussian_stats
 from qcoupler.cli import run_scenario
-from qcoupler.dynamics import _BLOCK_IX
+from qcoupler.dynamics import _BLOCK_IX, build_drift_matrix
 from qcoupler.exceptions import TruncationWarning
 from qcoupler.model import (
     EXCHANGE_PERMUTATION,
@@ -53,12 +53,13 @@ def quiet_params(**kwargs) -> CouplerParams:
 TRUNCATED_PN = {"fig7": "S1A1"}
 
 
-def growth_rate(em) -> float:
-    """Largest real part of the eigenvalues of i M: above 0 the coupler has
-    gain.  Read on the closed 6x6 block, whose partner block has the
-    conjugate eigenvalues; on the full 12x12 matrix LAPACK's ``geev`` does
-    not converge for some couplings near 1e-70."""
-    return float(np.max(np.linalg.eigvals(1j * em.matrix[_BLOCK_IX]).real))
+def growth_rate(params) -> float:
+    """Largest real part of the eigenvalues of i M, M the drift matrix of
+    ``params``: above 0 the coupler has gain.  Read on the closed 6x6
+    block, whose partner block has the conjugate eigenvalues; on the full
+    12x12 matrix LAPACK's ``geev`` does not converge for some couplings
+    near 1e-70."""
+    return float(np.max(np.linalg.eigvals(1j * build_drift_matrix(params)[_BLOCK_IX]).real))
 
 
 def run_truncated(cfg, selection=None):

@@ -14,7 +14,6 @@ import pytest
 
 from qcoupler.analytic import analytic_propagator
 from qcoupler.dynamics import (
-    build_drift_matrix,
     conservation_residual,
     evolve_state,
     propagator,
@@ -67,11 +66,8 @@ def preset_states():
     out = {}
     for name in PRESET_NAMES:
         cfg = load_preset(name)
-        em = build_drift_matrix(quiet_params(**{
-            k: getattr(cfg.params, k)
-            for k in ("gS1", "gA1", "gS2", "gA2", "kappaS", "kappaA")}))
         s0 = build_input_state(cfg.inputs)
-        out[name] = evolve_state(propagator(em, cfg.z_grid()), s0)
+        out[name] = evolve_state(propagator(cfg.params, cfg.z_grid()), s0)
     return out
 
 
@@ -91,9 +87,8 @@ def test_criterion_1_symplectic_residual():
     n_bounded = 0
     for _ in range(100):
         params = random_couplings(rng, mag=10.0)
-        em = build_drift_matrix(params)
         for z in (0.1, 1.0, 5.0):
-            t = propagator(em, z)
+            t = propagator(params, z)
             residual = symplectic_check(t).residual
             size = float(np.max(np.abs(t.U)))
             worst_scaled = max(worst_scaled, residual / max(1.0, size**2))
@@ -116,17 +111,16 @@ def test_criterion_2_conservation_on_presets(preset_states):
 
 def test_criterion_3_cross_method_propagators():
     params = quiet_params(gS1=1, gA1=2, gS2=1, gA2=2, kappaS=1, kappaA=-1)
-    em = build_drift_matrix(params)
     worst_rk = 0.0
     for z in (1.0, 2.5, 5.0):
-        t_rk = rk4_propagator(em, z, h=1e-4)
-        t_ex = propagator(em, z)
+        t_rk = rk4_propagator(params, z, h=1e-4)
+        t_ex = propagator(params, z)
         worst_rk = max(worst_rk, float(np.max(np.abs(t_rk.U - t_ex.U))),
                        float(np.max(np.abs(t_rk.V - t_ex.V))))
     worst_an = 0.0
     for z in np.linspace(0.0, 5.0, 11):
         t_an = analytic_propagator(params, float(z))
-        t_ex = propagator(em, float(z))
+        t_ex = propagator(params, float(z))
         worst_an = max(worst_an, float(np.max(np.abs(t_an.U - t_ex.U))),
                        float(np.max(np.abs(t_an.V - t_ex.V))))
     ok = worst_rk < 1e-8 and worst_an < 1e-8
@@ -140,10 +134,9 @@ def test_criterion_4_shortlen_order_of_accuracy():
     ratios = []
     for _ in range(20):
         params = random_couplings(rng, mag=5.0)
-        em = build_drift_matrix(params)
 
         def err(z):
-            t_n, t_s = propagator(em, z), short_propagator(params, z)
+            t_n, t_s = propagator(params, z), short_propagator(params, z)
             return max(float(np.max(np.abs(t_n.U - t_s.U))),
                        float(np.max(np.abs(t_n.V - t_s.V))))
 
@@ -187,7 +180,6 @@ def test_criterion_6_oracle_equivalence():
              ModeId.V1: InputSpec(n_ch=0.3)}
     cfg = FockConfig(modes=tuple(sorted(specs)), cutoffs=(12, 12, 12),
                      params=params)
-    em = build_drift_matrix(params)
     inputs = [VACUUM_INPUT] * 6
     for mode, spec in specs.items():
         inputs[mode] = spec
@@ -195,7 +187,7 @@ def test_criterion_6_oracle_equivalence():
     worst_pn = worst_n = worst_lam = 0.0
     for z in (0.1, 0.3, 0.5):
         ensemble = evolve_fock(cfg, [specs[m] for m in cfg.modes], z)
-        state = evolve_state(propagator(em, z), s0)
+        state = evolve_state(propagator(params, z), s0)
         for modes in [(S1,), (A1,), (V1,), (S1, A1), (S1, V1), (A1, V1)]:
             sel = ModeSelection(tuple(ModeId(m) for m in modes))
             fock = fock_statistics(ensemble, sel)
@@ -217,9 +209,9 @@ def test_criterion_7_squeeze_benchmark():
     s0 = build_input_state([VACUUM_INPUT] * 6)
     sel = ModeSelection((ModeId.S1, ModeId.V1))
     for g in (0.6, 1.0):
-        em = build_drift_matrix(quiet_params(gS1=g))
+        params = quiet_params(gS1=g)
         zs = np.linspace(0.0, 3.0, 61)
-        lam = stats_report(evolve_state(propagator(em, zs), s0), sel).lam
+        lam = stats_report(evolve_state(propagator(params, zs), s0), sel).lam
         worst = max(worst, float(np.max(np.abs(lam - 2.0 * np.exp(-2.0 * g * zs)))))
     _report(7, worst < 1e-9,
             f"two-mode squeeze benchmark |lambda - 2 exp(-2|g|z)| = {worst:.2e} < 1e-9")
@@ -274,10 +266,10 @@ def test_criterion_10_waveguide_exchange_symmetry():
         params = random_couplings(rng, mag=2.0)
         inputs = random_inputs(rng)
         z = float(rng.uniform(0.2, 2.0))
-        state = evolve_state(propagator(build_drift_matrix(params), z),
+        state = evolve_state(propagator(params, z),
                              build_input_state(inputs))
         swapped = evolve_state(
-            propagator(build_drift_matrix(params.swapped()), z),
+            propagator(params.swapped(), z),
             build_input_state(tuple(inputs[j] for j in perm)))
         for modes in [(S1,), (A1,), (V1,), (S2,), (A2,), (V2,),
                       (S1, A1), (S1, V1), (S2, A1), (A1, V2), (V1, V2)]:

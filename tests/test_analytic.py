@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qcoupler.analytic import analytic_propagator, conditions_satisfied
-from qcoupler.dynamics import build_drift_matrix, propagator, symplectic_check
+from qcoupler.dynamics import propagator, symplectic_check
 from qcoupler.exceptions import UnsupportedConfigurationError
 
 from conftest import matched_coupling_params, quiet_params
@@ -42,7 +42,7 @@ def test_identity_at_zero():
 
 
 def _max_diff(params, z):
-    tn = propagator(build_drift_matrix(params), z)
+    tn = propagator(params, z)
     ta = analytic_propagator(params, z)
     return max(float(np.max(np.abs(tn.U - ta.U))), float(np.max(np.abs(tn.V - ta.V))))
 

@@ -17,7 +17,6 @@ from hypothesis import assume, given, settings, strategies as st
 import qcoupler.gaussian_stats as gaussian_stats
 from qcoupler.cli import run_scenario
 from qcoupler.dynamics import (
-    build_drift_matrix,
     conservation_residual,
     evolve_state,
     propagator,
@@ -113,7 +112,6 @@ def point_columns(report, tag, k_max):
 def test_preset_sweep_matches_per_point_route(name):
     cfg = load_preset(name)
     result = run_preset(name)
-    em = build_drift_matrix(cfg.params)
     s0 = build_input_state(cfg.inputs)
     observables = cfg.effective_observables()
     pn_selections = {sel for tag, sel in observables if tag == "pn"}
@@ -123,7 +121,7 @@ def test_preset_sweep_matches_per_point_route(name):
     expected_pn = {sel: np.empty_like(table) for sel, table in tables.items()}
     states = []
     for i, z in enumerate(result.z):
-        state = evolve_state(propagator(em, z), s0)
+        state = evolve_state(propagator(cfg.params, z), s0)
         states.append(state)
         reports = {sel: stats_report(state, sel, k_max=cfg.k_max, n_max=cfg.n_max,
                                      include_pn=sel in pn_selections)
@@ -142,7 +140,7 @@ def test_preset_sweep_matches_per_point_route(name):
     # the per-point route's own residual is at roundoff too
     meta = dict(result.metadata)
     assert float(meta["conservation_residual"]) == pytest.approx(
-        conservation_residual(evolve_state(propagator(em, cfg.z_grid()), s0)),
+        conservation_residual(evolve_state(propagator(cfg.params, cfg.z_grid()), s0)),
         rel=1e-5, abs=1e-300)
     per_point = GaussianState(*(np.stack([getattr(s, f) for s in states])
                                 for f in ("xi", "N", "M")))
@@ -184,15 +182,14 @@ def test_batch_rows_equal_points(stokes, excess, kappa, phase, specs, zs, sel):
     mags = [stokes[0], stokes[0] + excess[0], stokes[1], stokes[1] + excess[1], *kappa]
     g = [m * np.exp(1j * p) for m, p in zip(mags, phase)]
     params = quiet_params(gS1=g[0], gA1=g[1], gS2=g[2], gA2=g[3], kappaS=g[4], kappaA=g[5])
-    em = build_drift_matrix(params)
     # stable couplers only: no eigenvalue of the generator with gain
-    assume(growth_rate(em) <= 1e-9)
+    assume(growth_rate(params) <= 1e-9)
     s0 = build_input_state(specs)
-    batch = evolve_state(propagator(em, zs), s0)
+    batch = evolve_state(propagator(params, zs), s0)
     assert batch.xi.shape == (len(zs), 6) and np.array_equal(batch.z, zs)
     report = stats_report(batch, sel, k_max=4, n_max=12, include_pn=True)
     for i, z in enumerate(zs):
-        point = stats_report(evolve_state(propagator(em, z), s0), sel, k_max=4, n_max=12,
+        point = stats_report(evolve_state(propagator(params, z), s0), sel, k_max=4, n_max=12,
                              include_pn=True)
         assert report_deviation(report, i, point) <= TOL
 
@@ -200,8 +197,8 @@ def test_batch_rows_equal_points(stokes, excess, kappa, phase, specs, zs, sel):
 @pytest.mark.parametrize("shape", [(0,), (0, 3)])
 def test_empty_grid_gives_empty_fields(shape):
     # no point to check: every field is an empty stack, none an error
-    em = build_drift_matrix(quiet_params(gS1=0.5, gA1=1.0))
-    states = evolve_state(propagator(em, np.zeros(shape)),
+    params = quiet_params(gS1=0.5, gA1=1.0)
+    states = evolve_state(propagator(params, np.zeros(shape)),
                           build_input_state([InputSpec(xi=1.0, r=0.3)] + [VACUUM_INPUT] * 5))
     report = stats_report(states, ModeSelection((ModeId.S1, ModeId.A1)), k_max=3, n_max=4,
                           include_pn=True)
@@ -211,18 +208,17 @@ def test_empty_grid_gives_empty_fields(shape):
 
 
 def test_2d_grid_rows_equal_points():
-    em = build_drift_matrix(quiet_params(gS1=0.5, gA1=1.0, gS2=0.3, gA2=0.9,
-                                         kappaS=0.7, kappaA=0.4j))
+    params = quiet_params(gS1=0.5, gA1=1.0, gS2=0.3, gA2=0.9, kappaS=0.7, kappaA=0.4j)
     inputs = [VACUUM_INPUT] * 6
     inputs[ModeId.S1] = InputSpec(xi=1.0, r=0.3)
     s0 = build_input_state(inputs)
     zs = np.linspace(0.2, 1.4, 12).reshape(3, 4)
     sel = ModeSelection((ModeId.S1, ModeId.A1))
-    batch = evolve_state(propagator(em, zs), s0)
+    batch = evolve_state(propagator(params, zs), s0)
     assert batch.xi.shape == (3, 4, 6) and np.array_equal(batch.z, zs)
     report = stats_report(batch, sel, k_max=4, n_max=12, include_pn=True)
     for idx in np.ndindex(zs.shape):
-        point = stats_report(evolve_state(propagator(em, zs[idx]), s0), sel, k_max=4,
+        point = stats_report(evolve_state(propagator(params, zs[idx]), s0), sel, k_max=4,
                              n_max=12, include_pn=True)
         assert report_deviation(report, idx, point) <= TOL, idx
 
@@ -246,11 +242,10 @@ def test_stacked_jet_matches_scalar_reference(s0, order, floor):
 def test_run_scenario_names_first_non_finite_propagator():
     # the Stokes gain sqrt(1 - 0.5^2) overflows a double after z ~ 820
     cfg = ScenarioConfig(params=CouplerParams(gS1=1, gA1=0.5), z_max=1000.0, z_steps=11)
-    em = build_drift_matrix(cfg.params)
     failing = []
     for z in cfg.z_grid():
         try:
-            propagator(em, z)
+            propagator(cfg.params, z)
         except NumericalError:
             failing.append(z)
     assert failing and failing[0] > 0.0
@@ -259,10 +254,10 @@ def test_run_scenario_names_first_non_finite_propagator():
 
 
 def _sweep_state(z_steps=8):
-    em = build_drift_matrix(quiet_params(gS1=0.5, gA1=1.0))
+    params = quiet_params(gS1=0.5, gA1=1.0)
     inputs = [VACUUM_INPUT] * 6
     inputs[ModeId.S1] = InputSpec(xi=1.0)
-    return evolve_state(propagator(em, np.linspace(0.0, 1.0, z_steps)),
+    return evolve_state(propagator(params, np.linspace(0.0, 1.0, z_steps)),
                         build_input_state(inputs))
 
 
@@ -296,7 +291,7 @@ def test_variance_cross_check_in_sweep_names_z_and_selection(monkeypatch, k_max)
     message = f"cross-check failed at z={cfg.z_grid()[3]} for selection S1A1"
     with pytest.raises(NumericalError, match=message):
         run_scenario(cfg)
-    states = evolve_state(propagator(build_drift_matrix(cfg.params), cfg.z_grid()),
+    states = evolve_state(propagator(cfg.params, cfg.z_grid()),
                           build_input_state(cfg.inputs))
     with pytest.raises(NumericalError, match=message):
         stats_report(states, ModeSelection((ModeId.S1, ModeId.A1)), k_max, 8, include_pn=True)
@@ -404,7 +399,7 @@ def _nan_lambda(quadratures):
 
 def _propagate(monkeypatch, stacked):
     # e^(2000 z) leaves the double range from z = 0.4 on
-    propagator(build_drift_matrix(CouplerParams(gS1=2000.0)), Z_STACK)
+    propagator(CouplerParams(gS1=2000.0), Z_STACK)
 
 
 def _balance(monkeypatch, stacked):

@@ -1,5 +1,6 @@
 """Scenario runner, CSV output, presets, and exit codes."""
 
+import codecs
 import os
 import subprocess
 import sys
@@ -280,6 +281,18 @@ def test_cli_scenario_not_utf8_is_a_parse_error(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_cli_scenario_with_a_byte_order_mark_runs_as_without(tmp_path):
+    # some Windows editors begin a UTF-8 file with the byte order mark
+    text = ("[params]\ngS1 = 0.5\ngA1 = 1\n[run]\nz_max = 1\nz_steps = 5\n"
+            "[observables]\nmoments: S1,A1\n").encode()
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text)
+    marked.write_bytes(codecs.BOM_UTF8 + text)
+    for doc in (plain, marked):
+        assert main(["run", "--scenario", str(doc), "--out", str(tmp_path / f"{doc.stem}.csv")]) == 0
+    assert (tmp_path / "marked.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
 # gS1 = 1 on vacuum: S1V1 is a two-mode squeezed vacuum whose squeeze
 # variance 2 e^(-2z) sinks below the roundoff of its quadratures from z = 5
 GAIN_DOC = ("[params]\ngS1 = 1\n[run]\nz_max = 14\nz_steps = 15\n"
@@ -409,12 +422,12 @@ def test_oracle_check_catches_a_wrong_coupling(monkeypatch):
     # a relative 1e-5 error in one coupling on the Gaussian side moves p(n)
     # by 2.9e-7 (gA1) or 4.1e-7 (gS1), above the check's 4e-8 bound
     assert cli._check_oracle()[0]
-    exact = cli.build_drift_matrix
+    exact = cli.propagator
     for name in ("gS1", "gA1"):
-        def perturbed(params, name=name):
-            return exact(replace(params, **{name: getattr(params, name) * (1 + 1e-5)}))
+        def perturbed(params, z, name=name):
+            return exact(replace(params, **{name: getattr(params, name) * (1 + 1e-5)}), z)
 
-        monkeypatch.setattr(cli, "build_drift_matrix", perturbed)
+        monkeypatch.setattr(cli, "propagator", perturbed)
         assert not cli._check_oracle()[0], name
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qcoupler.dynamics import (
-    build_drift_matrix,
     evolve_state,
     propagator,
     rk4_propagator,
@@ -29,7 +28,7 @@ def _gaussian_state(params, mode_specs, z):
     inputs = [VACUUM_INPUT] * 6
     for mode, spec in mode_specs.items():
         inputs[mode] = spec
-    return evolve_state(propagator(build_drift_matrix(params), z),
+    return evolve_state(propagator(params, z),
                         build_input_state(inputs))
 
 
@@ -150,9 +149,8 @@ def test_generating_function_matches_oracle():
 
 def test_rk4_vs_matrix_exponential_long_range():
     params = quiet_params(gS1=1, gA1=2, gS2=1, gA2=2, kappaS=1, kappaA=-1)
-    em = build_drift_matrix(params)
     for z in (1.0, 2.5, 5.0):
-        t_rk = rk4_propagator(em, z, h=1e-3)
-        t_ex = propagator(em, z)
+        t_rk = rk4_propagator(params, z, h=1e-3)
+        t_ex = propagator(params, z)
         assert np.max(np.abs(t_rk.U - t_ex.U)) < 1e-9
         assert np.max(np.abs(t_rk.V - t_ex.V)) < 1e-9

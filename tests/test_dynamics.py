@@ -10,10 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qcoupler.cli import run_scenario
 from qcoupler.dynamics import (
+    _BLOCK,
     BogoliubovTransform,
     build_drift_matrix,
     conservation_residual,
-    EvolutionMatrix,
     evolve_state,
     expm,
     photon_number_balance,
@@ -46,6 +46,8 @@ S1, A1, V1, S2, A2, V2 = range(6)
 _STOKES_MODES = np.isin(np.arange(6), (S1, S2))
 _OFF_BLOCK = np.hstack([_STOKES_MODES[:, None] != _STOKES_MODES,
                         _STOKES_MODES[:, None] == _STOKES_MODES])
+# positions in (A; A^+) of x = (S1^+, A1, V1, S2^+, A2, V2), then of its conjugates
+_PAIRED = np.concatenate([_BLOCK, (_BLOCK + 6) % 12])
 
 
 def ann(j):      # doubled-basis row of the annihilator of mode j
@@ -57,12 +59,12 @@ def cre(j):
 
 
 def test_drift_matrix_zero():
-    m = build_drift_matrix(quiet_params()).matrix
+    m = build_drift_matrix(quiet_params())
     assert np.array_equal(m, np.zeros((12, 12)))
 
 
 def test_drift_matrix_stokes_entries():
-    m = build_drift_matrix(quiet_params(gS1=1)).matrix
+    m = build_drift_matrix(quiet_params(gS1=1))
     expected = np.zeros((12, 12), dtype=complex)
     expected[ann(S1), cre(V1)] = 1
     expected[cre(V1), ann(S1)] = -1
@@ -72,7 +74,7 @@ def test_drift_matrix_stokes_entries():
 
 
 def test_drift_matrix_kappa_entries():
-    m = build_drift_matrix(quiet_params(kappaS=-10)).matrix
+    m = build_drift_matrix(quiet_params(kappaS=-10))
     expected = np.zeros((12, 12), dtype=complex)
     expected[ann(S1), ann(S2)] = -10      # kappaS* with real kappa
     expected[ann(S2), ann(S1)] = -10
@@ -84,7 +86,7 @@ def test_drift_matrix_kappa_entries():
 def test_drift_matrix_sparsity_and_conjugation_structure():
     rng = np.random.default_rng(0)
     params = random_couplings(rng)
-    m = build_drift_matrix(params).matrix
+    m = build_drift_matrix(params)
     # radiation rows couple only to their guide's phonon pair and the
     # like radiation mode of the other guide; phonon rows never cross guides
     allowed = np.zeros((12, 12), dtype=bool)
@@ -110,7 +112,7 @@ def test_drift_matrix_block_form_over_annihilators_then_creators():
     rng = np.random.default_rng(11)
     for _ in range(20):
         params = random_couplings(rng)
-        m = build_drift_matrix(params).matrix
+        m = build_drift_matrix(params)
         k, l = m[:6, :6], m[:6, 6:]
         assert np.array_equal(m[6:, :6], -l.conj()) and np.array_equal(m[6:, 6:], -k.conj())
         assert np.array_equal(k, k.conj().T) and np.array_equal(l, l.T)
@@ -149,12 +151,10 @@ def test_transform_holds_its_block():
             BogoliubovTransform(bad, 0.0)
     with pytest.raises(ValidationError):
         BogoliubovTransform(np.zeros((3, 6, 6)), 0.0)     # one z per transform
-    with pytest.raises(ValidationError):
-        EvolutionMatrix(np.zeros((6, 6)))
 
 
 def test_malformed_transform_input_is_a_validation_error():
-    t = propagator(build_drift_matrix(random_couplings(np.random.default_rng(9))),
+    t = propagator(random_couplings(np.random.default_rng(9)),
                    np.linspace(0.0, 1.0, 5))
     for bad in (np.zeros((6, 12)), np.zeros((12, 6)), np.zeros((5, 12, 13))):
         with pytest.raises(ValidationError, match="expected array of shape"):
@@ -179,7 +179,7 @@ def test_malformed_transform_input_is_a_validation_error():
 
 
 def test_doubled_round_trip():
-    t = propagator(build_drift_matrix(random_couplings(np.random.default_rng(8))),
+    t = propagator(random_couplings(np.random.default_rng(8)),
                    np.linspace(0.0, 1.0, 4))
     doubled = t.doubled()
     assert np.array_equal(doubled[..., 6:, :6], t.V.conj())
@@ -189,13 +189,13 @@ def test_doubled_round_trip():
 
 
 def test_propagator_zero_matrix_is_identity():
-    t = propagator(build_drift_matrix(quiet_params()), 3.7)
+    t = propagator(quiet_params(), 3.7)
     assert np.allclose(t.U, np.eye(6)) and np.allclose(t.V, 0)
 
 
 def test_propagator_two_mode_squeezing_closed_form():
     g, z = 0.8, 0.7
-    t = propagator(build_drift_matrix(quiet_params(gS1=g)), z)
+    t = propagator(quiet_params(gS1=g), z)
     assert t.U[S1, S1] == pytest.approx(np.cosh(g * z), abs=1e-12)
     assert t.V[S1, V1] == pytest.approx(1j * np.sinh(g * z), abs=1e-12)
     assert t.U[V1, V1] == pytest.approx(np.cosh(g * z), abs=1e-12)
@@ -204,7 +204,7 @@ def test_propagator_two_mode_squeezing_closed_form():
 
 def test_propagator_beam_splitter_closed_form():
     g, z = 0.5, 1.3
-    t = propagator(build_drift_matrix(quiet_params(gA1=g)), z)
+    t = propagator(quiet_params(gA1=g), z)
     assert t.U[A1, A1] == pytest.approx(np.cos(g * z), abs=1e-12)
     assert t.U[A1, V1] == pytest.approx(1j * np.sin(g * z), abs=1e-12)
     assert np.allclose(t.V[[A1, V1]], 0, atol=1e-14)
@@ -217,9 +217,8 @@ def test_symplectic_residual_random():
     rng = np.random.default_rng(42)
     for _ in range(30):
         params = random_couplings(rng, mag=3.0)
-        em = build_drift_matrix(params)
         for z in (0.1, 1.0, 5.0):
-            t = propagator(em, z)
+            t = propagator(params, z)
             residual = symplectic_check(t).residual
             scale = max(1.0, float(np.max(np.abs(t.U))) ** 2)
             assert residual < 1e-10 * scale
@@ -229,23 +228,23 @@ def test_symplectic_residual_random():
 
 def test_symplectic_residual_identity_and_hyperbolic():
     assert symplectic_check(BogoliubovTransform(np.eye(6), 0.0)).residual == 0.0
-    t = propagator(build_drift_matrix(quiet_params(gS1=1.0)), 2.0)
+    t = propagator(quiet_params(gS1=1.0), 2.0)
     assert symplectic_check(t).residual < 1e-12     # cosh^2 - sinh^2 = 1
 
 
 def test_semigroup_composition():
     rng = np.random.default_rng(7)
     for _ in range(10):
-        em = build_drift_matrix(random_couplings(rng))
+        params = random_couplings(rng)
         z1, z2 = rng.uniform(0.1, 2.0, 2)
-        direct = propagator(em, z1 + z2)
+        direct = propagator(params, z1 + z2)
         # applying the z1 transform and then the z2 one: [U V] times the
         # doubled propagator of the first
-        chained = propagator(em, z2).rows @ propagator(em, z1).doubled()
+        chained = propagator(params, z2).rows @ propagator(params, z1).doubled()
         assert np.max(np.abs(direct.U - chained[:, :6])) < 1e-9
         assert np.max(np.abs(direct.V - chained[:, 6:])) < 1e-9
         # and on the closed block, T(z1 + z2) = T(z2) T(z1)
-        chained = propagator(em, z2).block @ propagator(em, z1).block
+        chained = propagator(params, z2).block @ propagator(params, z1).block
         assert np.max(np.abs(direct.block - chained)) < 1e-9
 
 
@@ -254,11 +253,11 @@ def test_evolve_state_semigroup_over_a_grid():
     The second leg starts from a state with cross-mode moments."""
     rng = np.random.default_rng(31)
     for _ in range(10):
-        em = build_drift_matrix(random_couplings(rng))
+        params = random_couplings(rng)
         s0 = build_input_state(random_inputs(rng))
         z1, z2 = rng.uniform(0.1, 1.0), np.linspace(0.0, 1.0, 7)
-        chained = evolve_state(propagator(em, z2), evolve_state(propagator(em, z1), s0))
-        direct = evolve_state(propagator(em, z1 + z2), s0)
+        chained = evolve_state(propagator(params, z2), evolve_state(propagator(params, z1), s0))
+        direct = evolve_state(propagator(params, z1 + z2), s0)
         for name in ("xi", "B", "C", "D", "Dbar"):
             a, b = getattr(chained, name), getattr(direct, name)
             assert np.all(np.abs(a - b) <= 1e-11 * np.maximum(1.0, np.abs(b))), name
@@ -269,8 +268,8 @@ def test_waveguide_exchange_symmetry():
     perm = np.asarray(EXCHANGE_PERMUTATION)
     for _ in range(10):
         params = random_couplings(rng)
-        t = propagator(build_drift_matrix(params), 1.3)
-        t_swapped = propagator(build_drift_matrix(params.swapped()), 1.3)
+        t = propagator(params, 1.3)
+        t_swapped = propagator(params.swapped(), 1.3)
         assert np.max(np.abs(t_swapped.U - t.U[np.ix_(perm, perm)])) < 1e-12
         assert np.max(np.abs(t_swapped.V - t.V[np.ix_(perm, perm)])) < 1e-12
 
@@ -287,7 +286,7 @@ def test_evolve_keeps_entries_beyond_half_the_double_range():
     # restoring N's and M's exact symmetries sums each entry with its
     # transpose's: 2 * 9e307 is beyond the double range, half of each is not
     inputs = [InputSpec(n_ch=9e307)] + [VACUUM_INPUT] * 5
-    s = evolve_state(propagator(build_drift_matrix(quiet_params()), 0.0),
+    s = evolve_state(propagator(quiet_params(), 0.0),
                      build_input_state(inputs))
     assert s.N[S1, S1] == 9e307 and np.isfinite(s.N).all()
     big = np.diag([1.6e308, 0.0, 0.0, 0.0, 0.0, 0.0])
@@ -298,7 +297,7 @@ def test_evolve_keeps_entries_beyond_half_the_double_range():
 
 def test_evolve_stokes_vacuum_closed_form():
     g, z = 0.8, 0.6
-    t = propagator(build_drift_matrix(quiet_params(gS1=g)), z)
+    t = propagator(quiet_params(gS1=g), z)
     s = evolve_state(t, build_input_state([VACUUM_INPUT] * 6))
     sh, ch = np.sinh(g * z), np.cosh(g * z)
     assert s.B[S1] == pytest.approx(sh**2, abs=1e-12)
@@ -308,7 +307,7 @@ def test_evolve_stokes_vacuum_closed_form():
 
 def test_evolve_coherent_amplitudes():
     g, z = 1.0, 0.4
-    t = propagator(build_drift_matrix(quiet_params(gS1=g)), z)
+    t = propagator(quiet_params(gS1=g), z)
     inputs = [VACUUM_INPUT] * 6
     inputs[S1] = InputSpec(xi=2j)
     s = evolve_state(t, build_input_state(inputs))
@@ -320,9 +319,9 @@ def test_evolve_coherent_amplitudes():
 def test_evolve_preserves_physicality():
     rng = np.random.default_rng(23)
     for _ in range(20):
-        em = build_drift_matrix(random_couplings(rng))
+        params = random_couplings(rng)
         s0 = build_input_state(random_inputs(rng))
-        s1 = evolve_state(propagator(em, rng.uniform(0.1, 2.0)), s0)
+        s1 = evolve_state(propagator(params, rng.uniform(0.1, 2.0)), s0)
         scale = max(1.0, float(np.max(s1.B)))
         assert s1.min_covariance_eigenvalue() >= -1e-9 * scale
         assert np.allclose(s1.D, s1.D.T)
@@ -332,25 +331,25 @@ def test_evolve_preserves_physicality():
 def test_conservation_vacuum_and_coherent():
     rng = np.random.default_rng(9)
     for _ in range(5):
-        em = build_drift_matrix(random_couplings(rng))
+        params = random_couplings(rng)
         s0 = build_input_state(random_inputs(rng, squeezed=False))
-        traj = evolve_state(propagator(em, np.linspace(0, 2, 40)), s0)
+        traj = evolve_state(propagator(params, np.linspace(0, 2, 40)), s0)
         assert conservation_residual(traj) < 1e-9
 
 
 def test_conservation_stokes_vacuum_is_exactly_balanced():
-    em = build_drift_matrix(quiet_params(gS1=1.0))
+    params = quiet_params(gS1=1.0)
     s0 = build_input_state([VACUUM_INPUT] * 6)
     for z in (0.5, 1.0, 2.0):
-        s = evolve_state(propagator(em, z), s0)
+        s = evolve_state(propagator(params, z), s0)
         # sinh^2 gained on the phonon side cancels the Stokes gain
         assert photon_number_balance(s) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_conservation_zero_params_exact():
-    em = build_drift_matrix(quiet_params())
+    params = quiet_params()
     s0 = build_input_state([VACUUM_INPUT] * 6)
-    traj = evolve_state(propagator(em, np.linspace(0, 1, 5)), s0)
+    traj = evolve_state(propagator(params, np.linspace(0, 1, 5)), s0)
     assert conservation_residual(traj) == 0.0
 
 
@@ -373,36 +372,52 @@ def test_expm_jordan_block_closed_form(t):
     assert np.all(np.tril(out, -1) == 0.0)
 
 
+def _long_double_expm(a):
+    """exp of each matrix of a stack by Taylor scaling-and-squaring in
+    clongdouble: each matrix is scaled by 2^-s to a 1-norm of at most 1/4,
+    summed to degree 15 (the remainder is below 1e-23) and squared back s
+    times.  It shares nothing with the Pade-13 route, and takes no solve."""
+    a = a.astype(np.clongdouble)
+    norm = np.max(np.sum(np.abs(a), axis=-2), axis=-1).astype(float)
+    s = np.maximum(0.0, np.ceil(np.log2(norm / 0.25))).astype(int)
+    a = a * np.exp2(-s).astype(np.longdouble)[:, None, None]
+    term = total = np.broadcast_to(np.eye(a.shape[-1], dtype=np.clongdouble), a.shape)
+    for k in range(1, 16):
+        term = term @ a / k
+        total = total + term
+    for k in range(int(s.max(initial=0))):
+        sq = s > k
+        total[sq] = total[sq] @ total[sq]
+    return total
+
+
 @settings(max_examples=60, deadline=None, phases=PROPERTY_PHASES)
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 50),
        top=st.floats(-3.0, 2.0), spread=st.floats(0.0, 4.0))
-def test_expm_matches_scipy_on_mixed_norm_stacks(seed, count, top, spread):
+def test_expm_matches_long_double_taylor_on_mixed_norm_stacks(seed, count, top, spread):
     """Random complex 12x12 stacks with 1-norms up to 100, spread over up
     to four decades within a stack, so the number of squarings differs
     from matrix to matrix."""
-    import scipy.linalg
-
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(count, 12, 12)) + 1j * rng.normal(size=(count, 12, 12))
     norms = 10.0 ** rng.uniform(top - spread, top, count)
     a *= (norms / np.max(np.sum(np.abs(a), axis=-2), axis=-1))[:, None, None]
-    ref = scipy.linalg.expm(a)
+    ref = _long_double_expm(a)
     err = np.max(np.abs(expm(a) - ref), axis=(-2, -1)) / np.max(np.abs(ref), axis=(-2, -1))
     assert np.max(err) <= 1e-13
 
 
 def test_propagator_at_zero_is_identity():
-    em = build_drift_matrix(random_couplings(np.random.default_rng(5)))
-    for t in (propagator(em, 0.0), propagator(em, np.zeros(4))):
+    params = random_couplings(np.random.default_rng(5))
+    for t in (propagator(params, 0.0), propagator(params, np.zeros(4))):
         assert np.array_equal(t.U, np.broadcast_to(np.eye(6), t.U.shape))
         assert np.array_equal(t.V, np.zeros_like(t.V))
 
 
 def test_rk4_matches_matrix_exponential():
     params = quiet_params(gS1=1, gA1=2, kappaS=1, kappaA=-1, gS2=1, gA2=2)
-    em = build_drift_matrix(params)
-    t_rk = rk4_propagator(em, 1.0, h=1e-3)
-    t_ex = propagator(em, 1.0)
+    t_rk = rk4_propagator(params, 1.0, h=1e-3)
+    t_ex = propagator(params, 1.0)
     assert np.max(np.abs(t_rk.U - t_ex.U)) < 1e-10
     assert np.max(np.abs(t_rk.V - t_ex.V)) < 1e-10
 
@@ -427,11 +442,11 @@ EP_SAMPLES = (1, 22, 23, 261, 483, 499)
 
 @pytest.mark.parametrize("couplings", EXCEPTIONAL_POINTS.values(), ids=EXCEPTIONAL_POINTS)
 def test_propagator_matches_mpmath_near_exceptional_points(couplings):
-    em = build_drift_matrix(quiet_params(**couplings))
-    grid = propagator(em, EP_GRID)
-    scalar = propagator(em, EP_GRID[-1])
+    params = quiet_params(**couplings)
+    grid = propagator(params, EP_GRID)
+    scalar = propagator(params, EP_GRID[-1])
     with mp.workdps(50):
-        gen = mp.matrix((1j * em.matrix).tolist())
+        gen = mp.matrix((1j * build_drift_matrix(params)).tolist())
         refs = {i: np.array(mp.expm(gen * mp.mpf(EP_GRID[i])).tolist(), dtype=complex)
                 for i in EP_SAMPLES}
 
@@ -452,7 +467,7 @@ def test_scaled_symplectic_residual_stays_at_roundoff_as_the_gain_grows():
     # alone takes the absolute violation to several 1e-13
     couplings = EXCEPTIONAL_POINTS["gS=gA,k=0.5"]
     cfg = ScenarioConfig(params=quiet_params(**couplings), z_max=5.0, z_steps=500)
-    t = propagator(build_drift_matrix(cfg.params), cfg.z_grid())
+    t = propagator(cfg.params, cfg.z_grid())
     check = symplectic_check(t)
     assert 20.0 < np.max(np.abs(t.U)) < 30.0
     assert check.scaled < 1e-13 < check.residual
@@ -462,8 +477,8 @@ def test_scaled_symplectic_residual_stays_at_roundoff_as_the_gain_grows():
 
 
 def test_grid_arrays_are_views_of_one_allocation():
-    em = build_drift_matrix(quiet_params(gS1=0.5, gA1=1.0, kappaS=0.3))
-    t = propagator(em, np.linspace(0.0, 1.0, 50))
+    params = quiet_params(gS1=0.5, gA1=1.0, kappaS=0.3)
+    t = propagator(params, np.linspace(0.0, 1.0, 50))
     # T is a read-only view of the one array the propagator wrote (56
     # points: 7 heads of 8 steps), taken over without a copy
     owner = t.block
@@ -511,13 +526,12 @@ def test_grid_route_equals_per_point_route(mags, phases, seed, zs):
     gs1, excess1, gs2, excess2, ks, ka = mags
     g = [m * np.exp(1j * p)
          for m, p in zip((gs1, gs1 + excess1, gs2, gs2 + excess2, ks, ka), phases)]
-    em = build_drift_matrix(quiet_params(gS1=g[0], gA1=g[1], gS2=g[2], gA2=g[3],
-                                         kappaS=g[4], kappaA=g[5]))
-    assume(growth_rate(em) <= 1e-9)   # no gain
+    params = quiet_params(gS1=g[0], gA1=g[1], gS2=g[2], gA2=g[3], kappaS=g[4], kappaA=g[5])
+    assume(growth_rate(params) <= 1e-9)   # no gain
     s0 = build_input_state(random_inputs(np.random.default_rng(seed)))
-    grid_t = propagator(em, zs)
+    grid_t = propagator(params, zs)
     grid = evolve_state(grid_t, s0)
-    point_t = [propagator(em, z) for z in zs]
+    point_t = [propagator(params, z) for z in zs]
     points = [evolve_state(t, s0) for t in point_t]
     tol = 1e-13 * max(1.0, float(np.max(np.abs(grid_t.U))) ** 2)
     for name in ("U", "V"):
@@ -536,8 +550,8 @@ def test_grid_route_equals_per_point_route(mags, phases, seed, zs):
 def test_permute_state_round_trip():
     rng = np.random.default_rng(2)
     s0 = build_input_state(random_inputs(rng))
-    em = build_drift_matrix(random_couplings(rng))
-    s = evolve_state(propagator(em, 0.7), s0)
+    params = random_couplings(rng)
+    s = evolve_state(propagator(params, 0.7), s0)
     back = permute_state(permute_state(s))
     assert np.array_equal(back.D, s.D) and np.array_equal(back.xi, s.xi)
 
@@ -576,11 +590,11 @@ def test_block_route_keeps_the_bogoliubov_identities(guides, kappas, zs, spot):
     and rows with a 1e-9 entry off the block make no transform."""
     (gs1, r1, ps1, pa1), (gs2, r2, ps2, pa2) = guides
     (ks, pks), (ka, pka) = kappas
-    em = build_drift_matrix(quiet_params(
+    params = quiet_params(
         gS1=gs1 * np.exp(1j * ps1), gA1=gs1 * r1 * np.exp(1j * pa1),
         gS2=gs2 * np.exp(1j * ps2), gA2=gs2 * r2 * np.exp(1j * pa2),
-        kappaS=ks * np.exp(1j * pks), kappaA=ka * np.exp(1j * pka)))
-    t = propagator(em, zs)
+        kappaS=ks * np.exp(1j * pks), kappaA=ka * np.exp(1j * pka))
+    t = propagator(params, zs)
     assert np.all(t.rows[:, _OFF_BLOCK] == 0.0)
     check = symplectic_check(t)
     scale = np.maximum(1.0, np.max(np.abs(t.U), axis=(-2, -1)) ** 2)
@@ -594,13 +608,14 @@ def test_block_route_keeps_the_bogoliubov_identities(guides, kappas, zs, spot):
         BogoliubovTransform.from_rows(rows, t.z)
 
 
-def test_drift_matrix_must_close_on_the_block():
-    m = np.array(build_drift_matrix(quiet_params(gS1=1, kappaS=0.5)).matrix)
-    assert np.array_equal(EvolutionMatrix(m).matrix, m)
-    coupled = m.copy()
-    coupled[ann(S1), ann(V1)] = 1e-3        # S1 to V1 leaves the block of S1^+ and V1
-    unpaired = m.copy()
-    unpaired[cre(S1), ann(V1)] = 0.0        # the conjugate block no longer mirrors the block
-    for bad in (coupled, unpaired):
-        with pytest.raises(ValidationError):
-            EvolutionMatrix(bad)
+@settings(max_examples=100, deadline=None, phases=PROPERTY_PHASES)
+@given(seed=st.integers(0, 2**32 - 1), mag=st.floats(0.3, 100.0), kappa_mag=st.floats(0.3, 100.0))
+def test_drift_matrix_closes_on_the_block(seed, mag, kappa_mag):
+    """Over (x; conj x) M is [[M_B, 0], [0, -conj(M_B)]]: the block couples
+    only to itself, and the conjugate block mirrors it, so the block's
+    exponential is the whole propagator.  M is read-only."""
+    m = build_drift_matrix(random_couplings(np.random.default_rng(seed), mag, kappa_mag))
+    assert not m.flags.writeable
+    p = m[np.ix_(_PAIRED, _PAIRED)]
+    assert not p[:6, 6:].any() and not p[6:, :6].any()
+    assert np.array_equal(p[6:, 6:], -p[:6, :6].conj())

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qcoupler.dynamics import build_drift_matrix, evolve_state, propagator
+from qcoupler.dynamics import evolve_state, propagator
 from qcoupler.exceptions import NumericalError, ValidationError
 from qcoupler.gaussian_stats import stats_report
 from qcoupler.model import (
@@ -44,7 +44,7 @@ def state_with(**modes):
 
 
 def evolved(params, inputs, z):
-    return evolve_state(propagator(build_drift_matrix(params), z),
+    return evolve_state(propagator(params, z),
                         build_input_state(inputs))
 
 
@@ -87,10 +87,10 @@ def test_principal_squeeze_vacuum_levels():
 
 
 def test_principal_squeeze_two_mode_benchmark():
-    em = build_drift_matrix(quiet_params(gS1=1.0))
+    params = quiet_params(gS1=1.0)
     s0 = build_input_state([VACUUM_INPUT] * 6)
     for z in (0.5, 1.0, 3.0):
-        s = evolve_state(propagator(em, z), s0)
+        s = evolve_state(propagator(params, z), s0)
         lam = stats_report(s, ModeSelection((ModeId.S1, ModeId.V1))).lam
         assert lam == pytest.approx(2 * math.exp(-2 * z), abs=1e-9)
 
@@ -116,19 +116,19 @@ def test_squeeze_digit_alarm_under_gain():
     # 2 e^(-2z) while the largest principal variance is 2 e^(2z), so its
     # roundoff passes 1e-8 lambda near z = 4.4, and at z = 14 lambda came
     # out as -2.4e-4
-    em = build_drift_matrix(quiet_params(gS1=1.0))
+    params = quiet_params(gS1=1.0)
     s0 = build_input_state([VACUUM_INPUT] * 6)
     sel = ModeSelection((ModeId.S1, ModeId.V1))
     zs = np.linspace(0.0, 3.0, 13)
-    rep = stats_report(evolve_state(propagator(em, zs), s0), sel)
+    rep = stats_report(evolve_state(propagator(params, zs), s0), sel)
     assert np.max(np.abs(rep.lam - 2.0 * np.exp(-2.0 * zs))) < 1e-12
     with pytest.raises(NumericalError, match="quadrature variances lose their digits "
                                              "at z=14.0 for selection S1V1"):
-        stats_report(evolve_state(propagator(em, 14.0), s0), sel)
+        stats_report(evolve_state(propagator(params, 14.0), s0), sel)
     with pytest.raises(NumericalError, match="at z=5.0 for selection S1V1"):
-        stats_report(evolve_state(propagator(em, np.linspace(0.0, 14.0, 15)), s0), sel)
+        stats_report(evolve_state(propagator(params, np.linspace(0.0, 14.0, 15)), s0), sel)
     # without the quadratures there is no alarm, and no quadrature field
-    rep = stats_report(evolve_state(propagator(em, 14.0), s0), sel, include_quadratures=False)
+    rep = stats_report(evolve_state(propagator(params, 14.0), s0), sel, include_quadratures=False)
     assert (rep.lam, rep.var_p, rep.var_q, rep.uncertainty) == (None, None, None, None)
     assert rep.mean_w == pytest.approx(2.0 * np.sinh(14.0) ** 2)
 
@@ -146,7 +146,7 @@ def test_malformed_selection_raises_validation_error(modes, entry):
 def test_quadratures_bounded_below_by_principal_variance():
     rng = np.random.default_rng(19)
     for _ in range(20):
-        s = evolve_state(propagator(build_drift_matrix(random_couplings(rng)),
+        s = evolve_state(propagator(random_couplings(rng),
                                     rng.uniform(0.2, 1.5)),
                          build_input_state(random_inputs(rng)))
         for modes in [(S1,), (V1,), (S1, A1), (A1, V2)]:
@@ -175,7 +175,7 @@ def test_generating_function_calibration():
     are the s=0 jet: <W> = -g_1 and <W^2> = 2 g_2 = (w_2 + 1) <W>^2."""
     rng = np.random.default_rng(40)
     for _ in range(15):
-        s = evolve_state(propagator(build_drift_matrix(random_couplings(rng)),
+        s = evolve_state(propagator(random_couplings(rng),
                                     rng.uniform(0.2, 1.2)),
                          build_input_state(random_inputs(rng)))
         for modes in [(S1,), (V2,), (S1, V1), (A1, S2)]:
@@ -292,7 +292,7 @@ def test_moments_markers_below_normal_range():
 def test_distribution_sums_to_one_within_truncation():
     rng = np.random.default_rng(77)
     for _ in range(10):
-        s = evolve_state(propagator(build_drift_matrix(random_couplings(rng, mag=1.0)),
+        s = evolve_state(propagator(random_couplings(rng, mag=1.0),
                                     rng.uniform(0.1, 0.8)),
                          build_input_state(random_inputs(rng, xi_mag=1.5)))
         for modes in [(S1,), (S1, V1)]:
@@ -310,12 +310,11 @@ def test_sub_poissonian_compound_mode_exists():
     inputs[S1] = InputSpec(xi=-2j)
     inputs[A1] = InputSpec(xi=2j)
     inputs[V1] = InputSpec(n_ch=0.1)
-    em = build_drift_matrix(params)
     s0 = build_input_state(inputs)
     sel = ModeSelection((ModeId.S1, ModeId.A1))
     w2 = []
     for z in np.linspace(0.05, 2.0, 40):
-        rep = stats_report(evolve_state(propagator(em, z), s0), sel, 2, 8, include_pn=True)
+        rep = stats_report(evolve_state(propagator(params, z), s0), sel, 2, 8, include_pn=True)
         w2.append(rep.reduced_moments[0])
     assert min(w2) < 0
 
@@ -325,9 +324,8 @@ def test_single_modes_stay_classical_without_squeezed_inputs():
     for _ in range(10):
         params = random_couplings(rng, mag=2.0)
         s0 = build_input_state(random_inputs(rng, squeezed=False))
-        em = build_drift_matrix(params)
         for z in rng.uniform(0.1, 2.0, 3):
-            s = evolve_state(propagator(em, z), s0)
+            s = evolve_state(propagator(params, z), s0)
             assert np.max(np.abs(s.C)) < 1e-12    # C stays zero
             for m in ModeId:
                 rep = stats_report(s, single(m), 3, 4, include_pn=True)
@@ -355,10 +353,10 @@ def test_statistics_respect_waveguide_exchange():
         params = random_couplings(rng, mag=2.0)
         inputs = random_inputs(rng)
         z = rng.uniform(0.2, 1.5)
-        s = evolve_state(propagator(build_drift_matrix(params), z),
+        s = evolve_state(propagator(params, z),
                          build_input_state(inputs))
         swapped_inputs = tuple(inputs[j] for j in (3, 4, 5, 0, 1, 2))
-        s_sw = evolve_state(propagator(build_drift_matrix(params.swapped()), z),
+        s_sw = evolve_state(propagator(params.swapped(), z),
                             build_input_state(swapped_inputs))
         for modes in [(S1,), (A2,), (S1, A1), (S2, V1), (V1, V2)]:
             sel = ModeSelection(tuple(ModeId(m) for m in modes))
@@ -395,7 +393,7 @@ def test_singular_generating_function_raises():
 ], ids=["variance", "pn", "uncertainty"])
 def test_statistics_beyond_double_range_raise(spec, include_pn, message):
     # every input moment is a double; a statistic built from them is not
-    states = evolve_state(propagator(build_drift_matrix(quiet_params(gA1=0.5)), [0.0, 0.1]),
+    states = evolve_state(propagator(quiet_params(gA1=0.5), [0.0, 0.1]),
                           build_input_state([spec] + [VACUUM_INPUT] * 5))
     with np.errstate(over="ignore", invalid="ignore"):  # numpy's overflow warnings come first
         with pytest.raises(NumericalError, match=f"^{message} at z=0.0 for selection S1$"):
@@ -408,7 +406,7 @@ def test_variance_cross_check_holds_where_mean_squared_overflows(monkeypatch):
     from qcoupler import gaussian_stats
 
     states = evolve_state(
-        propagator(build_drift_matrix(quiet_params(gS1=0.1, gA1=0.2)), [0.0, 0.1]),
+        propagator(quiet_params(gS1=0.1, gA1=0.2), [0.0, 0.1]),
         build_input_state([InputSpec(xi=1e78, n_ch=1e150)] + [VACUUM_INPUT] * 5))
     exact = gaussian_stats._intensity_variance
     assert np.all(stats_report(states, single(ModeId.S1)).variance_w > 2e306)

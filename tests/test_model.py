@@ -8,7 +8,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qcoupler.dynamics import build_drift_matrix, evolve_state, propagator
+from qcoupler.analytic import analytic_propagator
+from qcoupler.dynamics import build_drift_matrix, evolve_state, propagator, rk4_propagator
 from qcoupler.exceptions import (
     ParameterRegimeWarning,
     ScenarioParseError,
@@ -32,6 +33,7 @@ from qcoupler.model import (
     validate_params,
 )
 from qcoupler.presets import load_preset
+from qcoupler.shortlen import short_propagator, shortlen_state
 
 from conftest import quiet_params, random_couplings, random_inputs
 
@@ -233,10 +235,33 @@ def test_library_entry_points_raise_validation_error(call, message):
         call()
 
 
+# on the matched-coupling manifold, so that the closed form takes them too
+_MATCHED = CouplerParams(gS1=1, gA1=2, gS2=1, gA2=2, kappaS=1, kappaA=-1)
+
+
+@pytest.mark.parametrize("route", [
+    analytic_propagator,
+    short_propagator,
+    rk4_propagator,
+    lambda params, z: shortlen_state(params, build_input_state([VACUUM_INPUT] * 6), z),
+], ids=["analytic", "short", "rk4", "shortlen-state"])
+@pytest.mark.parametrize("z, message", [
+    pytest.param(np.array([0.1, 0.2]), r"^z is not a real scalar: array\(\[0.1, 0.2\]\)$",
+                 id="array"),
+    pytest.param("a", "^z is not a real scalar: 'a'$", id="text"),
+    pytest.param(math.nan, "^z must be finite, got nan$", id="nan"),
+    pytest.param(math.inf, "^z must be finite, got inf$", id="inf"),
+])
+def test_scalar_length_routes_check_their_length(route, z, message):
+    # only ``propagator`` takes an array of lengths
+    with pytest.raises(ValidationError, match=message):
+        route(_MATCHED, z)
+
+
 def test_state_noise_functions_read_off_n_and_m():
     rng = np.random.default_rng(23)
-    em = build_drift_matrix(random_couplings(rng, mag=1.0))
-    s = evolve_state(propagator(em, np.linspace(0.0, 1.0, 7)),
+    params = random_couplings(rng, mag=1.0)
+    s = evolve_state(propagator(params, np.linspace(0.0, 1.0, 7)),
                      build_input_state(random_inputs(rng)))
     assert [f.name for f in dataclasses.fields(GaussianState)] == ["xi", "N", "M", "z"]
     assert s.N.shape == s.M.shape == (7, 6, 6) and s.B.shape == s.C.shape == (7, 6)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qcoupler.dynamics import build_drift_matrix, evolve_state, propagator
+from qcoupler.dynamics import evolve_state, propagator
 from qcoupler.exceptions import ValidationError
 from qcoupler.shortlen import _rows_poly, short_propagator, shortlen_polys, shortlen_state
 from qcoupler.gaussian_stats import stats_report
@@ -70,10 +70,9 @@ def test_order_of_accuracy():
     rng = np.random.default_rng(3)
     for _ in range(10):
         params = random_couplings(rng, mag=5.0)
-        em = build_drift_matrix(params)
 
         def err(z):
-            tn, ts = propagator(em, z), short_propagator(params, z)
+            tn, ts = propagator(params, z), short_propagator(params, z)
             return max(np.max(np.abs(tn.U - ts.U)), np.max(np.abs(tn.V - ts.V)))
 
         ratio = err(1e-2) / err(5e-3)
@@ -241,11 +240,10 @@ def test_statistics_agree_with_full_pipeline_to_third_order(kind):
         inputs[S1] = InputSpec(xi=complex(shift[S1]), r=0.4, theta=0.3)
         inputs[A2] = InputSpec(xi=complex(shift[A2]), r=0.2)
     s0 = build_input_state(inputs)
-    em = build_drift_matrix(params)
     sel = ModeSelection.parse("S1,A1")
 
     def errs(z):
-        exact = stats_report(evolve_state(propagator(em, z), s0), sel)
+        exact = stats_report(evolve_state(propagator(params, z), s0), sel)
         approx = stats_report(shortlen_state(params, s0, z), sel)
         return np.array([
             abs(exact.mean_w - approx.mean_w),
