@@ -4,9 +4,12 @@
 # which runs the same with scipy installed.  The check suite runs with
 # warnings as errors, every preset runs twice, in two processes with
 # different string hashing, and both runs must write the same files byte
-# for byte (p(n), quadrature and compound selections are all covered);
+# for byte (p(n), quadrature and compound selections are all covered).
+# The installed ``qcoupler`` script, whose entry point is
+# qcoupler.cli:main, then lists the presets, runs the check suite and
+# runs fig3, which must write the same bytes as ``python -m qcoupler``;
 # then the README's library example runs.  Run from the repository root,
-# with qcoupler importable.
+# with qcoupler installed.
 set -euo pipefail
 
 runs=$(mktemp -d)
@@ -21,5 +24,14 @@ done
 diff <(ls "$runs/a") <(ls "$runs/b")
 for f in "$runs"/a/*.csv; do
   cmp "$f" "$runs/b/${f##*/}"
+done
+
+mkdir "$runs/script"
+diff <(qcoupler list-presets) <(python -m qcoupler list-presets)
+PYTHONWARNINGS=error qcoupler check
+qcoupler run --preset fig3 --out "$runs/script/fig3.csv"
+diff <(ls "$runs/script") <(cd "$runs/a" && ls fig3.*)
+for f in "$runs"/script/*.csv; do
+  cmp "$f" "$runs/a/${f##*/}"
 done
 python -m pytest -q tests/test_readme.py

@@ -5,7 +5,11 @@ its z-grid and writes the requested statistics as CSV; photon-number
 distributions go to side files.  ``qcoupler check`` runs the
 cross-method validation suite (numerical vs closed-form propagator,
 short-length order of accuracy, Gaussian pipeline vs the Fock oracle)
-and fails loudly on any tolerance breach.
+and fails loudly on any tolerance breach.  The routes it compares
+against are imported inside the check functions, and ``argparse``
+inside ``_build_parser``: ``import qcoupler`` loads neither, and
+``qcoupler run`` never loads the closed form, the short-length
+expansion or the Fock oracle.
 
 Exit codes: 0 ok, 1 usage, 2 validation/parse, 3 numerical failure,
 4 check-suite failure.
@@ -13,10 +17,7 @@ Exit codes: 0 ok, 1 usage, 2 validation/parse, 3 numerical failure,
 
 from __future__ import annotations
 
-import argparse
-import cmath
 import os
-import random
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -33,14 +34,12 @@ from .exceptions import (
     UnsupportedConfigurationError,
     ValidationError,
 )
-from .analytic import analytic_propagator
 from .dynamics import (
     conservation_residual,
     evolve_state,
     propagator,
     symplectic_check,
 )
-from .fock_oracle import FockConfig, evolve_fock, fock_statistics
 from .gaussian_stats import stats_report
 from .model import (
     CouplerParams,
@@ -55,7 +54,6 @@ from .model import (
     validate_params,
 )
 from .presets import PRESET_NAMES, load_preset
-from .shortlen import short_propagator
 
 # (column suffix, values over z) of each quantity, read off a stacked report
 _QUANTITY_COLUMNS = {
@@ -229,6 +227,8 @@ def emit_csv(result: SweepResult, destination) -> list:
 # Cross-method check suite.
 
 def _check_analytic():
+    from .analytic import analytic_propagator
+
     tol = 1e-8  # the two agree to about 3e-15
     params = CouplerParams(gS1=1, gA1=2, gS2=1, gA2=2, kappaS=1, kappaA=-1)
     worst = 0.0
@@ -239,6 +239,11 @@ def _check_analytic():
 
 
 def _check_shortlen():
+    import cmath
+    import random
+
+    from .shortlen import short_propagator
+
     # the standard library's generator: numpy.random would be the only
     # thing that loads it (and hashlib, secrets, OpenSSL), about 6 MB
     rng = random.Random(2024)
@@ -280,6 +285,8 @@ _ORACLE_TOLS = (4e-8, 3e-6, 3e-6)
 
 
 def _check_oracle():
+    from .fock_oracle import FockConfig, evolve_fock, fock_statistics
+
     z = 0.5
     tol_pn, tol_n, tol_lam = _ORACLE_TOLS
     lines = []
@@ -325,12 +332,13 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-
 def _build_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
     parser = _Parser(prog="qcoupler",
                      description="Quantum light statistics in pumped two-guide "
                                  "Raman/Brillouin couplers")

@@ -51,7 +51,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import NumericalError, ValidationError
-from .model import CouplerParams, GaussianState, N_MODES, _as_scalar, _first_flagged, _frozen
+from .model import (CouplerParams, GaussianState, N_MODES, _as_reals, _as_scalar, _first_flagged,
+                    _frozen)
 
 _DIM = 2 * N_MODES
 # x = (S1^+, A1, V1, S2^+, A2, V2): the positions in (A; A^+) of six
@@ -219,12 +220,12 @@ def propagator(params: CouplerParams, z) -> BogoliubovTransform:
     head cover the grid.  A scalar or an unevenly spaced array takes B = 1, one
     exponential per point.  The products are written into one read-only
     (Z, 6, 6) array of T, which the transform takes over without a copy.
-    A non-finite transform raises :class:`NumericalError` naming the
-    first failing z.
+    A length that is not a finite real, such as a complex, text or NaN
+    entry or a ragged list, raises :class:`ValidationError` naming z; a
+    non-finite transform raises :class:`NumericalError` naming the first
+    failing z.
     """
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise NumericalError(f"propagation length must be finite, got {z}")
+    z = _as_reals(z, "z")
     flat = z.ravel()
     step = _even_step(flat)
     block = 1 if step is None else math.ceil(math.sqrt(flat.size))
@@ -257,8 +258,13 @@ def rk4_propagator(params: CouplerParams, z: float, h: float = 1e-4) -> Bogoliub
     :meth:`BogoliubovTransform.from_doubled`, so a drift matrix that
     couples the closed block to anything else fails there.  The step is
     shrunk slightly if needed so the integration lands exactly on z.
+    z and the step h must be finite reals, and h positive, else
+    :class:`ValidationError`.
     """
     z = _as_scalar(z, "z")
+    h = _as_scalar(h, "h")
+    if h <= 0:
+        raise ValidationError(f"h must be positive, got {h}")
     gen = 1j * build_drift_matrix(params)
     steps = max(1, int(np.ceil(abs(z) / h - 1e-12)))
     step = z / steps

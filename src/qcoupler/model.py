@@ -77,12 +77,37 @@ def _as_int(value, name, low, high=None):
 def _as_scalar(value, name, kind=float):
     """``value`` as a finite ``kind``, float or complex."""
     try:
+        if kind is float and isinstance(value, np.complexfloating):
+            raise TypeError  # float() would drop its imaginary part with a warning
         x = kind(value)
     except (TypeError, ValueError):
         what = "real" if kind is float else "complex"
         raise ValidationError(f"{name} is not a {what} scalar: {value!r}") from None
     if not (math.isfinite(x.real) and math.isfinite(x.imag)):
         raise ValidationError(f"{name} must be finite, got {x}")
+    return x
+
+
+def _as_reals(value, name) -> np.ndarray:
+    """``value`` as a float array of finite reals, of any shape.
+
+    A real numeric array keeps its values exactly.  Text, objects and
+    complex numbers are read entry by entry as :func:`_as_scalar` reads a
+    real scalar, so a complex entry is rejected even with a zero
+    imaginary part, and so are ragged nesting and non-finite entries."""
+    try:
+        x = np.asarray(value)
+    except ValueError:  # ragged nesting
+        raise ValidationError(f"{name} is not a real array: {value!r}") from None
+    if x.dtype.kind not in "biuf":
+        entry = f"{name} entry" if x.ndim else name
+        return np.array([_as_scalar(v, entry) for v in x.ravel().tolist()],
+                        dtype=float).reshape(x.shape)
+    x = x.astype(float, copy=False)
+    if not np.isfinite(x).all():
+        i = int(np.argmax(~np.isfinite(x)))
+        at = f" at flat index {i}" if x.ndim else ""
+        raise ValidationError(f"{name} must be finite, got {x.ravel()[i]}{at}")
     return x
 
 

@@ -409,6 +409,79 @@ def test_import_and_run_load_no_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 0 [] []"
 
 
+# the modules that serve ``qcoupler check`` alone
+_CHECK_ONLY_MODULES = ["qcoupler.analytic", "qcoupler.shortlen", "qcoupler.fock_oracle"]
+
+# which of them are loaded after the import, after a run and after check
+_LAZY_LOAD_PROBE = """
+import sys
+import qcoupler
+from qcoupler.cli import main
+
+def loaded():
+    return "loaded: " + " ".join(m for m in sys.argv[2:] if m in sys.modules)
+
+print(loaded())
+main(["run", "--preset", "fig3", "--out", sys.argv[1]])
+print(loaded())
+main(["check"])
+print(loaded())
+"""
+
+
+def test_check_only_modules_load_on_first_use(tmp_path):
+    proc = _run_uninstalled(["-c", _LAZY_LOAD_PROBE, str(tmp_path / "fig3.csv"),
+                             *_CHECK_ONLY_MODULES, "argparse"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[1:] for line in lines if line.startswith("loaded:")] == [
+        [], ["argparse"], _CHECK_ONLY_MODULES + ["argparse"]]
+    assert [line.split()[0] for line in lines[-4:-1]] == ["PASS"] * 3
+
+
+# the public names of the check-only modules, each with its module
+_LAZY_NAMES = {
+    "analytic_propagator": "analytic", "conditions_satisfied": "analytic",
+    "short_propagator": "shortlen", "shortlen_state": "shortlen",
+    "FockConfig": "fock_oracle", "FockEnsemble": "fock_oracle", "FockLevel": "fock_oracle",
+    "build_hamiltonian": "fock_oracle", "evolve_fock": "fock_oracle",
+    "fock_statistics": "fock_oracle",
+}
+
+# what a fresh interpreter sees of the lazy names, as lines of 0/1 flags
+_LAZY_NAMES_PROBE = """
+import importlib, sys, types
+import qcoupler
+
+lazy = dict(arg.split(":") for arg in sys.argv[1:])
+print(int(not any(name in vars(qcoupler) for name in lazy)))
+print(int(all(name in dir(qcoupler) for name in lazy)))
+print(int(all(getattr(qcoupler, name) is getattr(importlib.import_module("qcoupler." + mod), name)
+              for name, mod in lazy.items())))
+print(int(all(name in vars(qcoupler) for name in lazy)))
+
+from qcoupler import FockConfig
+print(int(FockConfig is qcoupler.fock_oracle.FockConfig))
+star = {}
+exec("from qcoupler import *", star)
+public = {name for name in dir(qcoupler) if not name.startswith("_")
+          and not isinstance(getattr(qcoupler, name), types.ModuleType)}
+print(int(public <= star.keys() and set(lazy) <= public))
+"""
+
+
+def test_check_only_names_resolve_on_first_access(tmp_path):
+    # each line: not bound at import, listed by dir(), the module's own
+    # object, then bound; ``from qcoupler import`` one; ``import *`` all
+    proc = _run_uninstalled(["-c", _LAZY_NAMES_PROBE,
+                             *(f"{name}:{mod}" for name, mod in _LAZY_NAMES.items())], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"] * 6
+    assert set(_LAZY_NAMES) <= set(qcoupler.__all__)
+    with pytest.raises(AttributeError, match="^module 'qcoupler' has no attribute 'nonesuch'$"):
+        qcoupler.nonesuch
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     proc = _run_uninstalled(["-m", "qcoupler", "list-presets"], tmp_path)
     assert proc.returncode == 0, proc.stderr

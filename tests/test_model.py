@@ -251,11 +251,58 @@ _MATCHED = CouplerParams(gS1=1, gA1=2, gS2=1, gA2=2, kappaS=1, kappaA=-1)
     pytest.param("a", "^z is not a real scalar: 'a'$", id="text"),
     pytest.param(math.nan, "^z must be finite, got nan$", id="nan"),
     pytest.param(math.inf, "^z must be finite, got inf$", id="inf"),
+    # float() would drop the imaginary part with only a ComplexWarning
+    pytest.param(np.complex128(1 + 2j), r"^z is not a real scalar: .*1\+2j\)$",
+                 id="numpy-complex"),
 ])
 def test_scalar_length_routes_check_their_length(route, z, message):
     # only ``propagator`` takes an array of lengths
     with pytest.raises(ValidationError, match=message):
         route(_MATCHED, z)
+
+
+@pytest.mark.parametrize("h, message", [
+    pytest.param(-1.0, "^h must be positive, got -1.0$", id="negative"),
+    pytest.param(0.0, "^h must be positive, got 0.0$", id="zero"),
+    pytest.param(math.inf, "^h must be finite, got inf$", id="inf"),
+    pytest.param(math.nan, "^h must be finite, got nan$", id="nan"),
+    pytest.param("x", "^h is not a real scalar: 'x'$", id="text"),
+])
+def test_rk4_propagator_checks_its_step(h, message):
+    # left unchecked, a negative or infinite h takes one RK4 step over the whole length
+    with pytest.raises(ValidationError, match=message):
+        rk4_propagator(CouplerParams(gS1=1, gA1=2), 1.0, h=h)
+
+
+@pytest.mark.parametrize("z, message", [
+    pytest.param(np.array([1 + 2j]), r"^z entry is not a real scalar: \(1\+2j\)$",
+                 id="complex-array"),
+    pytest.param(np.array([0.5 + 0j]), r"^z entry is not a real scalar: \(0.5\+0j\)$",
+                 id="complex-array-real-valued"),
+    pytest.param(1j, "^z is not a real scalar: 1j$", id="complex"),
+    pytest.param("abc", "^z is not a real scalar: 'abc'$", id="text"),
+    pytest.param([0.1, "abc"], "^z entry is not a real scalar: 'abc'$", id="text-entry"),
+    pytest.param([0.1, [0.2, 0.3]], r"^z is not a real array: \[0.1, \[0.2, 0.3\]\]$",
+                 id="ragged"),
+    pytest.param(None, "^z is not a real scalar: None$", id="none"),
+    pytest.param([0.1, None], "^z entry is not a real scalar: None$", id="none-entry"),
+    pytest.param(math.nan, "^z must be finite, got nan$", id="nan"),
+    pytest.param(np.array([[0.1, 0.2], [math.inf, 0.3]]),
+                 "^z must be finite, got inf at flat index 2$", id="inf-entry"),
+])
+def test_propagator_checks_its_lengths(z, message):
+    with pytest.raises(ValidationError, match=message):
+        propagator(_MATCHED, z)
+
+
+def test_propagator_reads_real_lengths_exactly():
+    grid = np.linspace(0.0, 1.5, 9)
+    for z, same in [(grid.tolist(), grid), (np.arange(4), np.arange(4.0)),
+                    (grid.astype(np.float32), grid.astype(np.float32).astype(float)),
+                    ("0.5", 0.5), (np.float32(0.1), float(np.float32(0.1)))]:
+        t, ref = propagator(_MATCHED, z), propagator(_MATCHED, same)
+        assert t.z.dtype == float and t.z.tobytes() == np.asarray(same, float).tobytes()
+        assert t.block.tobytes() == ref.block.tobytes()
 
 
 def test_state_noise_functions_read_off_n_and_m():

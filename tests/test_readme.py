@@ -36,7 +36,9 @@ def resolves(path):
     if obj is not None:
         return True
     # a method or field on an instance in the text, such as t.doubled() or t.block
-    classes = [v for v in vars(qcoupler).values() if isinstance(v, type)]
+    # dir() and getattr, which also reach the names loaded on first access
+    classes = [v for v in (getattr(qcoupler, name) for name in dir(qcoupler))
+               if isinstance(v, type)]
     return bool(rest) and any(
         hasattr(cls, rest[-1]) or dataclasses.is_dataclass(cls)
         and rest[-1] in {f.name for f in dataclasses.fields(cls)} for cls in classes)
