@@ -42,7 +42,6 @@ from .model import (
     build_input_state,
     parse_scenario,
     serialize_scenario,
-    validate_params,
 )
 from .dynamics import (
     BogoliubovTransform,

@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .exceptions import (
     NumericalError,
+    ParameterRegimeWarning,
     PrecisionWarning,
     QcouplerError,
     ScenarioParseError,
@@ -51,7 +52,6 @@ from .model import (
     build_input_state,
     parse_scenario,
     serialize_scenario,
-    validate_params,
 )
 from .presets import PRESET_NAMES, load_preset
 
@@ -91,8 +91,11 @@ class SweepResult:
 def run_scenario(cfg: ScenarioConfig) -> SweepResult:
     """Evolve the scenario over its z-grid and collect all statistics.
 
-    Deterministic for a given config.  Each stage runs once over the
-    whole grid: the propagator stacked over z, the stacked state, and one
+    Deterministic for a given config.  It first warns, with
+    :class:`ParameterRegimeWarning` at the caller's line, once for each
+    driven guide with |gA| <= |gS|, since nonclassical regimes favor
+    |gA| > |gS|.  Each stage then runs once over the whole grid: the
+    propagator stacked over z, the stacked state, and one
     stacked ``stats_report`` per distinct selection, which builds the
     order-``n_max`` jet at s=1 only for selections that request ``pn``,
     and the quadrature variances and their digit alarm only for those
@@ -107,7 +110,11 @@ def run_scenario(cfg: ScenarioConfig) -> SweepResult:
     the sweep raises :class:`NumericalError`; above 1e-10 it warns with
     :class:`PrecisionWarning`.  Both name the first z past the bound.
     """
-    params = validate_params(cfg.params)
+    params = cfg.params
+    for guide, gs, ga in ((1, params.gS1, params.gA1), (2, params.gS2, params.gA2)):
+        if (gs != 0 or ga != 0) and abs(ga) <= abs(gs):
+            warnings.warn(f"guide {guide} has |gA| <= |gS|; nonclassical regimes favor "
+                          "|gA| > |gS|", ParameterRegimeWarning, stacklevel=2)
     s0 = build_input_state(cfg.inputs)
     observables = cfg.effective_observables()
     pn_selections = {sel for tag, sel in observables if tag == "pn"}

@@ -144,12 +144,6 @@ class BogoliubovTransform:
                                   f"{_first_flagged(t.z, stray)[1]}")
         return t
 
-    @classmethod
-    def from_doubled(cls, mat: np.ndarray, z) -> "BogoliubovTransform":
-        """The transform of a 12x12 propagator over (A; A^+): its annihilator rows."""
-        mat = _frozen(mat, complex, np.shape(mat)[:-2] + (_DIM, _DIM))
-        return cls.from_rows(mat[..., :N_MODES, :], z)
-
     def doubled(self) -> np.ndarray:
         """Rebuild the full 12x12 propagator; the creator rows [V* U*] are
         the conjugates of [U V] with their halves exchanged."""
@@ -254,8 +248,8 @@ def rk4_propagator(params: CouplerParams, z: float, h: float = 1e-4) -> Bogoliub
     with M = ``build_drift_matrix(params)``, on the full 12x12 system.
 
     Deliberately independent of the matrix-exponential route; used as a
-    cross-check oracle.  Its 12x12 result goes through
-    :meth:`BogoliubovTransform.from_doubled`, so a drift matrix that
+    cross-check oracle.  The annihilator rows of its 12x12 result go
+    through :meth:`BogoliubovTransform.from_rows`, so a drift matrix that
     couples the closed block to anything else fails there.  The step is
     shrunk slightly if needed so the integration lands exactly on z.
     z and the step h must be finite reals, and h positive, else
@@ -275,7 +269,7 @@ def rk4_propagator(params: CouplerParams, z: float, h: float = 1e-4) -> Bogoliub
         k3 = gen @ (e + 0.5 * step * k2)
         k4 = gen @ (e + step * k3)
         e = e + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return BogoliubovTransform.from_doubled(e, z)
+    return BogoliubovTransform.from_rows(e[:N_MODES], z)
 
 
 class SymplecticCheck(NamedTuple):
@@ -306,7 +300,7 @@ def symplectic_check(t: BogoliubovTransform) -> SymplecticCheck:
     np.multiply(tt.real, _ETA, out=k.real)
     np.multiply(tt.imag, -_ETA, out=k.imag)
     np.matmul(tt, k.swapaxes(-1, -2), out=r)
-    diagonal = r.reshape(r.shape[:-2] + (-1,))[..., ::N_MODES + 1]   # a writeable view
+    diagonal = r.reshape(r.shape[:-2] + (N_MODES**2,))[..., ::N_MODES + 1]   # a writeable view
     np.subtract(diagonal, _ETA, out=diagonal)
     mag, size = k.reshape(-1).view(float).reshape((2,) + r.shape)
     violation = np.max(np.abs(r, out=mag), axis=(-2, -1))
@@ -326,7 +320,7 @@ def evolve_state(t: BogoliubovTransform, s0: GaussianState) -> GaussianState:
     (cross-mode ones allowed) and J the swap of its row blocks.  S is the
     input's antinormal covariance with its column halves exchanged.  A
     stack of transforms takes the one input state to a state stacked
-    likewise.
+    likewise; a stacked input state raises :class:`ValidationError`.
 
     Each product is a stack of one small product per transform.  F, built
     from T, and G = F S^T share one scratch array; the moments stay on
@@ -337,6 +331,9 @@ def evolve_state(t: BogoliubovTransform, s0: GaussianState) -> GaussianState:
     planes that the state keeps; G's spent plane serves for restoring the
     exact symmetries.
     """
+    if s0.xi.shape != (N_MODES,):
+        raise ValidationError(f"evolve_state takes one input state, "
+                              f"got a stack of shape {s0.xi.shape[:-1]}")
     tt = t.block
     s_t = np.roll(s0.antinormal_covariance(), N_MODES, axis=-1).T
     nm = np.empty((2,) + tt.shape, dtype=complex)

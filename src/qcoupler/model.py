@@ -31,16 +31,11 @@ from __future__ import annotations
 import enum
 import math
 import operator
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import (
-    ParameterRegimeWarning,
-    ScenarioParseError,
-    ValidationError,
-)
+from .exceptions import ScenarioParseError, ValidationError
 
 N_MODES = 6
 
@@ -143,17 +138,6 @@ class CouplerParams:
             gS1=self.gS2, gA1=self.gA2, gS2=self.gS1, gA2=self.gA1,
             kappaS=self.kappaS.conjugate(), kappaA=self.kappaA.conjugate(),
         )
-
-
-def validate_params(params: CouplerParams) -> CouplerParams:
-    """Return ``params``, which checked itself when it was made, warning
-    with :class:`ParameterRegimeWarning` when a driven guide has
-    ``|gA| <= |gS|``, since nonclassical regimes favor the opposite."""
-    for guide, gs, ga in ((1, params.gS1, params.gA1), (2, params.gS2, params.gA2)):
-        if (gs != 0 or ga != 0) and abs(ga) <= abs(gs):
-            warnings.warn(f"guide {guide} has |gA| <= |gS|; nonclassical regimes favor "
-                          "|gA| > |gS|", ParameterRegimeWarning, stacklevel=2)
-    return params
 
 
 def _input_noise(r: float, theta: float, n_ch: float):
@@ -420,11 +404,10 @@ class ModeSelection:
             raise ValidationError(f"unknown mode name {exc.args[0]!r} in {text!r}")
 
 
-def _check_orders(k_max, n_max):
-    """Raise ValidationError unless k_max is an integer in [1, 8] and n_max
-    one in [1, 512], the limits documented on ScenarioConfig."""
-    _as_int(k_max, "k_max", 1, 8)
-    _as_int(n_max, "n_max", 1, 512)
+def _check_orders(k_max, n_max) -> tuple:
+    """(k_max, n_max) as ints; ValidationError unless k_max is an integer in
+    [1, 8] and n_max one in [1, 512], the limits documented on ScenarioConfig."""
+    return _as_int(k_max, "k_max", 1, 8), _as_int(n_max, "n_max", 1, 512)
 
 
 QUANTITY_TAGS = ("moments", "variance", "squeeze", "quadratures", "pn")
@@ -456,7 +439,9 @@ class ScenarioConfig:
             raise ValidationError(f"z_max must be positive and finite, got {z_max}")
         object.__setattr__(self, "z_max", z_max)
         object.__setattr__(self, "z_steps", _as_int(self.z_steps, "z_steps", 2))
-        _check_orders(self.k_max, self.n_max)
+        k_max, n_max = _check_orders(self.k_max, self.n_max)
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "n_max", n_max)
         observables = _as_tuple(self.observables, "observables")
         for i, entry in enumerate(observables):
             if not (isinstance(entry, tuple) and len(entry) == 2):

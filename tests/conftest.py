@@ -1,16 +1,13 @@
 """Shared test helpers.
 
-Provides quiet parameter construction, the gain filter of the property
-tests, sweeps that assert their p(n) truncation alarm, seeded random
-draws, the guide exchange of a state, the generating function of an
-eigen spectrum (closed product form, its jet by scalar loops, and the
-same jet through the moments' trace series), small z-polynomial
-arithmetic (exact convolution, truncation at degree 4), and the generic
-short-length composition that the fixture-identity tests and the
-acceptance suite both consume.
+Provides the gain filter of the property tests, sweeps that assert
+their p(n) truncation alarm, seeded random draws, the guide exchange of
+a state, the generating function of an eigen spectrum (closed product
+form, its jet by scalar loops, and the same jet through the moments'
+trace series), small z-polynomial arithmetic (exact convolution,
+truncation at degree 4), and the generic short-length composition that
+the fixture-identity tests and the acceptance suite both consume.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +24,6 @@ from qcoupler.model import (
     InputSpec,
     _doubled_covariance,
     build_input_state,
-    validate_params,
 )
 from qcoupler.presets import load_preset
 from qcoupler.shortlen import shortlen_polys
@@ -39,13 +35,6 @@ ORDER = 4
 # and 350 MB with it, on a deliberately broken trace series).
 PROPERTY_PHASES = tuple(p for p in Phase if p.name != "explain")
 S1, A1, V1, S2, A2, V2 = range(6)
-
-
-def quiet_params(**kwargs) -> CouplerParams:
-    """Validated parameters with the regime warning suppressed."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return validate_params(CouplerParams(**kwargs))
 
 
 # The p(n) selection of each preset whose tail beyond n_max exceeds the
@@ -82,8 +71,8 @@ def random_couplings(rng, mag=3.0, kappa_mag=None):
         mags[4:] = rng.uniform(0.2, kappa_mag, 2)
     phases = np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
     vals = mags * phases
-    return quiet_params(gS1=vals[0], gA1=vals[1], gS2=vals[2], gA2=vals[3],
-                        kappaS=vals[4], kappaA=vals[5])
+    return CouplerParams(gS1=vals[0], gA1=vals[1], gS2=vals[2], gA2=vals[3],
+                         kappaS=vals[4], kappaA=vals[5])
 
 
 def random_inputs(rng, xi_mag=2.0, squeezed=True, thermal=True):
@@ -174,7 +163,7 @@ def matched_coupling_params(rng, mag=3.0):
     k_s = mk * np.exp(1j * ch_s)
     k_a = mk * np.exp(1j * ch_a)
     g_a2 = -(k_s / abs(k_s)) * (np.conj(g_s2) / np.conj(g_s1)) * (abs(k_a) / np.conj(k_a)) * g_a1
-    return quiet_params(gS1=g_s1, gA1=g_a1, gS2=g_s2, gA2=g_a2, kappaS=k_s, kappaA=k_a)
+    return CouplerParams(gS1=g_s1, gA1=g_a1, gS2=g_s2, gA2=g_a2, kappaS=k_s, kappaA=k_a)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from qcoupler.dynamics import (
 from qcoupler.fock_oracle import FockConfig, evolve_fock, fock_statistics
 from qcoupler.gaussian_stats import stats_report
 from qcoupler.model import (
+    CouplerParams,
     InputSpec,
     ModeId,
     ModeSelection,
@@ -33,7 +34,6 @@ from qcoupler.presets import PRESET_NAMES, load_preset
 from qcoupler.shortlen import short_propagator
 
 from conftest import (
-    quiet_params,
     random_couplings,
     random_inputs,
     run_preset,
@@ -110,7 +110,7 @@ def test_criterion_2_conservation_on_presets(preset_states):
 
 
 def test_criterion_3_cross_method_propagators():
-    params = quiet_params(gS1=1, gA1=2, gS2=1, gA2=2, kappaS=1, kappaA=-1)
+    params = CouplerParams(gS1=1, gA1=2, gS2=1, gA2=2, kappaS=1, kappaA=-1)
     worst_rk = 0.0
     for z in (1.0, 2.5, 5.0):
         t_rk = rk4_propagator(params, z, h=1e-4)
@@ -152,8 +152,8 @@ def test_criterion_5_shortlen_fixture_identities():
     corrected = []
     for _ in range(3):
         vals = rng.uniform(0.3, 2.5, 6) * np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
-        params = quiet_params(gS1=vals[0], gA1=vals[1], gS2=vals[2],
-                              gA2=vals[3], kappaS=vals[4], kappaA=vals[5])
+        params = CouplerParams(gS1=vals[0], gA1=vals[1], gS2=vals[2],
+                               gA2=vals[3], kappaS=vals[4], kappaA=vals[5])
         xi = rng.uniform(0.3, 2.0, 6) * np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
         n1, n2 = rng.uniform(0.05, 0.8, 2)
         for label, composed, reference, published in shortlen_identity_records(
@@ -175,7 +175,7 @@ def test_criterion_5_shortlen_fixture_identities():
 
 def test_criterion_6_oracle_equivalence():
     start = time.perf_counter()
-    params = quiet_params(gS1=0.3, gA1=0.6)
+    params = CouplerParams(gS1=0.3, gA1=0.6)
     specs = {ModeId.S1: InputSpec(xi=0.5j), ModeId.A1: InputSpec(xi=-0.4),
              ModeId.V1: InputSpec(n_ch=0.3)}
     cfg = FockConfig(modes=tuple(sorted(specs)), cutoffs=(12, 12, 12),
@@ -209,7 +209,7 @@ def test_criterion_7_squeeze_benchmark():
     s0 = build_input_state([VACUUM_INPUT] * 6)
     sel = ModeSelection((ModeId.S1, ModeId.V1))
     for g in (0.6, 1.0):
-        params = quiet_params(gS1=g)
+        params = CouplerParams(gS1=g)
         zs = np.linspace(0.0, 3.0, 61)
         lam = stats_report(evolve_state(propagator(params, zs), s0), sel).lam
         worst = max(worst, float(np.max(np.abs(lam - 2.0 * np.exp(-2.0 * g * zs)))))

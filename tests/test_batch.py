@@ -20,6 +20,7 @@ from qcoupler.dynamics import (
     conservation_residual,
     evolve_state,
     propagator,
+    symplectic_check,
 )
 from qcoupler.exceptions import NumericalError
 from qcoupler.gaussian_stats import stats_report
@@ -39,7 +40,6 @@ from qcoupler.presets import PRESET_NAMES, load_preset
 from conftest import (
     PROPERTY_PHASES,
     growth_rate,
-    quiet_params,
     run_preset,
     run_truncated,
     spectrum_jet,
@@ -181,7 +181,7 @@ z_points = st.one_of(
 def test_batch_rows_equal_points(stokes, excess, kappa, phase, specs, zs, sel):
     mags = [stokes[0], stokes[0] + excess[0], stokes[1], stokes[1] + excess[1], *kappa]
     g = [m * np.exp(1j * p) for m, p in zip(mags, phase)]
-    params = quiet_params(gS1=g[0], gA1=g[1], gS2=g[2], gA2=g[3], kappaS=g[4], kappaA=g[5])
+    params = CouplerParams(gS1=g[0], gA1=g[1], gS2=g[2], gA2=g[3], kappaS=g[4], kappaA=g[5])
     # stable couplers only: no eigenvalue of the generator with gain
     assume(growth_rate(params) <= 1e-9)
     s0 = build_input_state(specs)
@@ -197,18 +197,22 @@ def test_batch_rows_equal_points(stokes, excess, kappa, phase, specs, zs, sel):
 @pytest.mark.parametrize("shape", [(0,), (0, 3)])
 def test_empty_grid_gives_empty_fields(shape):
     # no point to check: every field is an empty stack, none an error
-    params = quiet_params(gS1=0.5, gA1=1.0)
-    states = evolve_state(propagator(params, np.zeros(shape)),
+    params = CouplerParams(gS1=0.5, gA1=1.0)
+    transforms = propagator(params, np.zeros(shape))
+    check = symplectic_check(transforms)
+    assert check.residual == check.scaled == 0.0 and check.each.shape == shape
+    states = evolve_state(transforms,
                           build_input_state([InputSpec(xi=1.0, r=0.3)] + [VACUUM_INPUT] * 5))
     report = stats_report(states, ModeSelection((ModeId.S1, ModeId.A1)), k_max=3, n_max=4,
                           include_pn=True)
     assert report.mean_w.shape == report.lam.shape == shape
     assert report.reduced_moments.shape == shape + (2,) and report.p_n.shape == shape + (5,)
+    assert conservation_residual(states) == 0.0
     states.check_physical()
 
 
 def test_2d_grid_rows_equal_points():
-    params = quiet_params(gS1=0.5, gA1=1.0, gS2=0.3, gA2=0.9, kappaS=0.7, kappaA=0.4j)
+    params = CouplerParams(gS1=0.5, gA1=1.0, gS2=0.3, gA2=0.9, kappaS=0.7, kappaA=0.4j)
     inputs = [VACUUM_INPUT] * 6
     inputs[ModeId.S1] = InputSpec(xi=1.0, r=0.3)
     s0 = build_input_state(inputs)
@@ -254,7 +258,7 @@ def test_run_scenario_names_first_non_finite_propagator():
 
 
 def _sweep_state(z_steps=8):
-    params = quiet_params(gS1=0.5, gA1=1.0)
+    params = CouplerParams(gS1=0.5, gA1=1.0)
     inputs = [VACUUM_INPUT] * 6
     inputs[ModeId.S1] = InputSpec(xi=1.0)
     return evolve_state(propagator(params, np.linspace(0.0, 1.0, z_steps)),

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import qcoupler
 import qcoupler.cli as cli
 from qcoupler.cli import SweepResult, emit_csv, main, run_scenario
+from qcoupler.dynamics import evolve_state, propagator
 from qcoupler.exceptions import (
     NumericalError,
     ParameterRegimeWarning,
@@ -28,6 +30,7 @@ from qcoupler.model import (
     CouplerParams,
     ModeId,
     ScenarioConfig,
+    build_input_state,
     format_complex,
     parse_scenario,
 )
@@ -84,6 +87,19 @@ def test_vacuum_zero_params_defaults():
         assert np.all(cols[f"{m}.lambda"] == 1.0)
         assert np.all(np.isnan(cols[f"{m}.w2"]))
         assert np.all(cols[f"{m}.meanW"] == 0.0)
+
+
+def test_run_scenario_warns_once_per_guide_with_dominant_stokes_coupling():
+    with pytest.warns(ParameterRegimeWarning) as record:
+        run_scenario(ScenarioConfig(params=CouplerParams(gS1=2, gA1=1), z_steps=2))
+    assert [str(w.message) for w in record] == [
+        "guide 1 has |gA| <= |gS|; nonclassical regimes favor |gA| > |gS|"]
+    assert record[0].filename == __file__      # the line that called run_scenario
+    # the published regime |gA| > |gS|, and no coupling at all, warn of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params in (CouplerParams(gS1=1, gA1=2, kappaS=-10), CouplerParams()):
+            run_scenario(ScenarioConfig(params=params, z_steps=2))
 
 
 def test_emit_csv_round_trip(tmp_path):
@@ -625,3 +641,27 @@ def test_scenario_documents_run_finite_or_fail_loudly(text):
     for name, table in result.pn_tables:
         assert np.all(np.isfinite(table)), name
     assert np.isfinite(float(dict(result.metadata)["conservation_residual"]))
+    # and within their physical bounds, for k the modes of the selection
+    columns = dict(result.columns)
+    for _, sel in cfg.effective_observables():
+        def col(qty):   # empty where the selection did not ask for it
+            return columns.get(f"{sel.name}.{qty}", np.empty(0))
+        floor = len(sel.modes) ** 2 * (1 - 1e-9)
+        assert np.all(col("lambda") > 0), sel.name
+        assert np.all(col("u") >= floor), sel.name
+        assert np.all(col("var_p") * col("var_q") >= floor), sel.name
+        assert np.all(col("meanW") >= 0), sel.name
+    # p(n) >= 0 up to the rounding of the input moments: a squeezed input's
+    # B = sinh^2 r and |C| = sinh(2r) / 2 are rounded apart, so |C|^2 may
+    # pass B (B + 1), and the stored state's own p(n) dips to about
+    # -eps sqrt(<W>) (p(1) = -1.0e-14 at r = 4 in 50 digits; the sweep reads
+    # -1.5e-14)
+    tables = dict(result.pn_tables)
+    with np.errstate(over="ignore", invalid="ignore"):   # in modes no selection reads
+        photons = evolve_state(propagator(cfg.params, cfg.z_grid()),
+                               build_input_state(cfg.inputs)).mean_photon_numbers()
+    for sel in {sel for tag, sel in cfg.effective_observables() if tag == "pn"}:
+        mean_w = np.sum(photons[:, list(sel.modes)], axis=-1)
+        table = tables[sel.name]
+        assert np.all(table >= -1e-14 * np.sqrt(np.maximum(1.0, mean_w))[:, None]), sel.name
+        assert np.all(table.sum(axis=-1) <= 1 + 1e-12), sel.name

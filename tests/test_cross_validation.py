@@ -14,6 +14,7 @@ from qcoupler.exceptions import TruncationWarning
 from qcoupler.fock_oracle import FockConfig, evolve_fock, fock_statistics
 from qcoupler.gaussian_stats import stats_report
 from qcoupler.model import (
+    CouplerParams,
     InputSpec,
     ModeId,
     ModeSelection,
@@ -21,7 +22,7 @@ from qcoupler.model import (
     build_input_state,
 )
 
-from conftest import quiet_params, selection_spectrum, spectrum_g
+from conftest import selection_spectrum, spectrum_g
 
 
 def _gaussian_state(params, mode_specs, z):
@@ -71,7 +72,7 @@ def _rel_err(value, ref):
 
 
 def test_oracle_vs_gaussian_stokes_pair():
-    _compare(quiet_params(gS1=0.3), (12, 12),
+    _compare(CouplerParams(gS1=0.3), (12, 12),
              {ModeId.S1: InputSpec(xi=0.4j), ModeId.V1: VACUUM_INPUT},
              0.5, [(ModeId.S1,), (ModeId.V1,), (ModeId.S1, ModeId.V1)])
 
@@ -80,7 +81,7 @@ def test_oracle_vs_gaussian_anti_stokes_pair():
     # the (8, 10) cutoffs leave 1.8e-6 of occupation on the boundary
     # levels, above the 1e-6 warning level and far below the error level
     with pytest.warns(TruncationWarning, match="boundary occupation mass"):
-        _compare(quiet_params(gA1=0.6), (8, 10),
+        _compare(CouplerParams(gA1=0.6), (8, 10),
                  {ModeId.A1: InputSpec(xi=0.5), ModeId.V1: InputSpec(n_ch=0.4)},
                  0.5, [(ModeId.A1,), (ModeId.V1,), (ModeId.A1, ModeId.V1)])
 
@@ -89,7 +90,7 @@ def test_oracle_vs_gaussian_full_guide():
     specs = {ModeId.S1: InputSpec(xi=0.5j), ModeId.A1: InputSpec(xi=-0.3),
              ModeId.V1: InputSpec(n_ch=0.3)}
     for z in (0.1, 0.3, 0.5):
-        _compare(quiet_params(gS1=0.3, gA1=0.6), (12, 12, 12), specs, z,
+        _compare(CouplerParams(gS1=0.3, gA1=0.6), (12, 12, 12), specs, z,
                  [(ModeId.S1,), (ModeId.A1,), (ModeId.V1,),
                   (ModeId.S1, ModeId.A1), (ModeId.S1, ModeId.V1),
                   (ModeId.A1, ModeId.V1)])
@@ -97,7 +98,7 @@ def test_oracle_vs_gaussian_full_guide():
 
 def test_oracle_vs_gaussian_coupled_guides():
     # four-mode closed subsystem exercises the evanescent coupling signs
-    params = quiet_params(gS1=0.25, gS2=0.2, kappaS=0.5j)
+    params = CouplerParams(gS1=0.25, gS2=0.2, kappaS=0.5j)
     specs = {ModeId.S1: InputSpec(xi=0.4), ModeId.V1: VACUUM_INPUT,
              ModeId.S2: InputSpec(xi=-0.3j), ModeId.V2: VACUUM_INPUT}
     _compare(params, (10, 10, 10, 10), specs, 0.5,
@@ -127,14 +128,14 @@ def test_oracle_vs_gaussian_coupled_guides():
 def test_oracle_vs_gaussian_every_input_kind(couplings, specs):
     modes = sorted(specs)
     selections = [(m,) for m in modes] + list(itertools.combinations(modes, 2))
-    _compare(quiet_params(**couplings), (14,) * len(modes), specs, 0.5, selections,
+    _compare(CouplerParams(**couplings), (14,) * len(modes), specs, 0.5, selections,
              tol_pn=1e-7, tol_n=1e-5, tol_lam=1e-5, tol_var=1e-5)
 
 
 def test_generating_function_matches_oracle():
     # two-mode squeezed vacuum: compare <:exp(-sW):> against the oracle's
     # photon distribution via sum p(n) (1 - s)^n
-    params = quiet_params(gS1=0.3)
+    params = CouplerParams(gS1=0.3)
     cfg = FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=(14, 14),
                      params=params)
     ensemble = evolve_fock(cfg, [VACUUM_INPUT, VACUUM_INPUT], 0.5)
@@ -148,7 +149,7 @@ def test_generating_function_matches_oracle():
 
 
 def test_rk4_vs_matrix_exponential_long_range():
-    params = quiet_params(gS1=1, gA1=2, gS2=1, gA2=2, kappaS=1, kappaA=-1)
+    params = CouplerParams(gS1=1, gA1=2, gS2=1, gA2=2, kappaS=1, kappaA=-1)
     for z in (1.0, 2.5, 5.0):
         t_rk = rk4_propagator(params, z, h=1e-3)
         t_ex = propagator(params, z)

@@ -15,9 +15,7 @@ from qcoupler.fock_oracle import (
     evolve_fock,
     fock_statistics,
 )
-from qcoupler.model import InputSpec, ModeId, VACUUM_INPUT
-
-from conftest import quiet_params
+from qcoupler.model import CouplerParams, InputSpec, ModeId, VACUUM_INPUT
 
 
 def _dense_product(cfg, steps):
@@ -59,7 +57,7 @@ def _applied_hamiltonian(cfg):
 
 
 def test_config_validation():
-    params = quiet_params(gS1=1)
+    params = CouplerParams(gS1=1)
     with pytest.raises(ValidationError):
         FockConfig(modes=(ModeId.S1, ModeId.A2), cutoffs=(4, 4), params=params)
     with pytest.raises(ValidationError):
@@ -67,10 +65,10 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         # coupling references modes outside the subsystem
         FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=(4, 4),
-                   params=quiet_params(gS1=1, kappaS=2))
+                   params=CouplerParams(gS1=1, kappaS=2))
     # the largest admissible subsystem stays within the dimension budget
     big = FockConfig(modes=(ModeId.S1, ModeId.V1, ModeId.S2, ModeId.V2),
-                     cutoffs=(16, 16, 16, 16), params=quiet_params(gS1=1))
+                     cutoffs=(16, 16, 16, 16), params=CouplerParams(gS1=1))
     assert big.dimension == 17**4 <= 200_000
 
 
@@ -80,7 +78,7 @@ def test_config_validation():
     ((ModeId.V2, ModeId.A2), dict(gA2=0.3)),
 ], ids=["evanescent-stokes-pair", "uncoupled-mode", "anti-stokes-pair"])
 def test_config_takes_any_closed_subsystem(modes, couplings):
-    cfg = FockConfig(modes=modes, cutoffs=(3,) * len(modes), params=quiet_params(**couplings))
+    cfg = FockConfig(modes=modes, cutoffs=(3,) * len(modes), params=CouplerParams(**couplings))
     assert cfg.modes == tuple(sorted(modes)) and cfg.dimension == 4 ** len(modes)
 
 
@@ -92,7 +90,7 @@ def test_config_takes_any_closed_subsystem(modes, couplings):
 ], ids=["coupling-leaves", "duplicate-modes", "empty", "too-large"])
 def test_config_rejects_what_is_not_a_closed_subsystem(modes, cutoffs, couplings, match):
     with pytest.raises(ValidationError, match=match):
-        FockConfig(modes=modes, cutoffs=cutoffs, params=quiet_params(**couplings))
+        FockConfig(modes=modes, cutoffs=cutoffs, params=CouplerParams(**couplings))
 
 
 def test_ladder_table_matches_its_formula_and_is_read_only():
@@ -109,7 +107,7 @@ def test_per_mode_preparation_matches_the_joint_stack():
     """Each mode prepared on its own axis, against every squeeze and then
     every displacement acting on the whole (members, dimension) stack."""
     cfg = FockConfig(modes=(ModeId.S1, ModeId.A1, ModeId.V1), cutoffs=(12, 11, 12),
-                     params=quiet_params(gS1=0.3, gA1=0.6))
+                     params=CouplerParams(gS1=0.3, gA1=0.6))
     specs = [InputSpec(xi=0.3j, r=0.3, theta=0.4), InputSpec(xi=-0.2, n_ch=0.3),
              InputSpec(r=0.2, theta=-1.1)]
     weights, index = np.ones(1), np.zeros(1, dtype=int)
@@ -130,14 +128,14 @@ def test_per_mode_preparation_matches_the_joint_stack():
 
 def test_hamiltonian_zero_without_couplings():
     cfg = FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=(3, 3),
-                     params=quiet_params())
+                     params=CouplerParams())
     assert build_hamiltonian(cfg) == ()
     assert not np.any(_applied_hamiltonian(cfg))
 
 
 def test_hamiltonian_pair_creation_element():
     cfg = FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=(1, 1),
-                     params=quiet_params(gS1=1))
+                     params=CouplerParams(gS1=1))
     h = _applied_hamiltonian(cfg)
     # lexicographic basis: |S1,V1> in {00, 01, 10, 11}
     assert h[3, 0] == pytest.approx(1.0)
@@ -146,7 +144,7 @@ def test_hamiltonian_pair_creation_element():
 
 
 def test_hamiltonian_hermitian_random():
-    params = quiet_params(gS1=0.3 + 0.1j, gA1=0.5j, kappaS=0, kappaA=0)
+    params = CouplerParams(gS1=0.3 + 0.1j, gA1=0.5j, kappaS=0, kappaA=0)
     cfg = FockConfig(modes=(ModeId.S1, ModeId.A1, ModeId.V1),
                      cutoffs=(5, 5, 5), params=params)
     h = _applied_hamiltonian(cfg)
@@ -167,7 +165,7 @@ SMALL_SUBSYSTEMS = [
 
 @pytest.mark.parametrize("modes,cutoffs,couplings", SMALL_SUBSYSTEMS)
 def test_operator_action_and_norm_match_dense_view(modes, cutoffs, couplings):
-    cfg = FockConfig(modes=modes, cutoffs=cutoffs, params=quiet_params(**couplings))
+    cfg = FockConfig(modes=modes, cutoffs=cutoffs, params=CouplerParams(**couplings))
     terms = build_hamiltonian(cfg)
     dense = _dense_hamiltonian(cfg)
     v = np.random.default_rng(3).normal(size=(3, cfg.dimension, 2)).view(complex)[..., 0]
@@ -199,7 +197,7 @@ def test_operator_action_and_norm_match_dense_view(modes, cutoffs, couplings):
 def test_exponential_matches_dense_expm(modes, cutoffs, couplings, z):
     """exp(izH) on every basis vector, against the dense eigendecomposition;
     |z| = 7 takes several scaled steps."""
-    cfg = FockConfig(modes=modes, cutoffs=cutoffs, params=quiet_params(**couplings))
+    cfg = FockConfig(modes=modes, cutoffs=cutoffs, params=CouplerParams(**couplings))
     ref = _dense_exp(cfg, z)
     out = fock_oracle._exp_action(cfg, build_hamiltonian(cfg), z,
                                   np.eye(cfg.dimension, dtype=complex))
@@ -209,7 +207,7 @@ def test_exponential_matches_dense_expm(modes, cutoffs, couplings, z):
 def test_thermal_ensemble_matches_dense_expm():
     """Each member of a thermal mixture is a basis vector evolved at once."""
     cfg = FockConfig(modes=(ModeId.A1, ModeId.V1), cutoffs=(10, 12),
-                     params=quiet_params(gA1=0.6 - 0.2j))
+                     params=CouplerParams(gA1=0.6 - 0.2j))
     z = 0.8
     ens = evolve_fock(cfg, [FockLevel(1), InputSpec(n_ch=0.3)], z)
     members = len(ens.weights)
@@ -222,7 +220,7 @@ def test_thermal_ensemble_matches_dense_expm():
 
 def test_evolution_z_zero_is_identity():
     cfg = FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=(6, 6),
-                     params=quiet_params(gS1=0.4))
+                     params=CouplerParams(gS1=0.4))
     ens = evolve_fock(cfg, [InputSpec(xi=0.5), VACUUM_INPUT], 0.0)
     stats = fock_statistics(ens, (ModeId.S1,))
     # off by the truncation of the displacement only
@@ -231,7 +229,7 @@ def test_evolution_z_zero_is_identity():
 
 def test_two_mode_squeezing_mean_photon_number():
     cfg = FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=(10, 10),
-                     params=quiet_params(gS1=0.3))
+                     params=CouplerParams(gS1=0.3))
     ens = evolve_fock(cfg, [VACUUM_INPUT, VACUUM_INPUT], 0.5)
     stats = fock_statistics(ens, (ModeId.S1,))
     assert stats.mean_w == pytest.approx(math.sinh(0.15) ** 2, abs=1e-5)
@@ -239,7 +237,7 @@ def test_two_mode_squeezing_mean_photon_number():
 
 def test_beam_splitter_with_single_phonon():
     cfg = FockConfig(modes=(ModeId.A1, ModeId.V1), cutoffs=(4, 4),
-                     params=quiet_params(gA1=0.6))
+                     params=CouplerParams(gA1=0.6))
     ens = evolve_fock(cfg, [VACUUM_INPUT, FockLevel(1)], 0.5)
     stats = fock_statistics(ens, (ModeId.A1,))
     assert stats.mean_w == pytest.approx(math.sin(0.3) ** 2, abs=1e-10)
@@ -247,7 +245,7 @@ def test_beam_splitter_with_single_phonon():
 
 def test_compound_squeeze_closed_form():
     cfg = FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=(12, 12),
-                     params=quiet_params(gS1=0.3))
+                     params=CouplerParams(gS1=0.3))
     ens = evolve_fock(cfg, [VACUUM_INPUT, VACUUM_INPUT], 0.5)
     stats = fock_statistics(ens, (ModeId.S1, ModeId.V1))
     assert stats.lam == pytest.approx(2 * math.exp(-0.3), abs=2e-4)
@@ -255,7 +253,7 @@ def test_compound_squeeze_closed_form():
 
 def test_vacuum_statistics():
     cfg = FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=(4, 4),
-                     params=quiet_params())
+                     params=CouplerParams())
     ens = evolve_fock(cfg, [VACUUM_INPUT, VACUUM_INPUT], 1.0)
     stats = fock_statistics(ens, (ModeId.S1,))
     assert stats.p_n[0] == pytest.approx(1.0)
@@ -264,7 +262,7 @@ def test_vacuum_statistics():
 
 def test_coherent_input_stays_poisson_without_coupling():
     cfg = FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=(12, 2),
-                     params=quiet_params())
+                     params=CouplerParams())
     ens = evolve_fock(cfg, [InputSpec(xi=0.5), VACUUM_INPUT], 0.7)
     stats = fock_statistics(ens, (ModeId.S1,))
     n = np.arange(len(stats.p_n))
@@ -274,7 +272,7 @@ def test_coherent_input_stays_poisson_without_coupling():
 
 def test_thermal_input_is_geometric():
     cfg = FockConfig(modes=(ModeId.A1, ModeId.V1), cutoffs=(2, 14),
-                     params=quiet_params())
+                     params=CouplerParams())
     ens = evolve_fock(cfg, [VACUUM_INPUT, InputSpec(n_ch=0.4)], 0.3)
     stats = fock_statistics(ens, (ModeId.V1,))
     q = 0.4 / 1.4
@@ -283,7 +281,7 @@ def test_thermal_input_is_geometric():
 
 
 def test_conservation_in_oracle():
-    params = quiet_params(gS1=0.3, gA1=0.6)
+    params = CouplerParams(gS1=0.3, gA1=0.6)
     cfg = FockConfig(modes=(ModeId.S1, ModeId.A1, ModeId.V1),
                      cutoffs=(10, 10, 10), params=params)
     inputs = [InputSpec(xi=0.4j), InputSpec(xi=0.3), InputSpec(n_ch=0.2)]
@@ -297,7 +295,7 @@ def test_conservation_in_oracle():
 
 def test_norm_preserved():
     cfg = FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=(12, 12),
-                     params=quiet_params(gS1=0.5))
+                     params=CouplerParams(gS1=0.5))
     ens = evolve_fock(cfg, [InputSpec(xi=0.5), VACUUM_INPUT], 1.0)
     for w, vec in zip(ens.weights, ens.vectors):
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
@@ -305,7 +303,7 @@ def test_norm_preserved():
 
 def test_truncation_error_raised():
     cfg = FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=(2, 2),
-                     params=quiet_params(gS1=1.5))
+                     params=CouplerParams(gS1=1.5))
     with pytest.raises(TruncationError):
         evolve_fock(cfg, [VACUUM_INPUT, VACUUM_INPUT], 1.0)
 
@@ -314,7 +312,7 @@ def test_truncation_warning_below_hard_limit():
     import warnings as _warnings
     from qcoupler.exceptions import TruncationWarning
     cfg = FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=(6, 6),
-                     params=quiet_params(gS1=1.0))
+                     params=CouplerParams(gS1=1.0))
     with pytest.warns(TruncationWarning):
         ens = evolve_fock(cfg, [VACUUM_INPUT, VACUUM_INPUT], 0.4)
     assert 1e-6 < ens.leak < 1e-4
@@ -339,7 +337,7 @@ def test_truncation_warning_below_hard_limit():
         "dict-missing-mode", "too-few", "too-many", "none-entry", "squeezed-chaotic", "none"])
 def test_bad_inputs_rejected(inputs, match):
     cfg = FockConfig(modes=(ModeId.A1, ModeId.V1), cutoffs=(4, 4),
-                     params=quiet_params(gA1=0.2))
+                     params=CouplerParams(gA1=0.2))
     with pytest.raises(ValidationError, match=match):
         evolve_fock(cfg, inputs(), 0.1)
 
@@ -348,7 +346,7 @@ def test_inputs_normalized_as_for_the_gaussian_state():
     # an InputSpec stores a numeric string as its number, which the oracle
     # prepares as build_input_state builds it
     cfg = FockConfig(modes=(ModeId.A1, ModeId.V1), cutoffs=(4, 12),
-                     params=quiet_params(gA1=0.2))
+                     params=CouplerParams(gA1=0.2))
     as_text = evolve_fock(cfg, [VACUUM_INPUT, InputSpec(n_ch="0.3")], 0.1)
     as_number = evolve_fock(cfg, [VACUUM_INPUT, InputSpec(n_ch=0.3)], 0.1)
     assert np.array_equal(as_text.vectors, as_number.vectors)
@@ -361,7 +359,7 @@ def test_inputs_normalized_as_for_the_gaussian_state():
 ], ids=["inf", "nan", "complex"])
 def test_bad_length_rejected(z, match):
     cfg = FockConfig(modes=(ModeId.A1, ModeId.V1), cutoffs=(4, 4),
-                     params=quiet_params(gA1=0.2))
+                     params=CouplerParams(gA1=0.2))
     with pytest.raises(ValidationError, match=match):
         evolve_fock(cfg, [VACUUM_INPUT, VACUUM_INPUT], z)
 
@@ -369,12 +367,12 @@ def test_bad_length_rejected(z, match):
 @pytest.mark.parametrize("cutoffs", [(2.7, 3), (3, "3"), (3, None)])
 def test_config_rejects_non_integral_cutoffs(cutoffs):
     with pytest.raises(ValidationError, match="a cutoff must be an integer in \\[1, 16\\]"):
-        FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=cutoffs, params=quiet_params(gS1=1))
+        FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=cutoffs, params=CouplerParams(gS1=1))
 
 
 def test_config_takes_numpy_integer_cutoffs():
     cfg = FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=np.array([3, 4]),
-                     params=quiet_params(gS1=1))
+                     params=CouplerParams(gS1=1))
     assert cfg.cutoffs == (3, 4) and all(type(c) is int for c in cfg.cutoffs)
 
 
@@ -391,7 +389,7 @@ def test_fock_level_holds_only_a_level():
 
 def test_statistics_outside_subsystem_rejected():
     cfg = FockConfig(modes=(ModeId.S1, ModeId.V1), cutoffs=(4, 4),
-                     params=quiet_params(gS1=0.2))
+                     params=CouplerParams(gS1=0.2))
     ens = evolve_fock(cfg, [VACUUM_INPUT, VACUUM_INPUT], 0.1)
     for sel in [(ModeId.A1,), (ModeId.S1, ModeId.A1)]:
         with pytest.raises(ValidationError, match=r"mode A1 is outside the subsystem \('S1', 'V1'\)"):

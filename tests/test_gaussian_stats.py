@@ -11,6 +11,7 @@ from qcoupler.dynamics import evolve_state, propagator
 from qcoupler.exceptions import NumericalError, ValidationError
 from qcoupler.gaussian_stats import stats_report
 from qcoupler.model import (
+    CouplerParams,
     GaussianState,
     InputSpec,
     ModeId,
@@ -21,7 +22,6 @@ from qcoupler.model import (
 from qcoupler.shortlen import shortlen_state
 
 from conftest import (
-    quiet_params,
     random_couplings,
     random_inputs,
     selection_spectrum,
@@ -60,14 +60,14 @@ def test_intensity_variance_chaotic():
 
 def test_intensity_variance_shortlen_regime():
     # stimulated Stokes: leading order is 2 |g|^2 |xi|^2 z^2 = 0.08
-    s = evolved(quiet_params(gS1=1),
+    s = evolved(CouplerParams(gS1=1),
                 [InputSpec(xi=2)] + [VACUUM_INPUT] * 5, 0.1)
     assert stats_report(s, (S1,)).variance_w == pytest.approx(0.08, abs=2e-3)
 
 
 def test_compound_variance_can_be_negative():
     # interference term makes the compound variance negative at short z
-    s = shortlen_state(quiet_params(gS1=1, gA1=2),
+    s = shortlen_state(CouplerParams(gS1=1, gA1=2),
                        shortlen_input(np.array([2, 2, 0, 0, 0, 0], complex), 0.0, 0.0), 0.05)
     total = stats_report(s, (S1, A1)).variance_w
     # -0.02 is the leading z^2 value; amplitude drift adds O(z^3)
@@ -87,7 +87,7 @@ def test_principal_squeeze_vacuum_levels():
 
 
 def test_principal_squeeze_two_mode_benchmark():
-    params = quiet_params(gS1=1.0)
+    params = CouplerParams(gS1=1.0)
     s0 = build_input_state([VACUUM_INPUT] * 6)
     for z in (0.5, 1.0, 3.0):
         s = evolve_state(propagator(params, z), s0)
@@ -96,7 +96,7 @@ def test_principal_squeeze_two_mode_benchmark():
 
 
 def test_principal_squeeze_shortlen_value():
-    s = shortlen_state(quiet_params(gS1=1, gA1=2), shortlen_input(np.zeros(6, complex), 0.0, 0.0),
+    s = shortlen_state(CouplerParams(gS1=1, gA1=2), shortlen_input(np.zeros(6, complex), 0.0, 0.0),
                        0.1)
     lam = stats_report(s, ModeSelection((ModeId.S1, ModeId.A1))).lam
     assert lam == pytest.approx(1.98, abs=1e-12)
@@ -116,7 +116,7 @@ def test_squeeze_digit_alarm_under_gain():
     # 2 e^(-2z) while the largest principal variance is 2 e^(2z), so its
     # roundoff passes 1e-8 lambda near z = 4.4, and at z = 14 lambda came
     # out as -2.4e-4
-    params = quiet_params(gS1=1.0)
+    params = CouplerParams(gS1=1.0)
     s0 = build_input_state([VACUUM_INPUT] * 6)
     sel = ModeSelection((ModeId.S1, ModeId.V1))
     zs = np.linspace(0.0, 3.0, 13)
@@ -305,7 +305,7 @@ def test_distribution_sums_to_one_within_truncation():
 def test_sub_poissonian_compound_mode_exists():
     # stimulated Stokes/anti-Stokes with weak thermal phonons: the (S1,A1)
     # compound field turns sub-Poissonian at finite z
-    params = quiet_params(gS1=1, gA1=2)
+    params = CouplerParams(gS1=1, gA1=2)
     inputs = [VACUUM_INPUT] * 6
     inputs[S1] = InputSpec(xi=-2j)
     inputs[A1] = InputSpec(xi=2j)
@@ -335,7 +335,7 @@ def test_single_modes_stay_classical_without_squeezed_inputs():
 
 
 def test_stats_report_fields_and_cross_check():
-    s = evolved(quiet_params(gS1=0.8), [VACUUM_INPUT] * 6, 0.6)
+    s = evolved(CouplerParams(gS1=0.8), [VACUUM_INPUT] * 6, 0.6)
     rep = stats_report(s, ModeSelection((ModeId.S1, ModeId.V1)),
                        k_max=4, n_max=64, include_pn=True)
     assert rep.mean_w == pytest.approx(2 * math.sinh(0.48) ** 2, abs=1e-10)
@@ -393,7 +393,7 @@ def test_singular_generating_function_raises():
 ], ids=["variance", "pn", "uncertainty"])
 def test_statistics_beyond_double_range_raise(spec, include_pn, message):
     # every input moment is a double; a statistic built from them is not
-    states = evolve_state(propagator(quiet_params(gA1=0.5), [0.0, 0.1]),
+    states = evolve_state(propagator(CouplerParams(gA1=0.5), [0.0, 0.1]),
                           build_input_state([spec] + [VACUUM_INPUT] * 5))
     with np.errstate(over="ignore", invalid="ignore"):  # numpy's overflow warnings come first
         with pytest.raises(NumericalError, match=f"^{message} at z=0.0 for selection S1$"):
@@ -406,7 +406,7 @@ def test_variance_cross_check_holds_where_mean_squared_overflows(monkeypatch):
     from qcoupler import gaussian_stats
 
     states = evolve_state(
-        propagator(quiet_params(gS1=0.1, gA1=0.2), [0.0, 0.1]),
+        propagator(CouplerParams(gS1=0.1, gA1=0.2), [0.0, 0.1]),
         build_input_state([InputSpec(xi=1e78, n_ch=1e150)] + [VACUUM_INPUT] * 5))
     exact = gaussian_stats._intensity_variance
     assert np.all(stats_report(states, single(ModeId.S1)).variance_w > 2e306)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import warnings
 
 import mpmath as mp
 import numpy as np
@@ -10,11 +9,7 @@ import pytest
 
 from qcoupler.analytic import analytic_propagator
 from qcoupler.dynamics import build_drift_matrix, evolve_state, propagator, rk4_propagator
-from qcoupler.exceptions import (
-    ParameterRegimeWarning,
-    ScenarioParseError,
-    ValidationError,
-)
+from qcoupler.exceptions import ScenarioParseError, ValidationError
 from qcoupler.fock_oracle import FockConfig, FockLevel
 from qcoupler.gaussian_stats import stats_report
 from qcoupler.model import (
@@ -30,12 +25,11 @@ from qcoupler.model import (
     parse_complex,
     parse_scenario,
     serialize_scenario,
-    validate_params,
 )
 from qcoupler.presets import load_preset
 from qcoupler.shortlen import short_propagator, shortlen_state
 
-from conftest import quiet_params, random_couplings, random_inputs
+from conftest import random_couplings, random_inputs
 
 
 def test_mode_order():
@@ -354,27 +348,6 @@ def test_check_physical_branches(n, m, message):
         state.check_physical()
 
 
-def test_validate_params_zero_is_valid():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        validate_params(CouplerParams())
-
-
-def test_validate_params_rejects_nonfinite():
-    with pytest.raises(ValidationError):
-        validate_params(CouplerParams(gS1=complex("inf")))
-
-
-def test_validate_params_regime_warning():
-    # |gA| > |gS| in the driven guide: no warning (the published regime)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        validate_params(CouplerParams(gS1=1, gA1=2, kappaS=-10))
-    # dominant Stokes coupling warns, non-fatally
-    with pytest.warns(ParameterRegimeWarning):
-        validate_params(CouplerParams(gS1=2, gA1=1))
-
-
 def test_mode_selection_canonical_order():
     sel = ModeSelection((ModeId.S2, ModeId.A1))
     assert sel.modes == (ModeId.A1, ModeId.S2)
@@ -547,6 +520,11 @@ def test_serialize_round_trip_of_numpy_and_int_fields():
     assert parse_scenario(text) == cfg
     int_real = dataclasses.replace(cfg, z_max=2)
     assert parse_scenario(serialize_scenario(int_real)) == int_real
+    # the orders are stored as the ints they were checked as, a bool as 1
+    for orders in ({}, {"n_max": True}, {"k_max": True}):
+        ordered = dataclasses.replace(cfg, **orders)
+        assert type(ordered.n_max) is int and type(ordered.k_max) is int
+        assert parse_scenario(serialize_scenario(ordered)) == ordered
 
 
 def test_parse_complex_forms():
@@ -567,7 +545,7 @@ def test_format_complex_round_trips():
 
 
 def test_swapped_params():
-    p = quiet_params(gS1=1, gA1=2, gS2=3, gA2=4, kappaS=1j, kappaA=-2j)
+    p = CouplerParams(gS1=1, gA1=2, gS2=3, gA2=4, kappaS=1j, kappaA=-2j)
     q = p.swapped()
     assert (q.gS1, q.gA1, q.gS2, q.gA2) == (3, 4, 1, 2)
     assert q.kappaS == -1j and q.kappaA == 2j

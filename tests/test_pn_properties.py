@@ -15,14 +15,13 @@ from hypothesis import assume, given, settings, strategies as st
 import qcoupler.gaussian_stats as gaussian_stats
 from qcoupler.dynamics import evolve_state, propagator
 from qcoupler.gaussian_stats import stats_report
-from qcoupler.model import InputSpec, ModeId, ModeSelection, build_input_state
+from qcoupler.model import CouplerParams, InputSpec, ModeId, ModeSelection, build_input_state
 
 from conftest import (
     PROPERTY_PHASES,
     doubled_block,
     growth_rate,
     permute_state,
-    quiet_params,
     selection_spectrum,
     spectrum_jet,
     unreduced_jet,
@@ -56,7 +55,7 @@ def stable_state(mags, phase, specs, z_max):
     gain (an eigenvalue of the generator with positive real part) are
     rejected."""
     g = [m * np.exp(1j * p) for m, p in zip(mags, phase)]
-    params = quiet_params(gS1=g[0], gA1=g[1], gS2=g[2], gA2=g[3], kappaS=g[4], kappaA=g[5])
+    params = CouplerParams(gS1=g[0], gA1=g[1], gS2=g[2], gA2=g[3], kappaS=g[4], kappaA=g[5])
     assume(growth_rate(params) <= 1e-9)
     return evolve_state(propagator(params, np.linspace(0.0, z_max, 5)), build_input_state(specs))
 

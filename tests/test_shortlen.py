@@ -9,6 +9,7 @@ from qcoupler.shortlen import _rows_poly, short_propagator, shortlen_polys, shor
 from qcoupler.gaussian_stats import stats_report
 from qcoupler.model import (
     VACUUM_INPUT,
+    CouplerParams,
     GaussianState,
     InputSpec,
     ModeSelection,
@@ -17,7 +18,6 @@ from qcoupler.model import (
 
 from conftest import (
     S1, A1, V1, S2, A2, V2,
-    quiet_params,
     random_couplings,
     shortlen_identity_records,
     shortlen_input,
@@ -27,13 +27,13 @@ NO_AMPLITUDES = np.zeros(6, complex)
 
 
 def test_identity_at_zero():
-    params = quiet_params(gS1=1, gA1=2, kappaS=3j)
+    params = CouplerParams(gS1=1, gA1=2, kappaS=3j)
     t = short_propagator(params, 0.0)
     assert np.array_equal(t.U, np.eye(6)) and np.array_equal(t.V, 0 * t.V)
 
 
 def test_stokes_example_entries():
-    t = short_propagator(quiet_params(gS1=1), 0.01)
+    t = short_propagator(CouplerParams(gS1=1), 0.01)
     assert t.U[S1, S1] == pytest.approx(1 + 0.5e-4, abs=1e-15)
     assert t.V[S1, V1] == pytest.approx(0.01j, abs=1e-15)
 
@@ -43,7 +43,7 @@ def test_rows_match_operator_expansion():
     rng = np.random.default_rng(12)
     vals = rng.uniform(0.3, 2, 6) * np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
     gs1, ga1, gs2, ga2, ks, ka = vals
-    params = quiet_params(gS1=gs1, gA1=ga1, gS2=gs2, gA2=ga2, kappaS=ks, kappaA=ka)
+    params = CouplerParams(gS1=gs1, gA1=ga1, gS2=gs2, gA2=ga2, kappaS=ks, kappaA=ka)
     rows = _rows_poly(params)
     u, v = rows[..., :6], rows[..., 6:]
     # A_S1: + i(gS1 V1+ + kS* S2) z + (gS1 gA1 A1+ + |gS1|^2 S1 - kS* gS2 V2+ - |kS|^2 S1) z^2/2
@@ -82,7 +82,7 @@ def test_order_of_accuracy():
 def test_coefficients_vacuum_phonons():
     """With quiet phonons the nonzero coefficient set collapses to the
     Stokes pair terms (and their guide-2 images)."""
-    c = shortlen_state(quiet_params(gS1=1), shortlen_input(NO_AMPLITUDES, 0.0, 0.0), 0.1)
+    c = shortlen_state(CouplerParams(gS1=1), shortlen_input(NO_AMPLITUDES, 0.0, 0.0), 0.1)
     assert c.B[S1] == pytest.approx(0.01)
     assert c.B[V1] == pytest.approx(0.01)
     assert c.B[A1] == 0.0
@@ -91,10 +91,10 @@ def test_coefficients_vacuum_phonons():
 
 
 def test_coefficients_thermal_examples():
-    c = shortlen_state(quiet_params(gS1=1, gA1=2), shortlen_input(NO_AMPLITUDES, 0.5, 0.0), 0.1)
+    c = shortlen_state(CouplerParams(gS1=1, gA1=2), shortlen_input(NO_AMPLITUDES, 0.5, 0.0), 0.1)
     assert c.B[A1] == pytest.approx(0.02)
     assert c.D[S1, A1] == pytest.approx(-0.02)        # (n + 1/2) = 1
-    c2 = shortlen_state(quiet_params(gA2=2, kappaA=1), shortlen_input(NO_AMPLITUDES, 0.0, 0.3),
+    c2 = shortlen_state(CouplerParams(gA2=2, kappaA=1), shortlen_input(NO_AMPLITUDES, 0.0, 0.3),
                         0.1)
     assert c2.Dbar[A1, V2] == pytest.approx(0.003)
 
@@ -105,7 +105,7 @@ def test_coefficient_set_matches_published_table():
     rng = np.random.default_rng(44)
     vals = rng.uniform(0.3, 2.5, 6) * np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
     gs1, ga1, gs2, ga2, ks, ka = vals
-    params = quiet_params(gS1=gs1, gA1=ga1, gS2=gs2, gA2=ga2, kappaS=ks, kappaA=ka)
+    params = CouplerParams(gS1=gs1, gA1=ga1, gS2=gs2, gA2=ga2, kappaS=ks, kappaA=ka)
     n1, n2 = 0.35, 0.15
     polys = shortlen_polys(params, shortlen_input(NO_AMPLITUDES, n1, n2))
 
@@ -163,14 +163,14 @@ def test_brillouin_is_raman_at_zero_noise():
 
 def test_negative_phonon_number_rejected():
     with pytest.raises(ValidationError, match="^n_ch must be >= 0, got -0.1$"):
-        shortlen_state(quiet_params(gS1=1), shortlen_input(NO_AMPLITUDES, -0.1, 0.0), 0.1)
+        shortlen_state(CouplerParams(gS1=1), shortlen_input(NO_AMPLITUDES, -0.1, 0.0), 0.1)
 
 
 def test_stacked_input_state_rejected():
     s0 = shortlen_input(NO_AMPLITUDES, 0.1, 0.0)
     stacked = GaussianState(np.stack([s0.xi] * 2), np.stack([s0.N] * 2), np.stack([s0.M] * 2))
     with pytest.raises(ValidationError, match=r"one input state, got a stack of shape \(2,\)"):
-        shortlen_polys(quiet_params(gS1=1), stacked)
+        shortlen_polys(CouplerParams(gS1=1), stacked)
 
 
 def mean_amplitudes(params, xi, z):
@@ -179,19 +179,19 @@ def mean_amplitudes(params, xi, z):
 
 def test_mean_amplitude_examples():
     xi = np.zeros(6, complex)
-    assert np.allclose(mean_amplitudes(quiet_params(), xi, 0.0), xi)
+    assert np.allclose(mean_amplitudes(CouplerParams(), xi, 0.0), xi)
     xi[V1] = 1
-    out = mean_amplitudes(quiet_params(gS1=1), xi, 0.01)
+    out = mean_amplitudes(CouplerParams(gS1=1), xi, 0.01)
     assert out[S1] == pytest.approx(0.01j, abs=1e-12)
     xi2 = np.zeros(6, complex)
     xi2[S2] = 2
-    out2 = mean_amplitudes(quiet_params(kappaS=-10), xi2, 0.01)
+    out2 = mean_amplitudes(CouplerParams(kappaS=-10), xi2, 0.01)
     assert out2[S1] == pytest.approx(-0.2j, abs=1e-6)
 
 
 def test_mean_amplitudes_need_six_modes():
     with pytest.raises(ValidationError, match="expected 6 input specs, got 3"):
-        shortlen_state(quiet_params(gS1=1), build_input_state([InputSpec(xi=1)] * 3), 0.1)
+        shortlen_state(CouplerParams(gS1=1), build_input_state([InputSpec(xi=1)] * 3), 0.1)
 
 
 def test_identity_records_consistency():
@@ -205,8 +205,8 @@ def test_identity_records_consistency():
     rng = np.random.default_rng(27)
     for _ in range(3):
         vals = rng.uniform(0.3, 2.5, 6) * np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
-        params = quiet_params(gS1=vals[0], gA1=vals[1], gS2=vals[2],
-                              gA2=vals[3], kappaS=vals[4], kappaA=vals[5])
+        params = CouplerParams(gS1=vals[0], gA1=vals[1], gS2=vals[2],
+                               gA2=vals[3], kappaS=vals[4], kappaA=vals[5])
         xi = rng.uniform(0.3, 2.0, 6) * np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
         n1, n2 = rng.uniform(0.05, 0.8, 2)
         for label, composed, reference, published in shortlen_identity_records(
