@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from qcoupler.analytic import analytic_propagator
 from qcoupler.dynamics import build_drift_matrix, evolve_state, propagator, rk4_propagator
-from qcoupler.exceptions import ScenarioParseError, ValidationError
+from qcoupler.cli import run_scenario
+from qcoupler.exceptions import ParameterRegimeWarning, ScenarioParseError, ValidationError
 from qcoupler.fock_oracle import FockConfig, FockLevel
 from qcoupler.gaussian_stats import stats_report
 from qcoupler.model import (
@@ -346,6 +348,24 @@ def test_check_physical_branches(n, m, message):
     state = GaussianState(xi=np.zeros(6), N=n, M=m)
     with pytest.raises(ValidationError, match=message):
         state.check_physical()
+
+
+def test_validate_params_zero_is_valid():
+    # no coupling at all: the parameters are valid and the sweep warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_scenario(ScenarioConfig(params=CouplerParams(), z_steps=2))
+
+
+def test_validate_params_regime_warning():
+    # |gA| > |gS| in the driven guide: no warning (the published regime)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_scenario(ScenarioConfig(params=CouplerParams(gS1=1, gA1=2, kappaS=-10), z_steps=2))
+    # dominant Stokes coupling warns, non-fatally
+    with pytest.warns(ParameterRegimeWarning):
+        result = run_scenario(ScenarioConfig(params=CouplerParams(gS1=2, gA1=1), z_steps=2))
+    assert result.z.shape == (2,)
 
 
 def test_mode_selection_canonical_order():
