@@ -10,7 +10,10 @@
 # runs fig3, which must write the same bytes as ``python -m qcoupler``.
 # It also runs every preset from its serialized scenario file through
 # ``--scenario``, and each run must write the same files, byte for byte,
-# as the preset's; then the README's library example runs.  Run from the
+# as the preset's.  An order-512 p(n) sweep (60 points, coherent plus
+# chaotic light on S1 and squeezed light on A1) runs twice with different
+# string hashing and once through ``qcoupler``, and all three must write
+# the same bytes; then the README's library example runs.  Run from the
 # repository root, with qcoupler installed.
 set -euo pipefail
 
@@ -46,6 +49,35 @@ sys.stdout.write(qcoupler.serialize_scenario(qcoupler.load_preset(sys.argv[1])))
   diff <(ls "$runs/scenario-$preset") <(cd "$runs/a" && ls "$preset".*)
   for f in "$runs/scenario-$preset"/*.csv; do
     cmp "$f" "$runs/a/${f##*/}"
+  done
+done
+cat > "$runs/deep.txt" <<'EOF'
+[params]
+gS1 = 0.5
+gA1 = 1
+kappaS = 0.3
+[inputs.S1]
+xi = 3
+n_ch = 2
+[inputs.A1]
+r = 0.8
+[run]
+z_max = 3
+z_steps = 60
+n_max = 512
+k_max = 8
+[observables]
+moments: S1,A1
+pn: S1,A1
+EOF
+mkdir "$runs/deep-a" "$runs/deep-b" "$runs/deep-script"
+PYTHONHASHSEED=1 python -m qcoupler run --scenario "$runs/deep.txt" --out "$runs/deep-a/deep.csv"
+PYTHONHASHSEED=2 python -m qcoupler run --scenario "$runs/deep.txt" --out "$runs/deep-b/deep.csv"
+qcoupler run --scenario "$runs/deep.txt" --out "$runs/deep-script/deep.csv"
+for other in deep-b deep-script; do
+  diff <(ls "$runs/deep-a") <(ls "$runs/$other")
+  for f in "$runs"/deep-a/*.csv; do
+    cmp "$f" "$runs/$other/${f##*/}"
   done
 done
 python -m pytest -q tests/test_readme.py

@@ -180,22 +180,25 @@ def _largest_over_z(values: np.ndarray, zs: np.ndarray) -> str:
     return f"{values[i]:.6e} at z={zs[i]:.12g}"
 
 
-def _write_rows(fh, table: np.ndarray) -> None:
-    """Write each row of ``table`` to the binary file ``fh`` as one CSV
-    line, each cell as ``%.12g`` (the text of ``format(v, ".12g")``).
+def _write_rows(fh, z: np.ndarray, values) -> None:
+    """Write the table whose columns are ``z`` and then ``values`` to the
+    binary file ``fh``, one CSV line per z, each cell as ``%.12g`` (the
+    text of ``format(v, ".12g")``).  Each entry of ``values`` is one
+    column over z or a (z, n) table of columns.
 
     Rows go out in blocks of about ``_BLOCK_CELLS`` cells, at least one
-    row each: one bytes template, the row template repeated once per row
-    of the block, formats the whole block in one ``%`` and one write.
-    A block's floats and text are all that is held at once, so memory
-    stays flat in the table's size.
+    row each: the block's rows are stacked, then one bytes template, the
+    row template repeated once per row of the block, formats the whole
+    block in one ``%`` and one write.  No copy of the whole table is
+    made: a block's floats and text are all that is held at once, so
+    memory stays flat in the table's size.
     """
-    nrows, ncols = table.shape
+    ncols = 1 + sum(1 if np.ndim(v) == 1 else np.shape(v)[1] for v in values)
     step = max(1, _BLOCK_CELLS // ncols)
     row = b",".join([b"%.12g"] * ncols) + b"\n"
     template = row * step
-    for start in range(0, nrows, step):
-        block = table[start:start + step]
+    for start in range(0, len(z), step):
+        block = np.column_stack([z[start:start + step]] + [v[start:start + step] for v in values])
         fmt = template if len(block) == step else row * len(block)
         fh.write(fmt % tuple(block.ravel().tolist()))
 
@@ -217,14 +220,14 @@ def emit_csv(result: SweepResult, destination) -> list:
             head = "".join(f"# {key}: {value}\n" for key, value in result.metadata)
             head += ",".join(["z"] + [name for name, _ in result.columns]) + "\n"
             fh.write(head.encode())
-            _write_rows(fh, np.column_stack([result.z] + [values for _, values in result.columns]))
+            _write_rows(fh, result.z, [values for _, values in result.columns])
         stem = destination[:-4] if destination.endswith(".csv") else destination
         for sel_name, table in result.pn_tables:
             path = f"{stem}.{sel_name}.pn.csv"
             written.append(path)
             with open(path, "wb") as fh:
                 fh.write((",".join(["z"] + [f"p{n}" for n in range(table.shape[1])]) + "\n").encode())
-                _write_rows(fh, np.column_stack([result.z, table]))
+                _write_rows(fh, result.z, [table])
     except OSError as exc:
         raise QcouplerError(f"cannot write {exc.filename or destination}: {exc}") from exc
     return written

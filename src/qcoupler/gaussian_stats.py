@@ -49,8 +49,10 @@ for compound vacuum).
 
 ``stats_report`` accepts a stacked state (one per point of a z-grid, say)
 and returns its statistics stacked over the same leading axes.  The
-eigen jet's log-series is built in closed form; the trace series and the
-series exponential loop over the order.
+eigen jet's log-series is built in closed form, and its exponential runs
+in blocks of ``_JET_BLOCK`` orders, with the history older than a block
+carried in two running sums per eigenvalue; the trace series and its
+exponential (order <= 8) loop over the order.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ __all__ = ["StatsReport", "stats_report"]
 
 _MIN_PIVOT = 1e-12  # singularity floor for (1 + s * eigenvalue)
 _MAX_SHIFT = 600.0  # largest seed shift of the series exponential; e^600 p(n) < e^709
+_JET_BLOCK = 64  # orders per block of the p(n) jet's recurrence
 _TINY = np.finfo(float).tiny  # smallest normal double
 _EPS = np.finfo(float).eps
 _SQUEEZE_DIGITS = 1e-8  # largest roundoff of a quadrature variance, relative to lambda
@@ -150,6 +153,8 @@ def _series_exp(h: np.ndarray) -> np.ndarray:
     c = clip(-h_0, 0, _MAX_SHIFT) a bright field's exp(h_0) no longer
     underflows to a zero seed.  At s = 1, |f_n| = p(n) <= 1, so the
     shifted coefficients stay below e^_MAX_SHIFT and cannot overflow.
+    It serves the trace series at s = 0 (order <= 8); the p(n) jet runs
+    the same recurrence in blocks (``_g_jet``).
     """
     order = h.shape[-1] - 1
     kh = np.arange(order + 1) * h
@@ -173,35 +178,94 @@ def _g_jet(lam: np.ndarray, w: np.ndarray, order: int) -> np.ndarray:
     log G(1 + t) = -(1/2) sum_i [log(a_i + lam_i t) + (1 + t) w_i / (a_i + lam_i t)]
     with a_i = 1 + lam_i.  Expanding both terms in powers of
     P_i = -lam_i / a_i, and using 1 - lam_i / a_i = 1 / a_i to merge
-    the t-shifted prefactor term, gives the log-series h in closed form:
+    the t-shifted prefactor term, gives the log-series h in closed form,
+    and with it the coefficients c_n = n h_n of the exponential's
+    recurrence n f_n = sum_(k=1..n) c_k f_(n-k):
 
         h_0 = -(1/2) sum_i (log a_i + w_i / a_i),
-        h_n = (1/2) sum_i P_i^(n-1) (P_i / n - w_i / a_i^2),   n >= 1.
+        c_n = (1/2) sum_i P_i^(n-1) (P_i - n q_i),   q_i = w_i / a_i^2.
 
-    The powers come from one cumulative product per eigenvalue, written
-    into a buffer that is reused for every eigenvalue.
+    The recurrence runs as in ``_series_exp`` (the same seed shift,
+    subnormal-seed flush and final e^-c, on a reversed f), in blocks of
+    ``_JET_BLOCK`` orders.  In the block of orders m..m+b-1, the part of
+    the sum that reaches back before m is, for n = m + d,
+
+        sum_(j<m) c_(n-j) f_j = (1/2) sum_i P_i^d [P_i S_i - q_i (T_i + d S_i)],
+
+    with two states per eigenvalue, S_i = sum_(j<m) P_i^(m-1-j) f_j and
+    T_i = sum_(j<m) (m-j) P_i^(m-1-j) f_j.  That history term is put in
+    the order's own slot and c_0 = 1, so each order is one dot product
+    over at most ``_JET_BLOCK`` terms and one division.  The first block
+    starts at m = 1, and its history c_n f_0 is taken in by reaching its
+    windows down to f_0: a jet of order <= _JET_BLOCK is that one block,
+    the plain recurrence, with no states.  After a block of b orders,
+
+        S_i <- P_i^b S_i + sum_e P_i^e f_(m+b-1-e),
+        T_i <- P_i^b (T_i + b S_i) + sum_e (e+1) P_i^e f_(m+b-1-e).
+
+    Both are weighted sums of coefficients already computed; with
+    |P_i| < 1 (lam_i > -1/2, any physical spectrum) no parasitic solution
+    can grow.  The powers P_i^0..P_i^b come from one cumulative product
+    per eigenvalue, and c gathers them one eigenvalue at a time; only a
+    jet of more than one block keeps all the powers.  The result is the
+    reversed view of the table, scaled in place.
     """
     a = 1.0 + lam
     p = -lam / a
     q = w / a**2
-    inv_n = 1.0 / np.arange(1, order + 1)
-    h = np.zeros(lam.shape[:-1] + (order + 1,))
-    h[..., 0] = -0.5 * np.sum(np.log(a) + w / a, axis=-1)
-    tail = h[..., 1:]
-    powers = np.empty_like(tail)
-    term = np.empty_like(tail)
-    for i in range(lam.shape[-1]):
-        p_i = p[..., i, None]
-        powers[..., :1] = 1.0
-        powers[..., 1:] = p_i
-        np.cumprod(powers, axis=-1, out=powers)  # P_i^0 .. P_i^(order-1)
-        np.multiply(p_i, inv_n, out=term)
-        term -= q[..., i, None]
-        term *= powers
-        tail += term
-    tail *= 0.5
-    del powers, term  # free the buffers before _series_exp allocates its own
-    return _series_exp(h)
+    lead, size = lam.shape[:-1], lam.shape[-1]
+    width = min(order, _JET_BLOCK)
+    deep = order > _JET_BLOCK
+    powers = np.empty(lead + (size if deep else 1, width + 1))
+    c = np.zeros(lead + (width + 1,))
+    term = np.empty(lead + (width,))
+    k = np.arange(1, width + 1)
+    for i in range(size):
+        pw, p_i = powers[..., i if deep else 0, :], p[..., i, None]
+        pw[..., :1] = 1.0
+        pw[..., 1:] = p_i
+        np.cumprod(pw, axis=-1, out=pw)  # P_i^0 .. P_i^width
+        np.multiply(k, q[..., i, None], out=term)
+        np.subtract(p_i, term, out=term)
+        term *= pw[..., :width]
+        c[..., 1:] += term
+    del term
+    c *= 0.5
+    c[..., 0] = 1.0
+    h0 = -0.5 * np.sum(np.log(a) + w / a, axis=-1)
+    shift = np.clip(-h0, 0.0, _MAX_SHIFT)
+    seed = np.exp(h0 + shift)
+    fr = np.zeros(lead + (order + 1,))
+    # a subnormal seed would pass its lost bits on to every coefficient
+    fr[..., order] = np.where(seed >= _TINY, seed, 0.0)
+    s = t = fr[..., order, None]   # the states at m = 1, broadcast over the eigenvalues
+    scratch = np.empty(lead + (1, width)) if deep else None
+    for m in range(1, order + 1, _JET_BLOCK):
+        b = min(_JET_BLOCK, order + 1 - m)
+        top = order + 1 - m   # fr[..., top - b:top] holds f_(m+b-1) .. f_m
+        if m > 1:
+            head, slots, buf = powers[..., :b], fr[..., top - b:top], scratch[..., :b]
+            np.matmul((0.5 * (p * s - q * t))[..., None, :], head, out=buf)
+            slots[...] = buf[..., 0, ::-1]
+            np.matmul((0.5 * q * s)[..., None, :], head, out=buf)
+            buf *= np.arange(b)
+            slots -= buf[..., 0, ::-1]
+        # the first block's windows reach down to f_0, its only history, past
+        # the order's own slot; a later block's windows start at that slot,
+        # which holds the history term
+        first, stop = (1, order + 1) if m == 1 else (0, top)
+        for n in range(m, m + b):
+            fr[..., order - n] = np.vecdot(c[..., first:n + 1 - m + first],
+                                           fr[..., order - n + first:stop]) / n
+        if m + b <= order:   # a full block, b = _JET_BLOCK
+            head, done = powers[..., :b], fr[..., top - b:top, None]
+            weighted = np.multiply(done, np.arange(1, b + 1)[:, None],
+                                   out=scratch.reshape(lead + (b, 1)))
+            t = powers[..., b] * (t + b * s) + (head @ weighted)[..., 0]
+            s = powers[..., b] * s + (head @ done)[..., 0]
+    with np.errstate(under="ignore"):  # entries below the double range are 0
+        fr *= np.exp(-shift)[..., None]
+    return fr[..., ::-1]
 
 
 def _reduced_log_series(gamma: np.ndarray, y: np.ndarray, mean_w, scale, order: int):
@@ -285,7 +349,9 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
     intensity variance; where p(n) is asked for, a pivot 1 + lam_i <= 1e-12
     or an all-zero p(n); the variance cross-check; where the quadratures
     are, a roundoff beyond 1e-8 lambda; a non-finite quadrature field or
-    p(n) entry.  Each names the first failing z (row-major) and the selection.
+    p(n) entry; a p(n) row that sums above one beyond roundoff,
+    1 - sum p(n) < -1e-10 max(1, sum p(n)).  Each names the first failing
+    z (row-major) and the selection.
     """
     _check_orders(k_max, n_max)
     sel = sel if isinstance(sel, ModeSelection) else ModeSelection(sel)
@@ -344,6 +410,11 @@ def stats_report(state: GaussianState, sel, k_max: int = 5, n_max: int = 64,
                          ("var_q", var_q), ("u", uncertainty)):
         if values is not None:
             _fail(state, sel, ~np.isfinite(values), f"{name} is not finite")
+    if p_n is not None:
+        mass = 1.0 - deficit
+        _fail(state, sel, deficit < -1e-10 * np.maximum(1.0, mass), "p(n) sums above one",
+              lambda i: f"sum p(n) = {float(np.ravel(mass)[i]):.6g} "
+                        "(state is unphysical or has lost its digits)")
     return StatsReport(
         mean_w=mean_w,
         reduced_moments=reduced,

@@ -394,6 +394,10 @@ def _nan_pn(g_jet):
     return lambda lam, w, order: np.where(FLAGGED[..., None], np.nan, g_jet(lam, w, order))
 
 
+def _heavy_pn(g_jet):
+    return lambda lam, w, order: np.where(FLAGGED[..., None], 2.0, 1.0) * g_jet(lam, w, order)
+
+
 def _nan_lambda(quadratures):
     def patched(n, m):
         lam, *rest = quadratures(n, m)
@@ -421,6 +425,7 @@ ALARMS = [
     ("quadrature variances lose their digits", _report(_spoiled("N", -1.5))),
     ("p(n) is not finite", _report(patch=("_g_jet", _nan_pn), include_pn=True)),
     ("lambda is not finite", _report(patch=("_quadratures", _nan_lambda))),
+    ("p(n) sums above one", _report(patch=("_g_jet", _heavy_pn), include_pn=True)),
     ("photon-number balance drift is not finite", _balance),
     ("matrix exponential produced non-finite entries", _propagate),
 ]

@@ -2,11 +2,13 @@
 
 import math
 import re
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import qcoupler.gaussian_stats as gaussian_stats
 from qcoupler.dynamics import evolve_state, propagator
 from qcoupler.exceptions import NumericalError, ValidationError
 from qcoupler.gaussian_stats import stats_report
@@ -300,6 +302,22 @@ def test_distribution_sums_to_one_within_truncation():
             p_n = stats_report(s, sel, 2, 256, include_pn=True).p_n
             assert np.all(p_n >= -1e-12)
             assert 1.0 - p_n.sum() < 1e-6
+
+
+def test_pn_jet_peaks_below_two_tables():
+    # an order-512 jet over 2000 points of a compound selection: its
+    # (2000, 513) table, and at most as much again for the work around it
+    rng = np.random.default_rng(29)
+    lam = rng.uniform(-0.45, 3.0, (2000, 4))
+    w = rng.uniform(0.0, 300.0, (2000, 4))
+    tracemalloc.start()
+    try:
+        jet = gaussian_stats._g_jet(lam, w, 512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert jet.shape == (2000, 513)
+    assert peak <= 2 * jet.nbytes
 
 
 def test_sub_poissonian_compound_mode_exists():

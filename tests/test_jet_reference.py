@@ -6,8 +6,10 @@ moments' trace series at s=0 on the diagonal covariance of each spectrum,
 are checked on spectra they miss: four distinct eigenvalues with squeezed
 (negative) ones, a repeated thermal pair, and a bright row; and the
 squeezed vacuum, whose two eigenvalues give log-series ratios P of
-opposite sign, at order 512.  The trace series is also checked on a
-weakly squeezed vacuum, whose <W> lies far below its eigenvalues.
+opposite sign, at order 512.  The p(n) jet's tails are checked to 1e-12
+relative on either side of its block edges (orders 63 to 65, 129 and
+512).  The trace series is also checked on a weakly squeezed vacuum,
+whose <W> lies far below its eigenvalues.
 """
 
 import math
@@ -80,6 +82,31 @@ def test_stacked_jet_matches_mpmath(references, s0, order, floor):
     assert jets.shape == (len(LAM), order + 1)
     for i, ref in enumerate(references[s0]):
         assert deviation(jets[i], ref[:order + 1], floor) <= TOL, i
+
+
+# spectra at the edges of the p(n) jet's blocks of 64 orders: a repeated
+# thermal pair; a displaced squeezed mode, whose P_i have opposite signs; a
+# thermal mode with <n> = 1000, P = -0.999; coherent light with <W> = 780,
+# P = 0, whose p(n) start below the double range
+EDGE_LAM = np.array([[2.0, 2.0], [1.9, -0.3], [1000.0, 1000.0], [0.0, 0.0]])
+EDGE_W = np.array([[0.0, 0.0], [0.8, 0.5], [0.0, 0.0], [780.0, 780.0]])
+EDGE_ORDERS = (63, 64, 65, 129, 512)
+
+
+@pytest.fixture(scope="module")
+def edge_references():
+    return [mp_jet(lam, w, 1.0, max(EDGE_ORDERS)) for lam, w in zip(EDGE_LAM, EDGE_W)]
+
+
+@pytest.mark.parametrize("order", EDGE_ORDERS)
+def test_pn_jet_tails_match_mpmath_at_block_edges(edge_references, order):
+    """Every p(n) above 1e-300 to 1e-12 relative, the deep tail included."""
+    jets = gaussian_stats._g_jet(EDGE_LAM, EDGE_W, order)
+    for i, ref in enumerate(edge_references):
+        ref = ref[:order + 1]
+        kept = np.abs(ref) > 1e-300
+        assert np.count_nonzero(kept) >= min(order // 2, 40), i
+        assert np.all(np.abs(jets[i] - ref)[kept] <= TOL * np.abs(ref)[kept]), i
 
 
 def test_squeezed_vacuum_pn_at_order_512():
